@@ -24,6 +24,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <new>
 #include <string>
 
 #include "bench_common.h"
@@ -37,6 +38,23 @@ namespace {
 #ifndef FLEX_GIT_SHA
 #define FLEX_GIT_SHA "unknown"
 #endif
+
+/// Makes one allocation the compiler cannot elide (a direct call to the
+/// replaceable operator new, its result published through a volatile) and
+/// reports whether the counting allocator observed it. counting_enabled()
+/// only flips on the first counted allocation, so without this probe a
+/// binary built without FLEX_DEFINE_COUNTING_ALLOCATOR() would report a
+/// vacuous zero allocations/event.
+void* volatile g_probe_sink = nullptr;
+
+bool counting_allocator_live() {
+  namespace alloc = flex::common::alloc_counter;
+  const std::uint64_t before = alloc::allocation_count();
+  void* probe = ::operator new(sizeof(int));
+  g_probe_sink = probe;
+  ::operator delete(probe);
+  return alloc::counting_enabled() && alloc::allocation_count() > before;
+}
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -141,10 +159,18 @@ int main(int argc, char** argv) {
   if (argc > 1) arrivals = std::strtoull(argv[1], nullptr, 10);
   if (argc > 2) rounds = static_cast<int>(std::strtol(argv[2], nullptr, 10));
 
+  const bool counting = counting_allocator_live();
   std::printf("micro_kernel: hot-path throughput "
               "(counting allocator %s)\n\n",
-              flex::common::alloc_counter::counting_enabled() ? "active"
-                                                              : "MISSING");
+              counting ? "active" : "MISSING");
+  if (!counting) {
+    // The allocations/event gate below would pass on a zero it never
+    // measured.
+    std::fprintf(stderr,
+                 "FAIL: counting allocator is not linked in; "
+                 "allocations/event cannot be measured\n");
+    return 1;
+  }
 
   const KernelNumbers kernel = bench_kernel(arrivals, rounds);
   std::printf("event kernel : %.2fM events/sec  (%" PRIu64

@@ -37,7 +37,7 @@ Status validate_drive_config(const ssd::SsdConfig& drive,
   return Status::Ok();
 }
 
-std::vector<std::unique_ptr<ssd::SsdSimulator>> build_drives(
+StatusOr<std::vector<std::unique_ptr<ssd::SsdSimulator>>> build_drives(
     const ArrayConfig& config, const reliability::BerModel& normal,
     const reliability::BerModel& reduced, ssd::EventQueue& kernel) {
   std::vector<std::unique_ptr<ssd::SsdSimulator>> drives;
@@ -47,8 +47,12 @@ std::vector<std::unique_ptr<ssd::SsdSimulator>> build_drives(
         config.drive_overrides.empty() ? config.drive
                                        : config.drive_overrides[d];
     if (config.drive_overrides.empty()) cfg.seed += d * kSeedStride;
-    drives.push_back(
-        std::make_unique<ssd::SsdSimulator>(cfg, normal, reduced, &kernel));
+    auto drive = ssd::SsdSimulator::Builder(normal, reduced)
+                     .config(std::move(cfg))
+                     .kernel(&kernel)
+                     .Build();
+    if (!drive.ok()) return drive.status();
+    drives.push_back(std::move(drive).value());
   }
   return drives;
 }
@@ -181,11 +185,12 @@ Status ArrayConfig::Validate() const {
   return Status::Ok();
 }
 
-ArraySimulator::ArraySimulator(const ArrayConfig& config,
-                               const reliability::BerModel& normal,
-                               const reliability::BerModel& reduced)
+ArraySimulator::ArraySimulator(
+    const ArrayConfig& config, std::unique_ptr<ssd::EventQueue> kernel,
+    std::vector<std::unique_ptr<ssd::SsdSimulator>> drives)
     : config_(config),
-      drives_(build_drives(config_, normal, reduced, kernel_)),
+      kernel_(std::move(kernel)),
+      drives_(std::move(drives)),
       volume_({.drives = config_.drives,
                .replication_factor = config_.replication_factor,
                .stripe_pages = config_.stripe_pages,
@@ -195,7 +200,7 @@ ArraySimulator::ArraySimulator(const ArrayConfig& config,
   qps_.reserve(config_.drives);
   for (std::uint32_t d = 0; d < config_.drives; ++d) {
     qps_.push_back(std::make_unique<QueuePairSet>(
-        config_.queue_pair, kernel_, static_cast<Transport&>(*this),
+        config_.queue_pair, *kernel_, static_cast<Transport&>(*this),
         static_cast<Dispatcher&>(*this)));
   }
   replica_rr_.assign(volume_.groups(), 0);
@@ -211,15 +216,18 @@ ArraySimulator::ArraySimulator(const ArrayConfig& config,
 StatusOr<std::unique_ptr<ArraySimulator>> ArraySimulator::Builder::Build()
     const {
   if (Status status = config_.Validate(); !status.ok()) return status;
-  auto array = std::unique_ptr<ArraySimulator>(
-      new ArraySimulator(config_, normal_, reduced_));
+  auto kernel = std::make_unique<ssd::EventQueue>();
+  auto drives = build_drives(config_, normal_, reduced_, *kernel);
+  if (!drives.ok()) return drives.status();
+  auto array = std::unique_ptr<ArraySimulator>(new ArraySimulator(
+      config_, std::move(kernel), std::move(drives).value()));
   if (telemetry_ != nullptr) array->attach_telemetry(telemetry_);
   return array;
 }
 
 void ArraySimulator::attach_telemetry(telemetry::Telemetry* telemetry) {
   telemetry_ = telemetry;
-  kernel_.attach_telemetry(telemetry);
+  kernel_->attach_telemetry(telemetry);
   if (!telemetry_) {
     requests_metric_ = nullptr;
     reads_metric_ = nullptr;
@@ -541,11 +549,11 @@ void ArraySimulator::finalize(std::uint64_t slot) {
 
 void ArraySimulator::run_segment(const std::vector<trace::Request>& requests) {
   for (const auto& request : requests) {
-    kernel_.schedule(request.arrival, [this, &request](SimTime now) {
+    kernel_->schedule(request.arrival, [this, &request](SimTime now) {
       submit_request(request, now);
     });
   }
-  kernel_.run_all();
+  kernel_->run_all();
   collect_results();
 }
 
@@ -555,8 +563,8 @@ void ArraySimulator::pump_open_loop() {
   if (!request.has_value()) return;
   --open_loop_remaining_;
   open_loop_next_ = *request;
-  const SimTime when = std::max(request->arrival, kernel_.now());
-  kernel_.schedule(when, [this](SimTime now) {
+  const SimTime when = std::max(request->arrival, kernel_->now());
+  kernel_->schedule(when, [this](SimTime now) {
     const trace::Request current = open_loop_next_;
     pump_open_loop();
     submit_request(current, now);
@@ -570,7 +578,7 @@ void ArraySimulator::run_open_loop(trace::RequestSource& source,
                              ? std::numeric_limits<std::uint64_t>::max()
                              : max_requests;
   pump_open_loop();
-  kernel_.run_all();
+  kernel_->run_all();
   collect_results();
   open_loop_source_ = nullptr;
 }
@@ -590,7 +598,7 @@ void ArraySimulator::collect_results() {
   results_.observe_feeds = observe_feeds_;
   results_.integrity_failovers = integrity_failovers_;
   results_.read_repairs = read_repairs_;
-  results_.window = kernel_.now() - window_start_;
+  results_.window = kernel_->now() - window_start_;
 }
 
 void ArraySimulator::reset_measurements() {
@@ -613,7 +621,7 @@ void ArraySimulator::reset_measurements() {
   observe_feeds_ = 0;
   integrity_failovers_ = 0;
   read_repairs_ = 0;
-  window_start_ = kernel_.now();
+  window_start_ = kernel_->now();
   if (telemetry_) {
     telemetry_->metrics.zero();
     telemetry_->spans.clear();

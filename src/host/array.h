@@ -212,9 +212,11 @@ class ArraySimulator : private QueuePairSet::Transport,
     HostBreakdown slowest;
   };
 
+  /// Constructed only by Builder::Build(), from drives it already built on
+  /// `kernel`.
   ArraySimulator(const ArrayConfig& config,
-                 const reliability::BerModel& normal,
-                 const reliability::BerModel& reduced);
+                 std::unique_ptr<ssd::EventQueue> kernel,
+                 std::vector<std::unique_ptr<ssd::SsdSimulator>> drives);
 
   // QueuePairSet::Transport
   SimTime deliver_command(const HostCommand& cmd, SimTime now) override;
@@ -247,7 +249,9 @@ class ArraySimulator : private QueuePairSet::Transport,
   void collect_results();
 
   ArrayConfig config_;
-  ssd::EventQueue kernel_;
+  /// The shared kernel, heap-held so the drives can be built (and their
+  /// Status checked) on it before the array itself is constructed.
+  std::unique_ptr<ssd::EventQueue> kernel_;
   /// Declared before volume_: the per-drive logical capacity the volume
   /// math needs comes from the first drive's FTL.
   std::vector<std::unique_ptr<ssd::SsdSimulator>> drives_;

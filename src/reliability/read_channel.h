@@ -25,8 +25,8 @@
 //    decode-latency table instead of the fixed decode_base/decode_per_level
 //    constants.
 //
-// With every feature off, assess() reproduces the seed's
-// required_levels_cached arithmetic byte-for-byte — same cache keying, same
+// With every feature off, assess() reproduces the seed simulator's inline
+// sensing-requirement arithmetic byte-for-byte — same cache keying, same
 // bounded flush-on-full eviction, same disturb composition — which is what
 // keeps the pinned fig6a goldens unchanged.
 #pragma once

@@ -15,7 +15,10 @@ CrashVerdict run_crash_point(SsdConfig config,
                              const reliability::BerModel& reduced) {
   config.faults.crash_salt = crash_salt;
   const bool integrity = config.integrity.enabled;
-  SsdSimulator sim(std::move(config), normal, reduced);
+  auto built =
+      SsdSimulator::Builder(normal, reduced).config(std::move(config)).Build();
+  FLEX_EXPECTS(built.ok());  // an invalid config is a caller bug here
+  SsdSimulator& sim = **built;
   sim.prefill(prefill_pages);
   sim.run_segment(requests);
 

@@ -75,6 +75,8 @@ struct CrashVerdict {
 /// Runs `config` (crash injection must be armed via config.faults) over
 /// `requests` with the given crash salt, then crash → mount → verify.
 /// `prefill_pages` fills the drive before the trace as the benches do.
+/// `config` must pass SsdConfig::Validate() (a precondition: the harness
+/// aborts rather than returning a Status).
 CrashVerdict run_crash_point(SsdConfig config,
                              const std::vector<trace::Request>& requests,
                              std::uint64_t crash_salt,

@@ -3,39 +3,6 @@
 #include "common/assert.h"
 
 namespace flex::ssd {
-namespace {
-
-/// The one progressive ladder walk behind read_cost and read_attempts.
-/// Invokes `attempt(first, levels, delta)` once per decode attempt —
-/// `delta` new reference voltages sensed incrementally, `levels` the depth
-/// the decode runs at — and returns false when every ladder step sits
-/// below plan.start_levels (the read still pays its base sense/transfer,
-/// but no decode runs).
-template <typename Attempt>
-bool walk_ladder(const ReadPlan& plan,
-                 const reliability::SensingRequirement& ladder,
-                 Attempt&& attempt) {
-  FLEX_EXPECTS(plan.start_levels >= 0);
-  FLEX_EXPECTS(plan.required_levels >= 0);
-  bool first = true;
-  int sensed = 0;
-  for (const auto& step : ladder.steps()) {
-    if (step.extra_levels < plan.start_levels) continue;
-    // Escalation re-senses only the new reference voltages and transfers
-    // only the new soft bits.
-    const int delta = step.extra_levels - sensed;
-    FLEX_ASSERT(delta >= 0);
-    sensed = step.extra_levels;
-    attempt(first, sensed, delta);
-    first = false;
-    // Decode at this step succeeds; deeper steps never run. When even the
-    // deepest step falls short the walk ends there too.
-    if (sensed >= plan.required_levels) break;
-  }
-  return !first;
-}
-
-}  // namespace
 
 ReadCost LatencyModel::read_fixed_cost(int levels) const {
   FLEX_EXPECTS(levels >= 0);
@@ -47,45 +14,49 @@ ReadCost LatencyModel::read_fixed_cost(int levels) const {
   };
 }
 
-ReadCost LatencyModel::read_cost(
-    const ReadPlan& plan,
-    const reliability::SensingRequirement& ladder) const {
-  ReadCost cost{.die = spec.read_latency,
-                .channel = spec.page_transfer_latency,
-                .controller = 0};
-  walk_ladder(plan, ladder, [&](bool, int levels, int delta) {
-    cost.die += delta * extra_sense_per_level;
-    cost.channel += delta * extra_transfer_per_level;
-    // Decode attempt at this step (full price whether it succeeds or not).
-    cost.controller += decode_time(levels);
-  });
-  return cost;
-}
-
-void LatencyModel::read_attempts(
-    const ReadPlan& plan, const reliability::SensingRequirement& ladder,
-    std::vector<ReadAttempt>& out) const {
-  const bool any_attempt =
-      walk_ladder(plan, ladder, [&](bool first, int levels, int delta) {
-        ReadAttempt attempt;
-        attempt.levels = levels;
-        attempt.cost.die = delta * extra_sense_per_level;
-        attempt.cost.channel = delta * extra_transfer_per_level;
-        if (first) {
-          attempt.cost.die += spec.read_latency;
-          attempt.cost.channel += spec.page_transfer_latency;
-        }
-        attempt.cost.controller = decode_time(levels);
-        out.push_back(attempt);
-      });
-  if (!any_attempt) {
-    // Every ladder step sits below start_levels: read_cost charges the
-    // base sense/transfer and no decode; mirror that.
-    out.push_back(
-        ReadAttempt{.levels = plan.start_levels,
-                    .cost = {.die = spec.read_latency,
-                             .channel = spec.page_transfer_latency}});
+ReadCost LatencyModel::read_cost(const ReadPlan& plan,
+                                 const reliability::SensingRequirement& ladder,
+                                 std::vector<ReadAttempt>* attempts) const {
+  FLEX_EXPECTS(plan.start_levels >= 0);
+  FLEX_EXPECTS(plan.required_levels >= 0);
+  const ReadCost base{.die = spec.read_latency,
+                      .channel = spec.page_transfer_latency};
+  ReadCost cost = base;
+  bool first = true;
+  int sensed = 0;
+  for (const auto& step : ladder.steps()) {
+    if (step.extra_levels < plan.start_levels) continue;
+    // Escalation re-senses only the new reference voltages and transfers
+    // only the new soft bits; the decode attempt at this step is paid in
+    // full whether it succeeds or not.
+    const int delta = step.extra_levels - sensed;
+    FLEX_ASSERT(delta >= 0);
+    sensed = step.extra_levels;
+    const ReadCost increment{.die = delta * extra_sense_per_level,
+                             .channel = delta * extra_transfer_per_level,
+                             .controller = decode_time(sensed)};
+    cost.die += increment.die;
+    cost.channel += increment.channel;
+    cost.controller += increment.controller;
+    if (attempts != nullptr) {
+      ReadAttempt attempt{.levels = sensed, .cost = increment};
+      if (first) {
+        attempt.cost.die += base.die;
+        attempt.cost.channel += base.channel;
+      }
+      attempts->push_back(attempt);
+    }
+    first = false;
+    // Decode at this step succeeds; deeper steps never run. When even the
+    // deepest step falls short the walk ends there too.
+    if (sensed >= plan.required_levels) break;
   }
+  if (attempts != nullptr && first) {
+    // Every ladder step sits below start_levels: the read pays its base
+    // sense/transfer, but no decode runs.
+    attempts->push_back(ReadAttempt{.levels = plan.start_levels, .cost = base});
+  }
+  return cost;
 }
 
 }  // namespace flex::ssd

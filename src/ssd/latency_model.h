@@ -103,22 +103,18 @@ struct LatencyModel {
   /// the requirement is a failed attempt whose sensing/transfer work is
   /// incremental but whose decode time is paid in full. When even the
   /// deepest step falls short the walk ends there (the caller accounts the
-  /// uncorrectable event separately).
+  /// uncorrectable event separately). A non-null `attempts` receives the
+  /// per-attempt decomposition of the same walk, appended (never cleared)
+  /// so policy decorators can stack attempts into one caller-pooled
+  /// vector: one entry per decode attempt, summing exactly to the
+  /// returned cost.
   ReadCost read_cost(const ReadPlan& plan,
-                     const reliability::SensingRequirement& ladder) const;
+                     const reliability::SensingRequirement& ladder,
+                     std::vector<ReadAttempt>* attempts = nullptr) const;
   Duration read_latency(const ReadPlan& plan,
                         const reliability::SensingRequirement& ladder) const {
     return read_cost(plan, ladder).total();
   }
-
-  /// Per-attempt decomposition of read_cost, appended to `out`: one entry
-  /// per decode attempt, mirroring the same ladder walk step for step, so
-  /// the appended costs sum exactly to the closed form. Appends (never
-  /// clears) so policy decorators can stack attempts into one
-  /// caller-pooled vector.
-  void read_attempts(const ReadPlan& plan,
-                     const reliability::SensingRequirement& ladder,
-                     std::vector<ReadAttempt>& out) const;
 
   /// Page program / block erase passthroughs (Table 6).
   Duration program() const { return spec.program_latency; }

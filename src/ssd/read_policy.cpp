@@ -20,16 +20,14 @@ class FixedWorstCasePolicy final : public ReadPolicy {
   FixedWorstCasePolicy(const LatencyModel& latency, int fixed_levels)
       : latency_(latency), fixed_levels_(fixed_levels) {}
 
-  ReadCost read_cost(const ReadContext& ctx) override {
-    return latency_.read_fixed_cost(
-        std::max(ctx.required_levels, fixed_levels_));
-  }
-
-  void trace_attempts(const ReadContext& ctx,
-                      std::vector<ReadAttempt>& out) const override {
+  ReadCost read_cost(const ReadContext& ctx,
+                     std::vector<ReadAttempt>* attempts) override {
     const int levels = std::max(ctx.required_levels, fixed_levels_);
-    out.push_back(ReadAttempt{.levels = levels,
-                              .cost = latency_.read_fixed_cost(levels)});
+    const ReadCost cost = latency_.read_fixed_cost(levels);
+    if (attempts != nullptr) {
+      attempts->push_back(ReadAttempt{.levels = levels, .cost = cost});
+    }
+    return cost;
   }
 
  private:
@@ -47,15 +45,10 @@ class ProgressivePolicy : public ReadPolicy {
                     ftl::PageMode storage_mode)
       : latency_(latency), ladder_(ladder), storage_mode_(storage_mode) {}
 
-  ReadCost read_cost(const ReadContext& ctx) override {
+  ReadCost read_cost(const ReadContext& ctx,
+                     std::vector<ReadAttempt>* attempts) override {
     return latency_.read_cost({.required_levels = ctx.required_levels},
-                              ladder_);
-  }
-
-  void trace_attempts(const ReadContext& ctx,
-                      std::vector<ReadAttempt>& out) const override {
-    latency_.read_attempts({.required_levels = ctx.required_levels}, ladder_,
-                           out);
+                              ladder_, attempts);
   }
 
   ftl::PageMode write_mode(std::uint64_t) const override {
@@ -83,23 +76,14 @@ class ProgressiveHintPolicy final : public ProgressivePolicy {
       : ProgressivePolicy(latency, ladder, storage_mode),
         hint_(physical_pages, 0) {}
 
-  ReadCost read_cost(const ReadContext& ctx) override {
+  ReadCost read_cost(const ReadContext& ctx,
+                     std::vector<ReadAttempt>* attempts) override {
     const auto page = static_cast<std::size_t>(ctx.ppn);
     const ReadCost cost = latency_.read_cost(
         {.start_levels = hint_[page], .required_levels = ctx.required_levels},
-        ladder_);
+        ladder_, attempts);
     hint_[page] = static_cast<std::int8_t>(ctx.required_levels);
     return cost;
-  }
-
-  void trace_attempts(const ReadContext& ctx,
-                      std::vector<ReadAttempt>& out) const override {
-    // Reads the hint but must not update it: the simulator calls this
-    // before read_cost, which performs the update.
-    latency_.read_attempts(
-        {.start_levels = hint_[static_cast<std::size_t>(ctx.ppn)],
-         .required_levels = ctx.required_levels},
-        ladder_, out);
   }
 
   void on_mount(const ftl::MountReport&, SimTime) override {
@@ -138,13 +122,9 @@ class FlexLevelPolicy final : public ReadPolicy {
         base_pool_capacity_(access_eval.pool_capacity_pages),
         pool_shrink_per_block_(pool_shrink_per_retired_block) {}
 
-  ReadCost read_cost(const ReadContext& ctx) override {
-    return inner_->read_cost(ctx);
-  }
-
-  void trace_attempts(const ReadContext& ctx,
-                      std::vector<ReadAttempt>& out) const override {
-    inner_->trace_attempts(ctx, out);
+  ReadCost read_cost(const ReadContext& ctx,
+                     std::vector<ReadAttempt>* attempts) override {
+    return inner_->read_cost(ctx, attempts);
   }
 
   void on_read_complete(const ReadContext& ctx) override {
@@ -292,13 +272,9 @@ class RefreshPolicy final : public ReadPolicy {
     FLEX_EXPECTS(threshold_ > 0);
   }
 
-  ReadCost read_cost(const ReadContext& ctx) override {
-    return inner_->read_cost(ctx);
-  }
-
-  void trace_attempts(const ReadContext& ctx,
-                      std::vector<ReadAttempt>& out) const override {
-    inner_->trace_attempts(ctx, out);
+  ReadCost read_cost(const ReadContext& ctx,
+                     std::vector<ReadAttempt>* attempts) override {
+    return inner_->read_cost(ctx, attempts);
   }
 
   void on_read_complete(const ReadContext& ctx) override {
@@ -394,8 +370,9 @@ class RecoveryPolicy final : public ReadPolicy {
         max_levels_(ladder.steps().back().extra_levels),
         injector_(injector) {}
 
-  ReadCost read_cost(const ReadContext& ctx) override {
-    ReadCost cost = inner_->read_cost(ctx);
+  ReadCost read_cost(const ReadContext& ctx,
+                     std::vector<ReadAttempt>* attempts) override {
+    ReadCost cost = inner_->read_cost(ctx, attempts);
     // One deepest-sensing re-read serves both recovery triggers: an
     // undecodable page and a flagged integrity mismatch (the firmware
     // retries the read either way before escalating).
@@ -404,17 +381,11 @@ class RecoveryPolicy final : public ReadPolicy {
       cost.die += retry.die;
       cost.channel += retry.channel;
       cost.controller += retry.controller;
+      if (attempts != nullptr) {
+        attempts->push_back(ReadAttempt{.levels = max_levels_, .cost = retry});
+      }
     }
     return cost;
-  }
-
-  void trace_attempts(const ReadContext& ctx,
-                      std::vector<ReadAttempt>& out) const override {
-    inner_->trace_attempts(ctx, out);
-    if (!ctx.correctable || !ctx.integrity_ok) {
-      out.push_back(ReadAttempt{
-          .levels = max_levels_, .cost = latency_.read_fixed_cost(max_levels_)});
-    }
   }
 
   void on_read_complete(const ReadContext& ctx) override {

@@ -93,8 +93,14 @@ class ReadPolicy {
  public:
   virtual ~ReadPolicy() = default;
 
-  /// Cost of the NAND read(s) that retrieve this page.
-  virtual ReadCost read_cost(const ReadContext& ctx) = 0;
+  /// Cost of the NAND read(s) that retrieve this page. A non-null
+  /// `attempts` (latency-breakdown tracing) receives the per-attempt
+  /// decomposition of the same ladder walk, appended to a caller-pooled
+  /// vector so the tracing hot path reuses one allocation across reads;
+  /// the appended attempt costs sum exactly to the returned ReadCost.
+  /// Decorators forward it to their scheme policy.
+  virtual ReadCost read_cost(const ReadContext& ctx,
+                             std::vector<ReadAttempt>* attempts = nullptr) = 0;
 
   /// Post-read maintenance (e.g. AccessEval migrations). Runs after the
   /// read has been scheduled; deferrable work that must not add to
@@ -126,18 +132,6 @@ class ReadPolicy {
   /// Clears counters (not gauges or learned state) between measurement
   /// windows.
   virtual void reset_stats() {}
-
-  /// The decode attempts read_cost(ctx) *would* charge, for latency-
-  /// breakdown tracing, appended to `out` (a caller-pooled scratch vector —
-  /// the tracing hot path reuses one allocation across reads). Must not
-  /// mutate policy state (it is called before read_cost on the same
-  /// context); decorators forward to their scheme policy. The appended
-  /// attempt costs sum exactly to read_cost's ReadCost.
-  virtual void trace_attempts(const ReadContext& ctx,
-                              std::vector<ReadAttempt>& out) const {
-    (void)ctx;
-    (void)out;
-  }
 
   /// Binds maintenance counters/gauges and enables maintenance spans (see
   /// telemetry.h for the null-sink contract); nullptr detaches. Decorators

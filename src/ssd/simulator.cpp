@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <optional>
 #include <utility>
@@ -12,20 +10,6 @@
 
 namespace flex::ssd {
 namespace {
-
-/// Constructor-path enforcement of SsdConfig::Validate(): the legacy
-/// constructor cannot return a Status, so a violation aborts — with the
-/// offending field named on stderr, not a bare assert three layers down.
-/// Builder::Build() validates first and returns the Status instead.
-SsdConfig validated(SsdConfig config) {
-  const Status status = config.Validate();
-  if (!status.ok()) {
-    std::fprintf(stderr, "invalid SsdConfig: %s\n",
-                 status.to_string().c_str());
-    std::abort();
-  }
-  return config;
-}
 
 /// The FTL's integrity knobs live on SsdConfig (with the run seed); this
 /// folds them into the FtlConfig the ftl_ member is built from.
@@ -239,14 +223,9 @@ Status SsdConfig::Validate() const {
 
 SsdSimulator::SsdSimulator(SsdConfig config,
                            const reliability::BerModel& normal,
-                           const reliability::BerModel& reduced)
-    : SsdSimulator(std::move(config), normal, reduced, nullptr) {}
-
-SsdSimulator::SsdSimulator(SsdConfig config,
-                           const reliability::BerModel& normal,
                            const reliability::BerModel& reduced,
                            EventQueue* kernel)
-    : config_(validated(std::move(config))),
+    : config_(std::move(config)),
       normal_model_(normal),
       reduced_model_(reduced),
       channel_({.config = config_.channel,
@@ -421,21 +400,10 @@ void SsdSimulator::prefill(std::uint64_t pages) {
   prefill_stats_ = ftl_.stats();
 }
 
-int SsdSimulator::required_levels_cached(bool reduced, std::uint32_t pe,
-                                         Hours age, std::uint64_t ppn,
-                                         std::uint64_t block_reads,
-                                         bool* correctable) {
-  const auto assessment =
-      channel_.assess(reduced, pe, age, ppn, block_reads);
-  if (correctable != nullptr) *correctable = assessment.correctable;
-  return assessment.required_levels;
-}
-
-std::pair<bool, bool> SsdSimulator::verify_read_page(
-    std::uint64_t lpn, const ftl::PageInfo& info) {
-  if (!integrity_mode_) return {true, false};
+void SsdSimulator::verify_read_page(ReadContext& ctx) {
+  if (!integrity_mode_) return;
   const ftl::SealVerdict verdict =
-      ftl_.verify_page(lpn, info.ppn, info.block_reads);
+      ftl_.verify_page(ctx.lpn, ctx.ppn, ctx.block_reads);
   ++results_.integrity_verified_reads;
   if (telemetry_) ++integrity_verified_metric_->value;
   if (verdict.delivered_bad && !verdict.flagged) {
@@ -444,72 +412,79 @@ std::pair<bool, bool> SsdSimulator::verify_read_page(
     // happens.
     ++results_.integrity_undetected_reads;
   }
-  if (!verdict.flagged) return {true, false};
+  if (!verdict.flagged) return;
   ++results_.integrity_mismatch_reads;
   if (telemetry_) ++integrity_mismatch_metric_->value;
   if (verdict.persistent && external_kernel_) {
     // Hand the unservable lpn to the array layer for replica failover.
-    integrity_failed_lpns_.push_back(lpn);
+    integrity_failed_lpns_.push_back(ctx.lpn);
   }
-  return {false, verdict.persistent};
+  ctx.integrity_ok = false;
+  ctx.integrity_persistent = verdict.persistent;
 }
 
-SsdSimulator::PageService SsdSimulator::service_read_page(std::uint64_t lpn,
-                                                          SimTime now) {
-  if (buffer_.contains(lpn)) {
-    ++results_.buffer_hits;
-    if (telemetry_) ++buffer_hits_metric_->value;
-    return {.response = config_.latency.buffer_latency,
-            .buffer = config_.latency.buffer_latency};
-  }
+SsdSimulator::ResolvedRead SsdSimulator::resolve_read(std::uint64_t lpn,
+                                                      SimTime now) {
+  if (buffer_.contains(lpn)) return {.source = ReadSource::kBuffer, .ctx = {}};
   const auto info = ftl_.lookup(lpn);
-  if (!info.has_value()) {
-    // Read of never-written data: served from the mapping table alone.
-    ++results_.unmapped_reads;
-    if (telemetry_) ++unmapped_metric_->value;
-    return {.response = config_.latency.buffer_latency,
-            .buffer = config_.latency.buffer_latency};
-  }
-
+  if (!info.has_value()) return {.source = ReadSource::kUnmapped, .ctx = {}};
   const SimTime birth =
       config_.age_model == AgeModel::kStaticPerLba &&
               lpn < static_birth_.size()
           ? static_birth_[lpn]
           : info->write_time;
   const Hours age = static_cast<double>(now - birth) / (3600.0 * 1e9);
-  const bool reduced = info->mode == ftl::PageMode::kReduced;
-  bool correctable = true;
-  const int required =
-      required_levels_cached(reduced, info->pe_cycles, std::max(age, 0.0),
-                             info->ppn, info->block_reads, &correctable);
-  if (!correctable) {
+  const auto assessment = channel_.assess(
+      info->mode == ftl::PageMode::kReduced, info->pe_cycles,
+      std::max(age, 0.0), info->ppn, info->block_reads);
+  return {.source = ReadSource::kNand,
+          .ctx = {.lpn = lpn,
+                  .ppn = info->ppn,
+                  .required_levels = assessment.required_levels,
+                  .block_reads = info->block_reads,
+                  .correctable = assessment.correctable,
+                  .now = now}};
+}
+
+std::optional<ReadContext> SsdSimulator::begin_read(std::uint64_t lpn,
+                                                    SimTime now) {
+  ResolvedRead read = resolve_read(lpn, now);
+  if (read.source == ReadSource::kBuffer) {
+    ++results_.buffer_hits;
+    if (telemetry_) ++buffer_hits_metric_->value;
+    return std::nullopt;
+  }
+  if (read.source == ReadSource::kUnmapped) {
+    // Read of never-written data: served from the mapping table alone.
+    ++results_.unmapped_reads;
+    if (telemetry_) ++unmapped_metric_->value;
+    return std::nullopt;
+  }
+  if (!read.ctx.correctable) {
     ++results_.uncorrectable_reads;
     if (telemetry_) ++uncorrectable_metric_->value;
   }
-  ++results_.sensing_level_reads[static_cast<std::size_t>(required)];
-  const auto [integrity_ok, integrity_persistent] =
-      verify_read_page(lpn, *info);
+  ++results_.sensing_level_reads[static_cast<std::size_t>(
+      read.ctx.required_levels)];
+  verify_read_page(read.ctx);
+  return read.ctx;
+}
 
-  const ReadContext ctx{.lpn = lpn,
-                        .ppn = info->ppn,
-                        .required_levels = required,
-                        .block_reads = info->block_reads,
-                        .correctable = correctable,
-                        .integrity_ok = integrity_ok,
-                        .integrity_persistent = integrity_persistent,
-                        .now = now};
+SsdSimulator::PageService SsdSimulator::service_read_page(std::uint64_t lpn,
+                                                          SimTime now) {
+  const std::optional<ReadContext> ctx = begin_read(lpn, now);
+  if (!ctx.has_value()) return dram_read();
   telemetry::SpanRecorder* tracer =
       telemetry_ ? telemetry_->tracer() : nullptr;
-  attempts_scratch_.clear();
+  std::vector<ReadAttempt>* attempts = nullptr;
   if (tracer) {
-    // Must run before read_cost: the hint policy updates its per-page
-    // memory there, and trace_attempts reproduces the pre-update walk.
-    policy_->trace_attempts(ctx, attempts_scratch_);
+    attempts_scratch_.clear();
+    attempts = &attempts_scratch_;
   }
-  const std::vector<ReadAttempt>& attempts = attempts_scratch_;
-  const ReadCost cost = policy_->read_cost(ctx);
+  const ReadCost cost = policy_->read_cost(*ctx, attempts);
+  const std::size_t chip = scheduler_.chip_of(ctx->ppn);
   const SimTime completion =
-      scheduler_.submit(scheduler_.chip_of(info->ppn), now,
+      scheduler_.submit(chip, now,
                         ChipCommand{.channel = cost.channel,
                                     .die = cost.die,
                                     .controller = cost.controller},
@@ -519,11 +494,10 @@ SsdSimulator::PageService SsdSimulator::service_read_page(std::uint64_t lpn,
     // Child spans partition [start, completion] attempt by attempt; they
     // are recorded after the scheduler's enclosing "read" span, so the
     // exporter's stable sort keeps parent-before-child nesting.
-    const auto tid =
-        static_cast<std::int32_t>(scheduler_.chip_of(info->ppn));
+    const auto tid = static_cast<std::int32_t>(chip);
     SimTime cursor = start;
-    for (std::size_t round = 0; round < attempts.size(); ++round) {
-      const ReadAttempt& attempt = attempts[round];
+    for (std::size_t round = 0; round < attempts->size(); ++round) {
+      const ReadAttempt& attempt = (*attempts)[round];
       const auto levels = static_cast<double>(attempt.levels);
       for (const auto& [name, dur] :
            {std::pair{"sense", attempt.cost.die},
@@ -546,8 +520,8 @@ SsdSimulator::PageService SsdSimulator::service_read_page(std::uint64_t lpn,
   }
   // This read's own pass-voltage stress lands on the block before any
   // post-read maintenance (RefreshPolicy) inspects the counter.
-  ftl_.record_read(info->ppn);
-  policy_->on_read_complete(ctx);
+  ftl_.record_read(ctx->ppn);
+  policy_->on_read_complete(*ctx);
   return {.response = completion - now,
           .wait = start - now,
           .sense = cost.die,
@@ -572,6 +546,31 @@ void SsdSimulator::flush_victim(std::uint64_t lpn, SimTime now) {
   if (telemetry_) ++durable_metric_->value;
 }
 
+void SsdSimulator::buffer_write(std::uint64_t lpn, SimTime now) {
+  // Write-back semantics: the host write completes at buffer insertion;
+  // evicted pages flush to NAND in the background, where their program and
+  // GC time occupies the chips and delays subsequent reads — which is
+  // exactly how the over-provisioning squeeze of reduced-state storage
+  // surfaces in the paper's Fig. 6(a).
+  for (const std::uint64_t victim : buffer_.write(lpn)) {
+    flush_victim(victim, now);
+  }
+  if (config_.durability.policy == DurabilityPolicy::kFlushBarrier &&
+      ++acked_since_barrier_ >= config_.durability.flush_barrier_interval) {
+    acked_since_barrier_ = 0;
+    flush_barrier_at(now);
+  }
+}
+
+void SsdSimulator::settle_write_through(std::uint64_t lpn, SimTime now) {
+  mark_durable(lpn);
+  ++results_.writes_durable;
+  if (telemetry_) ++durable_metric_->value;
+  for (const std::uint64_t victim : buffer_.insert_clean(lpn)) {
+    flush_victim(victim, now);
+  }
+}
+
 Duration SsdSimulator::service_write_page(std::uint64_t lpn, SimTime now) {
   ++results_.writes_acked;
   if (telemetry_) ++acked_metric_->value;
@@ -582,28 +581,10 @@ Duration SsdSimulator::service_write_page(std::uint64_t lpn, SimTime now) {
     const ftl::WriteResult result =
         ftl_.write(lpn, policy_->write_mode(lpn), now);
     scheduler_.submit_background(now, result, config_.latency);
-    mark_durable(lpn);
-    ++results_.writes_durable;
-    if (telemetry_) ++durable_metric_->value;
-    for (const std::uint64_t victim : buffer_.insert_clean(lpn)) {
-      flush_victim(victim, now);
-    }
+    settle_write_through(lpn, now);
     return config_.latency.buffer_latency + config_.latency.program();
   }
-  const std::vector<std::uint64_t>& flush = buffer_.write(lpn);
-  // Write-back semantics: the host write completes at buffer insertion;
-  // evicted pages flush to NAND in the background, where their program and
-  // GC time occupies the chips and delays subsequent reads — which is
-  // exactly how the over-provisioning squeeze of reduced-state storage
-  // surfaces in the paper's Fig. 6(a).
-  for (const std::uint64_t victim : flush) {
-    flush_victim(victim, now);
-  }
-  if (config_.durability.policy == DurabilityPolicy::kFlushBarrier &&
-      ++acked_since_barrier_ >= config_.durability.flush_barrier_interval) {
-    acked_since_barrier_ = 0;
-    flush_barrier_at(now);
-  }
+  buffer_write(lpn, now);
   return config_.latency.buffer_latency;
 }
 
@@ -790,31 +771,14 @@ bool SsdSimulator::page_verifies(std::uint64_t lpn) const {
 }
 
 void SsdSimulator::observe_read_access(std::uint64_t lpn, SimTime now) {
-  if (buffer_.contains(lpn)) return;
-  const auto info = ftl_.lookup(lpn);
-  if (!info.has_value()) return;
-  const SimTime birth =
-      config_.age_model == AgeModel::kStaticPerLba &&
-              lpn < static_birth_.size()
-          ? static_birth_[lpn]
-          : info->write_time;
-  const Hours age = static_cast<double>(now - birth) / (3600.0 * 1e9);
-  const bool reduced = info->mode == ftl::PageMode::kReduced;
-  bool correctable = true;
-  const int required =
-      required_levels_cached(reduced, info->pe_cycles, std::max(age, 0.0),
-                             info->ppn, info->block_reads, &correctable);
+  const ResolvedRead read = resolve_read(lpn, now);
+  if (read.source != ReadSource::kNand) return;
   // Pure access-statistics update: no scheduler occupancy, no disturb
   // stress (ftl_.record_read is skipped — the sibling never touched its
-  // NAND), no uncorrectable/sensing-histogram accounting. Migrations the
-  // policy decides here are real FTL work, exactly as they would be had
-  // the read landed on this replica.
-  policy_->on_read_complete({.lpn = lpn,
-                             .ppn = info->ppn,
-                             .required_levels = required,
-                             .block_reads = info->block_reads,
-                             .correctable = correctable,
-                             .now = now});
+  // NAND), no uncorrectable/sensing-histogram accounting and no seal
+  // verification. Migrations the policy decides here are real FTL work,
+  // exactly as they would be had the read landed on this replica.
+  policy_->on_read_complete(read.ctx);
 }
 
 std::uint64_t SsdSimulator::block_read_count(std::uint64_t lpn) const {
@@ -874,7 +838,7 @@ void SsdSimulator::service_request_qos(const trace::Request& request,
   }
   // Drop the issue guard; a request whose pages all resolved
   // synchronously (buffer hits, buffered writes) finalizes here.
-  if (--qos_requests_[slot].outstanding == 0) finalize_qos(slot, now);
+  if (--qos_requests_[slot].outstanding == 0) finalize_qos(slot);
 }
 
 bool SsdSimulator::slo_admit_read(const trace::Request& request,
@@ -912,58 +876,19 @@ bool SsdSimulator::slo_admit_read(const trace::Request& request,
 void SsdSimulator::issue_read_page_qos(std::uint64_t lpn, std::uint64_t slot,
                                        std::uint8_t priority, SimTime now) {
   QosRequest& st = qos_requests_[slot];
-  if (buffer_.contains(lpn)) {
-    ++results_.buffer_hits;
-    if (telemetry_) ++buffer_hits_metric_->value;
-    const PageService page{.response = config_.latency.buffer_latency,
-                           .buffer = config_.latency.buffer_latency};
+  const std::optional<ReadContext> ctx = begin_read(lpn, now);
+  if (!ctx.has_value()) {
+    const PageService page = dram_read();
     if (page.response > st.slowest.response) st.slowest = page;
     return;
   }
-  const auto info = ftl_.lookup(lpn);
-  if (!info.has_value()) {
-    ++results_.unmapped_reads;
-    if (telemetry_) ++unmapped_metric_->value;
-    const PageService page{.response = config_.latency.buffer_latency,
-                           .buffer = config_.latency.buffer_latency};
-    if (page.response > st.slowest.response) st.slowest = page;
-    return;
-  }
-
-  const SimTime birth =
-      config_.age_model == AgeModel::kStaticPerLba &&
-              lpn < static_birth_.size()
-          ? static_birth_[lpn]
-          : info->write_time;
-  const Hours age = static_cast<double>(now - birth) / (3600.0 * 1e9);
-  const bool reduced = info->mode == ftl::PageMode::kReduced;
-  bool correctable = true;
-  const int required =
-      required_levels_cached(reduced, info->pe_cycles, std::max(age, 0.0),
-                             info->ppn, info->block_reads, &correctable);
-  if (!correctable) {
-    ++results_.uncorrectable_reads;
-    if (telemetry_) ++uncorrectable_metric_->value;
-  }
-  ++results_.sensing_level_reads[static_cast<std::size_t>(required)];
-  const auto [integrity_ok, integrity_persistent] =
-      verify_read_page(lpn, *info);
-
-  const ReadContext ctx{.lpn = lpn,
-                        .ppn = info->ppn,
-                        .required_levels = required,
-                        .block_reads = info->block_reads,
-                        .correctable = correctable,
-                        .integrity_ok = integrity_ok,
-                        .integrity_persistent = integrity_persistent,
-                        .now = now};
   // The whole read cost (progressive ladder, recovery re-read) is
   // computed at arrival and travels with the queued command; per-attempt
   // child spans are not recorded in QoS mode because the service start is
   // unknown until dispatch (the chip-level "read" span still is).
-  const ReadCost cost = policy_->read_cost(ctx);
+  const ReadCost cost = policy_->read_cost(*ctx);
   ++st.outstanding;
-  scheduler_.submit_qos(scheduler_.chip_of(info->ppn), now,
+  scheduler_.submit_qos(scheduler_.chip_of(ctx->ppn), now,
                         ChipCommand{.channel = cost.channel,
                                     .die = cost.die,
                                     .controller = cost.controller},
@@ -973,8 +898,8 @@ void SsdSimulator::issue_read_page_qos(std::uint64_t lpn, std::uint64_t slot,
   // this read queues its relocation train as throttleable background work.
   const std::uint64_t before_moves = ftl_.stats().refresh_page_moves;
   const std::uint64_t before_runs = ftl_.stats().refresh_runs;
-  ftl_.record_read(info->ppn);
-  policy_->on_read_complete(ctx);
+  ftl_.record_read(ctx->ppn);
+  policy_->on_read_complete(*ctx);
   const std::uint64_t moves =
       ftl_.stats().refresh_page_moves - before_moves;
   const std::uint64_t erases = ftl_.stats().refresh_runs - before_runs;
@@ -1011,23 +936,10 @@ void SsdSimulator::issue_write_page_qos(std::uint64_t lpn,
       scheduler_.submit_maintenance_qos(now, moves, result.erases,
                                         config_.latency);
     }
-    mark_durable(lpn);
-    ++results_.writes_durable;
-    if (telemetry_) ++durable_metric_->value;
-    for (const std::uint64_t victim : buffer_.insert_clean(lpn)) {
-      flush_victim(victim, now);
-    }
+    settle_write_through(lpn, now);
     return;
   }
-  const std::vector<std::uint64_t>& flush = buffer_.write(lpn);
-  for (const std::uint64_t victim : flush) {
-    flush_victim(victim, now);
-  }
-  if (config_.durability.policy == DurabilityPolicy::kFlushBarrier &&
-      ++acked_since_barrier_ >= config_.durability.flush_barrier_interval) {
-    acked_since_barrier_ = 0;
-    flush_barrier_at(now);
-  }
+  buffer_write(lpn, now);
   st.write_response =
       std::max(st.write_response, config_.latency.buffer_latency);
 }
@@ -1050,11 +962,11 @@ void SsdSimulator::on_qos_complete(const QosCompletion& done) {
     if (page.response > st.slowest.response) st.slowest = page;
   }
   FLEX_ASSERT(st.outstanding > 0);
-  if (--st.outstanding == 0) finalize_qos(done.tag, done.completion);
+  if (--st.outstanding == 0) finalize_qos(done.tag);
 }
 
-void SsdSimulator::finalize_qos(std::uint64_t slot, SimTime completion) {
-  (void)completion;  // response latencies are measured per page
+void SsdSimulator::finalize_qos(std::uint64_t slot) {
+  // Response latencies were measured per page as the commands completed.
   const QosRequest st = qos_requests_[slot];
   qos_free_slots_.push_back(slot);
   FLEX_ASSERT(qos_outstanding_[st.tenant] > 0);

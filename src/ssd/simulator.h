@@ -22,6 +22,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -223,10 +224,9 @@ struct SsdConfig {
   IntegrityConfig integrity;
   std::uint64_t seed = 0x5EED;
 
-  /// Range- and consistency-checks the whole configuration. The simulator
-  /// constructor enforces this (abort with the message on violation);
-  /// SsdSimulator::Builder returns the Status instead, so front-ends can
-  /// surface it and exit cleanly.
+  /// Range- and consistency-checks the whole configuration.
+  /// SsdSimulator::Builder enforces it and returns the Status, so
+  /// front-ends can surface it and exit cleanly.
   Status Validate() const;
 };
 
@@ -356,30 +356,16 @@ struct SsdResults {
 
 class SsdSimulator : private QosSink {
  public:
-  /// The BerModels are shared (they are expensive to build); `normal` maps
-  /// the 4-level baseline cell, `reduced` the NUNMA reduced cell.
-  /// Aborts (with the Status message on stderr) when `config` fails
-  /// SsdConfig::Validate(); use Builder to get the Status instead.
-  SsdSimulator(SsdConfig config, const reliability::BerModel& normal,
-               const reliability::BerModel& reduced);
-
-  /// External-kernel construction: the drive schedules all of its events
-  /// on `kernel` instead of an internal queue, so a host layer can compose
-  /// several drives under one deterministic clock. The caller owns the
-  /// kernel and is responsible for draining it; run_segment()/run()/
-  /// run_open_loop() are disallowed in this mode (the host drives the
-  /// simulation via service_external() and drains the shared kernel).
-  /// A null `kernel` is identical to the legacy constructor.
-  SsdSimulator(SsdConfig config, const reliability::BerModel& normal,
-               const reliability::BerModel& reduced, EventQueue* kernel);
-
-  /// Validated construction: fuses configuration, validation, and
-  /// telemetry attachment into one path that reports bad configurations
-  /// as a Status instead of aborting mid-constructor.
+  /// The only way to build a simulator: validates the configuration, then
+  /// constructs it and attaches telemetry, reporting a bad configuration
+  /// as a Status instead of aborting mid-constructor. The BerModels are
+  /// shared (they are expensive to build); `normal` maps the 4-level
+  /// baseline cell, `reduced` the NUNMA reduced cell.
   ///
   ///   auto sim = SsdSimulator::Builder(normal, reduced)
   ///                  .config(cfg)
   ///                  .telemetry(&telemetry)  // optional
+  ///                  .kernel(&shared_kernel) // optional
   ///                  .Build();
   ///   if (!sim.ok()) { /* surface sim.status().message() */ }
   class Builder {
@@ -396,8 +382,13 @@ class SsdSimulator : private QosSink {
       telemetry_ = telemetry;
       return *this;
     }
-    /// Shared external event kernel (see the external-kernel constructor);
-    /// nullptr (the default) keeps the drive's own queue.
+    /// Shared external event kernel: the drive schedules all of its
+    /// events on `kernel` instead of an internal queue, so a host layer
+    /// can compose several drives under one deterministic clock. The
+    /// caller owns the kernel and drains it; run_segment()/run()/
+    /// run_open_loop() are disallowed in this mode (the host drives the
+    /// simulation via service_external()). nullptr (the default) keeps the
+    /// drive's own queue.
     Builder& kernel(EventQueue* kernel) {
       kernel_ = kernel;
       return *this;
@@ -547,6 +538,10 @@ class SsdSimulator : private QosSink {
   void attach_telemetry(telemetry::Telemetry* telemetry);
 
  private:
+  /// Constructed only by Builder::Build(), after validation.
+  SsdSimulator(SsdConfig config, const reliability::BerModel& normal,
+               const reliability::BerModel& reduced, EventQueue* kernel);
+
   /// One page read's response and its component decomposition (integer
   /// ns; the components sum to `response` exactly).
   struct PageService {
@@ -584,7 +579,7 @@ class SsdSimulator : private QosSink {
   void issue_write_page_qos(std::uint64_t lpn, std::uint64_t slot,
                             std::uint8_t priority, SimTime now);
   void on_qos_complete(const QosCompletion& done) override;
-  void finalize_qos(std::uint64_t slot, SimTime completion);
+  void finalize_qos(std::uint64_t slot);
   /// Shared stat-recording tail of both service paths.
   void record_request_stats(bool is_write, std::uint16_t tenant,
                             Duration response, const PageService& slowest,
@@ -598,14 +593,41 @@ class SsdSimulator : private QosSink {
   void pump_open_loop();
   /// Runs the event queue dry (crash-armed when injection is on).
   void drain_events();
+  /// Where a page read is served from.
+  enum class ReadSource { kBuffer, kUnmapped, kNand };
+  /// A page read resolved against the drive state at its arrival; `ctx`
+  /// is filled only for kNand, with the integrity verdict still clean.
+  struct ResolvedRead {
+    ReadSource source = ReadSource::kNand;
+    ReadContext ctx;
+  };
+  /// The one read resolution step of every read path: buffer/unmapped
+  /// check, FTL lookup, retention age (static or write-time), and the
+  /// channel assessment of the page's sensing requirement. Counts
+  /// nothing; channel_.assess is stateful under adaptive thresholds, so
+  /// each call is one observed read.
+  ResolvedRead resolve_read(std::uint64_t lpn, SimTime now);
+  /// Front half shared by both serving paths: resolve_read, then the read
+  /// counters and read-back verification. Returns nullopt for a
+  /// DRAM-served page (buffer hit or unmapped read).
+  std::optional<ReadContext> begin_read(std::uint64_t lpn, SimTime now);
+  /// DRAM service of a buffer hit or an unmapped read.
+  PageService dram_read() const {
+    return {.response = config_.latency.buffer_latency,
+            .buffer = config_.latency.buffer_latency};
+  }
   PageService service_read_page(std::uint64_t lpn, SimTime now);
   Duration service_write_page(std::uint64_t lpn, SimTime now);
-  /// Shared read-back verification hook of both read paths (no-op values
-  /// when integrity is off): counts verified/mismatch/undetected reads
-  /// and records persistent failures for the array layer. Returns the
-  /// (integrity_ok, integrity_persistent) pair for the ReadContext.
-  std::pair<bool, bool> verify_read_page(std::uint64_t lpn,
-                                         const ftl::PageInfo& info);
+  /// Read-back verification (no-op when integrity is off): counts
+  /// verified/mismatch/undetected reads, records persistent failures for
+  /// the array layer, and sets ctx's integrity verdict.
+  void verify_read_page(ReadContext& ctx);
+  /// Write-back tail of both write paths: buffer the page dirty, flush the
+  /// evicted victims, and run the kFlushBarrier cadence.
+  void buffer_write(std::uint64_t lpn, SimTime now);
+  /// Tail of both write-through paths (kFua, QoS write admission): the
+  /// just-programmed page is durable and stays cached clean for reads.
+  void settle_write_through(std::uint64_t lpn, SimTime now);
   /// Programs one buffered page to NAND and records it durable.
   void flush_victim(std::uint64_t lpn, SimTime now);
   /// Marks lpn's *current* FTL version as the durable one.
@@ -614,12 +636,6 @@ class SsdSimulator : private QosSink {
   /// Resets `results_` to empty, with `sensing_level_reads` sized to the
   /// ladder (shared by the constructor and reset_measurements()).
   void clear_results();
-  /// Sensing requirement of one read — a thin delegation to
-  /// channel_.assess() (which owns the BER cache, the disturb models, and
-  /// the threshold-tracking state).
-  int required_levels_cached(bool reduced, std::uint32_t pe, Hours age,
-                             std::uint64_t ppn, std::uint64_t block_reads,
-                             bool* correctable);
 
   SsdConfig config_;
   const reliability::BerModel& normal_model_;

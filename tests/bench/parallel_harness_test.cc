@@ -14,6 +14,7 @@
 #include "flexlevel/nunma.h"
 #include "flexlevel/reduce_mapper.h"
 #include "nand/level_config.h"
+#include "support/build_simulator.h"
 #include "trace/workloads.h"
 
 namespace flex::bench {
@@ -117,10 +118,10 @@ class ParallelHarnessTest : public ::testing::Test {
     params.iops = 1500;
     params.requests = 6'000;
     const auto trace = trace::generate(params, /*seed=*/99);
-    ssd::SsdSimulator sim(small_config(schemes[index % 4]), *normal_,
-                          *reduced_);
-    sim.prefill(4000);
-    return sim.run(trace);
+    auto sim = test::build_simulator(small_config(schemes[index % 4]), *normal_,
+                                     *reduced_);
+    sim->prefill(4000);
+    return sim->run(trace);
   }
 
   static reliability::BerModel* normal_;

@@ -10,6 +10,7 @@
 #include "flexlevel/reduce_mapper.h"
 #include "nand/level_config.h"
 #include "ssd/simulator.h"
+#include "support/build_simulator.h"
 #include "trace/workloads.h"
 
 namespace flex::host {
@@ -127,10 +128,10 @@ TEST_F(ArrayTest, SingleDriveArrayIsIdenticalToBareSimulator) {
   // responses, same FTL mutations, same chip occupancy history.
   const auto trace = small_trace(0.7, 42);
 
-  ssd::SsdSimulator bare(small_drive(ssd::Scheme::kFlexLevel), *normal_,
-                         *reduced_);
-  bare.prefill(4000);
-  const ssd::SsdResults& expect = bare.run(trace);
+  auto bare = test::build_simulator(small_drive(ssd::Scheme::kFlexLevel),
+                                    *normal_, *reduced_);
+  bare->prefill(4000);
+  const ssd::SsdResults& expect = bare->run(trace);
 
   auto array = build(zero_cost_array(ssd::Scheme::kFlexLevel));
   array->prefill(4000);

@@ -14,6 +14,7 @@
 #include "reliability/ber_model.h"
 #include "reliability/sensing_solver.h"
 #include "ssd/simulator.h"
+#include "support/build_simulator.h"
 #include "trace/workloads.h"
 
 namespace flex {
@@ -119,15 +120,15 @@ TEST(EndToEndTest, SchemeOrderingOnWorkload) {
                                .bits_per_filter = 1 << 14,
                                .hashes = 2,
                                .window_accesses = 512};
-    ssd::SsdSimulator sim(cfg, normal, reduced);
-    sim.prefill(4000);
+    auto sim = test::build_simulator(cfg, normal, reduced);
+    sim->prefill(4000);
     // Warm up AccessEval's filters and pool on the first half of the trace
     // (arrivals stay monotone), then measure steady state on the second.
     const auto split =
         requests.begin() + static_cast<std::ptrdiff_t>(requests.size() / 2);
-    sim.run({requests.begin(), split});
-    sim.reset_measurements();
-    return sim.run({split, requests.end()});
+    sim->run({requests.begin(), split});
+    sim->reset_measurements();
+    return sim->run({split, requests.end()});
   };
 
   const auto baseline = run_scheme(ssd::Scheme::kBaseline);

@@ -24,6 +24,7 @@
 #include "flexlevel/reduce_mapper.h"
 #include "nand/level_config.h"
 #include "ssd/simulator.h"
+#include "support/build_simulator.h"
 #include "trace/workloads.h"
 
 namespace flex::ssd {
@@ -84,10 +85,10 @@ class GoldenRegression : public ::testing::Test {
     params.iops = 1500;
     params.requests = 10'000;
     const auto trace = trace::generate(params, 777);
-    SsdSimulator sim(std::move(cfg), *normal_, *reduced_);
-    sim.prefill(4000);
-    sim.attach_telemetry(telemetry);
-    return sim.run(trace);
+    auto sim = test::build_simulator(std::move(cfg), *normal_, *reduced_);
+    sim->prefill(4000);
+    sim->attach_telemetry(telemetry);
+    return sim->run(trace);
   }
 
   static void expect_golden(const SsdResults& results, double mean,

@@ -14,6 +14,7 @@
 #include "flexlevel/reduce_mapper.h"
 #include "nand/level_config.h"
 #include "ssd/simulator.h"
+#include "support/build_simulator.h"
 #include "workload/engine.h"
 
 namespace flex::ssd {
@@ -78,11 +79,11 @@ class QosOverloadTest : public ::testing::Test {
 
   static SsdResults run_open_loop(SsdConfig cfg,
                                   const workload::EngineConfig& engine) {
-    SsdSimulator sim(std::move(cfg), *normal_, *reduced_);
-    sim.prefill(4000);
+    auto sim = test::build_simulator(std::move(cfg), *normal_, *reduced_);
+    sim->prefill(4000);
     workload::WorkloadEngine source(engine);
-    sim.run_open_loop(source);
-    return sim.results();
+    sim->run_open_loop(source);
+    return sim->results();
   }
 
   static reliability::BerModel* normal_;
@@ -196,25 +197,35 @@ TEST_F(QosOverloadTest, AgedStormHasNoDurabilityOrDisturbViolations) {
 TEST_F(QosOverloadTest, QosStateTrajectoryMatchesLegacyClosedLoop) {
   // The same request vector replayed closed-loop through the legacy path
   // (QoS off) and the QoS path must mutate the FTL identically: QoS only
-  // changes queueing and latency accounting, never drive state.
+  // changes queueing and latency accounting, never drive state. Both
+  // backends share one read resolution step, so the read accounting —
+  // including read-back seal verification — must agree too.
   workload::WorkloadEngine source(engine_config(/*iops=*/1'500, 8'000));
   const auto requests = source.materialize(8'000);
 
   SsdConfig legacy_cfg = config();
   legacy_cfg.qos = QosConfig{};  // fully off
-  SsdSimulator legacy(std::move(legacy_cfg), *normal_, *reduced_);
-  legacy.prefill(4000);
-  const SsdResults a = legacy.run(requests);
+  legacy_cfg.integrity.enabled = true;
+  auto legacy = test::build_simulator(std::move(legacy_cfg), *normal_,
+                                      *reduced_);
+  legacy->prefill(4000);
+  const SsdResults a = legacy->run(requests);
 
-  SsdSimulator qos(config(), *normal_, *reduced_);
-  qos.prefill(4000);
-  const SsdResults b = qos.run(requests);
+  SsdConfig qos_cfg = config();
+  qos_cfg.integrity.enabled = true;
+  auto qos = test::build_simulator(std::move(qos_cfg), *normal_, *reduced_);
+  qos->prefill(4000);
+  const SsdResults b = qos->run(requests);
 
   EXPECT_EQ(a.ftl, b.ftl);
   EXPECT_EQ(a.read_response.count(), b.read_response.count());
   EXPECT_EQ(a.write_response.count(), b.write_response.count());
   EXPECT_EQ(a.buffer_hits, b.buffer_hits);
   EXPECT_EQ(a.uncorrectable_reads, b.uncorrectable_reads);
+  EXPECT_EQ(a.unmapped_reads, b.unmapped_reads);
+  EXPECT_EQ(a.sensing_level_reads, b.sensing_level_reads);
+  EXPECT_GT(a.integrity_verified_reads, 0u);
+  EXPECT_EQ(a.integrity_verified_reads, b.integrity_verified_reads);
 }
 
 TEST_F(QosOverloadTest, ValidateRejectsQosFootguns) {

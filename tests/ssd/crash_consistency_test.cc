@@ -19,6 +19,7 @@
 #include "flexlevel/reduce_mapper.h"
 #include "nand/level_config.h"
 #include "ssd/simulator.h"
+#include "support/build_simulator.h"
 #include "trace/workloads.h"
 
 namespace flex::ssd {
@@ -139,38 +140,39 @@ TEST_F(CrashConsistencyTest, ValidateRejectsZeroBarrierInterval) {
 TEST_F(CrashConsistencyTest, FuaAcksOnlyDurableWrites) {
   SsdConfig cfg = small_config(Scheme::kLdpcInSsd);
   cfg.durability.policy = DurabilityPolicy::kFua;
-  SsdSimulator sim(std::move(cfg), *normal_, *reduced_);
-  sim.prefill(4000);
-  sim.run_segment(small_trace(2000, 11));
+  auto sim = test::build_simulator(std::move(cfg), *normal_, *reduced_);
+  sim->prefill(4000);
+  sim->run_segment(small_trace(2000, 11));
   // Force-unit-access: every acknowledged page was programmed first, so
   // the two counters track exactly and nothing dirty rides in DRAM.
-  EXPECT_GT(sim.results().writes_acked, 0u);
-  EXPECT_EQ(sim.results().writes_acked, sim.results().writes_durable);
-  EXPECT_EQ(sim.results().dirty_buffer_pages, 0u);
+  EXPECT_GT(sim->results().writes_acked, 0u);
+  EXPECT_EQ(sim->results().writes_acked, sim->results().writes_durable);
+  EXPECT_EQ(sim->results().dirty_buffer_pages, 0u);
 }
 
 TEST_F(CrashConsistencyTest, WriteBackAcksMoreThanItPrograms) {
   // The seed behaviour: buffered-but-unprogrammed writes are acked and
   // counted as such — but never as durable.
-  SsdSimulator sim(small_config(Scheme::kLdpcInSsd), *normal_, *reduced_);
-  sim.prefill(4000);
-  sim.run_segment(small_trace(2000, 11));
-  EXPECT_GT(sim.results().writes_acked, sim.results().writes_durable);
-  EXPECT_GT(sim.results().dirty_buffer_pages, 0u);
+  auto sim = test::build_simulator(small_config(Scheme::kLdpcInSsd), *normal_,
+                                   *reduced_);
+  sim->prefill(4000);
+  sim->run_segment(small_trace(2000, 11));
+  EXPECT_GT(sim->results().writes_acked, sim->results().writes_durable);
+  EXPECT_GT(sim->results().dirty_buffer_pages, 0u);
 }
 
 TEST_F(CrashConsistencyTest, FlushBarrierBoundsTheDirtyWindow) {
   SsdConfig cfg = small_config(Scheme::kLdpcInSsd);
   cfg.durability.policy = DurabilityPolicy::kFlushBarrier;
   cfg.durability.flush_barrier_interval = 32;
-  SsdSimulator sim(std::move(cfg), *normal_, *reduced_);
-  sim.prefill(4000);
-  sim.run_segment(small_trace(2000, 11));
-  EXPECT_LT(sim.results().dirty_buffer_pages, 32u);
+  auto sim = test::build_simulator(std::move(cfg), *normal_, *reduced_);
+  sim->prefill(4000);
+  sim->run_segment(small_trace(2000, 11));
+  EXPECT_LT(sim->results().dirty_buffer_pages, 32u);
   // An explicit barrier (fsync) leaves nothing dirty at all.
-  sim.flush_barrier();
-  sim.run_segment({});
-  EXPECT_EQ(sim.results().dirty_buffer_pages, 0u);
+  sim->flush_barrier();
+  sim->run_segment({});
+  EXPECT_EQ(sim->results().dirty_buffer_pages, 0u);
 }
 
 TEST_F(CrashConsistencyTest, CrashSweepHoldsEveryInvariant) {
@@ -223,15 +225,16 @@ TEST_F(CrashConsistencyTest, CrashOffRunsAreUnperturbed) {
   // support compiled in but crash_enabled=false matches a plain run of
   // the same seed, field for field.
   const auto trace = small_trace(3000, 5);
-  SsdSimulator plain(small_config(Scheme::kFlexLevel), *normal_, *reduced_);
-  plain.prefill(4000);
-  const SsdResults a = plain.run(trace);
+  auto plain = test::build_simulator(small_config(Scheme::kFlexLevel), *normal_,
+                                     *reduced_);
+  plain->prefill(4000);
+  const SsdResults a = plain->run(trace);
 
   SsdConfig cfg = small_config(Scheme::kFlexLevel);
   cfg.faults.enabled = true;  // injector constructed, crash stays off
-  SsdSimulator armed(std::move(cfg), *normal_, *reduced_);
-  armed.prefill(4000);
-  const SsdResults b = armed.run(trace);
+  auto armed = test::build_simulator(std::move(cfg), *normal_, *reduced_);
+  armed->prefill(4000);
+  const SsdResults b = armed->run(trace);
 
   EXPECT_EQ(a.read_response.mean(), b.read_response.mean());
   EXPECT_EQ(a.write_response.mean(), b.write_response.mean());
@@ -248,23 +251,23 @@ TEST_F(CrashConsistencyTest, MountIsIdempotentIncludingMetrics) {
   // because a drive can lose power again right after recovering.
   telemetry::Telemetry telemetry;
   SsdConfig cfg = crash_config(Scheme::kFlexLevel);
-  SsdSimulator sim(std::move(cfg), *normal_, *reduced_);
-  sim.prefill(4000);
-  sim.mount();  // clean pre-workload mount is legal
-  sim.run_segment(small_trace(5000, 77));
-  if (!sim.crashed()) sim.power_loss();
+  auto sim = test::build_simulator(std::move(cfg), *normal_, *reduced_);
+  sim->prefill(4000);
+  sim->mount();  // clean pre-workload mount is legal
+  sim->run_segment(small_trace(5000, 77));
+  if (!sim->crashed()) sim->power_loss();
 
-  sim.attach_telemetry(&telemetry);
-  sim.mount();
+  sim->attach_telemetry(&telemetry);
+  sim->mount();
   const std::string metrics_first = telemetry.metrics.snapshot().to_jsonl();
-  const std::vector<std::uint64_t> l2p_first = sim.ftl().l2p_dump();
+  const std::vector<std::uint64_t> l2p_first = sim->ftl().l2p_dump();
 
-  sim.power_loss();
+  sim->power_loss();
   telemetry.metrics.zero();  // crash accounted; compare the mounts alone
-  sim.mount();
+  sim->mount();
   EXPECT_EQ(telemetry.metrics.snapshot().to_jsonl(), metrics_first);
-  EXPECT_EQ(sim.ftl().l2p_dump(), l2p_first);
-  EXPECT_TRUE(sim.ftl().check_consistency().ok());
+  EXPECT_EQ(sim->ftl().l2p_dump(), l2p_first);
+  EXPECT_TRUE(sim->ftl().check_consistency().ok());
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "nand/level_config.h"
 #include "ssd/crash_harness.h"
 #include "ssd/simulator.h"
+#include "support/build_simulator.h"
 #include "trace/workloads.h"
 
 namespace flex::ssd {
@@ -119,32 +120,33 @@ TEST_F(IntegrityPropertyTest, ValidateRejectsCorruptionWithoutIntegrity) {
 TEST_F(IntegrityPropertyTest, CleanRunVerifiesEverythingFlagsNothing) {
   SsdConfig cfg = small_config(Scheme::kFlexLevel);
   cfg.integrity.enabled = true;
-  SsdSimulator sim(std::move(cfg), *normal_, *reduced_);
-  sim.prefill(4000);
-  const SsdResults r = sim.run(small_trace(0.7, 15'000, 21));
+  auto sim = test::build_simulator(std::move(cfg), *normal_, *reduced_);
+  sim->prefill(4000);
+  const SsdResults r = sim->run(small_trace(0.7, 15'000, 21));
   EXPECT_GT(r.integrity_verified_reads, 0u);
   EXPECT_EQ(r.integrity_mismatch_reads, 0u);
   EXPECT_EQ(r.integrity_undetected_reads, 0u);
   EXPECT_EQ(r.integrity_recovered_reads, 0u);
   EXPECT_EQ(r.integrity_unrecovered_reads, 0u);
-  EXPECT_EQ(sim.ftl().stats().misdirected_writes, 0u);
-  EXPECT_EQ(sim.ftl().stats().torn_relocations, 0u);
-  EXPECT_EQ(sim.ftl().stats().repair_writes, 0u);
+  EXPECT_EQ(sim->ftl().stats().misdirected_writes, 0u);
+  EXPECT_EQ(sim->ftl().stats().torn_relocations, 0u);
+  EXPECT_EQ(sim->ftl().stats().repair_writes, 0u);
 }
 
 TEST_F(IntegrityPropertyTest, IntegrityCostsNoSimulatedTimeWhenClean) {
   // Seals ride the existing OOB path: with no corruption armed, the
   // integrity layer must not perturb a single latency or FTL decision.
   const auto trace = small_trace(0.7, 15'000, 22);
-  SsdSimulator off(small_config(Scheme::kFlexLevel), *normal_, *reduced_);
-  off.prefill(4000);
-  const SsdResults a = off.run(trace);
+  auto off = test::build_simulator(small_config(Scheme::kFlexLevel), *normal_,
+                                   *reduced_);
+  off->prefill(4000);
+  const SsdResults a = off->run(trace);
 
   SsdConfig cfg = small_config(Scheme::kFlexLevel);
   cfg.integrity.enabled = true;
-  SsdSimulator on(std::move(cfg), *normal_, *reduced_);
-  on.prefill(4000);
-  const SsdResults b = on.run(trace);
+  auto on = test::build_simulator(std::move(cfg), *normal_, *reduced_);
+  on->prefill(4000);
+  const SsdResults b = on->run(trace);
 
   EXPECT_EQ(a.read_response.mean(), b.read_response.mean());
   EXPECT_EQ(a.write_response.mean(), b.write_response.mean());
@@ -159,9 +161,10 @@ TEST_F(IntegrityPropertyTest, NoAcknowledgedWriteEverReturnsWrongData) {
   // take transient flips — yet every read that would deliver wrong
   // bytes is flagged by the seal check: zero undetected corruptions.
   for (const Scheme scheme : {Scheme::kLdpcInSsd, Scheme::kFlexLevel}) {
-    SsdSimulator sim(corrupting_config(scheme), *normal_, *reduced_);
-    sim.prefill(4000);
-    const SsdResults r = sim.run(small_trace(0.5, 15'000, 23));
+    auto sim = test::build_simulator(corrupting_config(scheme), *normal_,
+                                     *reduced_);
+    sim->prefill(4000);
+    const SsdResults r = sim->run(small_trace(0.5, 15'000, 23));
     SCOPED_TRACE(scheme_name(scheme));
     EXPECT_EQ(r.integrity_undetected_reads, 0u);
     EXPECT_GT(r.integrity_verified_reads, 0u);
@@ -173,8 +176,8 @@ TEST_F(IntegrityPropertyTest, NoAcknowledgedWriteEverReturnsWrongData) {
     EXPECT_GT(r.integrity_recovered_reads, 0u);
     // Both persistent fault kinds actually fired (lifetime counters:
     // prefill programs misdirect too).
-    EXPECT_GT(sim.ftl().stats().misdirected_writes, 0u);
-    EXPECT_GT(sim.ftl().stats().torn_relocations, 0u);
+    EXPECT_GT(sim->ftl().stats().misdirected_writes, 0u);
+    EXPECT_GT(sim->ftl().stats().torn_relocations, 0u);
   }
 }
 
@@ -183,10 +186,10 @@ TEST_F(IntegrityPropertyTest, FaultyRunsAreDeterministic) {
   // identical corruption patterns and identical verdicts.
   const auto trace = small_trace(0.5, 8'000, 24);
   auto run = [&] {
-    SsdSimulator sim(corrupting_config(Scheme::kFlexLevel), *normal_,
-                     *reduced_);
-    sim.prefill(4000);
-    return sim.run(trace);
+    auto sim = test::build_simulator(corrupting_config(Scheme::kFlexLevel),
+                                     *normal_, *reduced_);
+    sim->prefill(4000);
+    return sim->run(trace);
   };
   const SsdResults a = run();
   const SsdResults b = run();
@@ -204,16 +207,16 @@ TEST_F(IntegrityPropertyTest, RepairRestoresCorruptPagesToVerifying) {
   // persistent corruption (page_verifies() false). repair_page rewrites
   // each with fresh current-generation payload + seal. A repair program
   // can itself misdirect, hence the bounded convergence loop.
-  SsdSimulator sim(corrupting_config(Scheme::kLdpcInSsd), *normal_,
-                   *reduced_);
-  sim.prefill(4000);
-  sim.run(small_trace(0.5, 10'000, 25));
+  auto sim = test::build_simulator(corrupting_config(Scheme::kLdpcInSsd),
+                                   *normal_, *reduced_);
+  sim->prefill(4000);
+  sim->run(small_trace(0.5, 10'000, 25));
 
-  const std::uint64_t logical = sim.ftl().logical_pages();
+  const std::uint64_t logical = sim->ftl().logical_pages();
   auto corrupt_pages = [&] {
     std::vector<std::uint64_t> bad;
     for (std::uint64_t lpn = 0; lpn < logical; ++lpn) {
-      if (!sim.page_verifies(lpn)) bad.push_back(lpn);
+      if (!sim->page_verifies(lpn)) bad.push_back(lpn);
     }
     return bad;
   };
@@ -222,12 +225,12 @@ TEST_F(IntegrityPropertyTest, RepairRestoresCorruptPagesToVerifying) {
   ASSERT_GT(bad.size(), 0u);  // the run must actually corrupt something
   SimTime repair_time = 2'000'000'000'000LL;  // well past the trace end
   for (int pass = 0; pass < 8 && !bad.empty(); ++pass) {
-    for (const std::uint64_t lpn : bad) sim.repair_page(lpn, repair_time);
+    for (const std::uint64_t lpn : bad) sim->repair_page(lpn, repair_time);
     repair_time += 1'000'000'000LL;
     bad = corrupt_pages();
   }
   EXPECT_TRUE(bad.empty()) << bad.size() << " pages still corrupt";
-  EXPECT_GT(sim.ftl().stats().repair_writes, 0u);
+  EXPECT_GT(sim->ftl().stats().repair_writes, 0u);
 }
 
 TEST_F(IntegrityPropertyTest, CrashSweepAuditFindsNoUndetectedCorruption) {

@@ -1,5 +1,7 @@
 #include "ssd/latency_model.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace flex::ssd {
@@ -107,16 +109,18 @@ TEST(LatencyModelTest, PlanMatchesPinnedClosedForm) {
 
 TEST(LatencyModelTest, AttemptsSumToClosedFormCost) {
   // The telemetry decomposition must be exact: summing each attempt's
-  // incremental cost reproduces read_cost component by component (all
-  // integer ns, so equality is strict).
+  // incremental cost reproduces the cost the same read_cost call returns,
+  // component by component (all integer ns, so equality is strict), and
+  // asking for the attempts never changes that cost.
   const LatencyModel model;
   const reliability::SensingRequirement ladder;
   for (const int start : {0, 1, 2, 4, 6}) {
     for (const int required : {0, 1, 2, 4, 6}) {
       const ReadPlan plan{.start_levels = start, .required_levels = required};
-      const ReadCost closed = model.read_cost(plan, ladder);
       std::vector<ReadAttempt> attempts;
-      model.read_attempts(plan, ladder, attempts);
+      const ReadCost closed = model.read_cost(plan, ladder, &attempts);
+      EXPECT_EQ(closed.total(), model.read_latency(plan, ladder))
+          << start << "/" << required;
       ASSERT_FALSE(attempts.empty()) << start << "/" << required;
       ReadCost sum;
       for (const auto& attempt : attempts) {

@@ -4,6 +4,7 @@
 #include "ssd/read_policy.h"
 
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -69,6 +70,13 @@ class ReadPolicyTest : public ::testing::Test {
     return {.lpn = lpn, .ppn = ppn, .required_levels = required, .now = 100};
   }
 
+  /// Summed occupancy of a read's per-attempt decomposition.
+  static Duration total_of(const std::vector<ReadAttempt>& attempts) {
+    Duration total = 0;
+    for (const ReadAttempt& attempt : attempts) total += attempt.cost.total();
+    return total;
+  }
+
   static reliability::BerModel* normal_;
 };
 
@@ -128,6 +136,29 @@ TEST_F(ReadPolicyTest, SensingHintRemembersLastDepth) {
   // The hint is per physical page: another page still climbs from zero.
   const ReadCost other = f.policy->read_cost(read_of(2, 10, 4));
   EXPECT_EQ(other.total(), cold.total());
+}
+
+TEST_F(ReadPolicyTest, SensingHintAttemptsStartAtRememberedDepth) {
+  auto cfg = config(Scheme::kLdpcInSsd);
+  cfg.sensing_hint = true;
+  Fixture f(std::move(cfg));
+  // The first read climbs the ladder from a hard read and teaches the page
+  // its depth; the attempts come from the same call that charges the cost.
+  std::vector<ReadAttempt> cold_attempts;
+  const ReadCost cold =
+      f.policy->read_cost(read_of(1, 9, 2), &cold_attempts);
+  ASSERT_GT(cold_attempts.size(), 1u);
+  EXPECT_EQ(cold_attempts.front().levels, 0);
+  EXPECT_EQ(total_of(cold_attempts), cold.total());
+  // The second read of the same ppn starts at the remembered depth, still
+  // summing exactly to the cost returned alongside it.
+  std::vector<ReadAttempt> warm_attempts;
+  const ReadCost warm =
+      f.policy->read_cost(read_of(1, 9, 2), &warm_attempts);
+  ASSERT_EQ(warm_attempts.size(), 1u);
+  EXPECT_EQ(warm_attempts.front().levels, 2);
+  EXPECT_EQ(total_of(warm_attempts), warm.total());
+  EXPECT_LT(warm.total(), cold.total());
 }
 
 TEST_F(ReadPolicyTest, FlexLevelMigratesHotSoftPages) {
@@ -224,18 +255,20 @@ TEST_F(ReadPolicyTest, RecoveryChargesTheDeepestReread) {
   EXPECT_EQ(f.policy->read_cost(read_of(1, 1, 3)).total(),
             plain.policy->read_cost(read_of(1, 1, 3)).total());
   // An uncorrectable read pays the full climb plus one deepest-sensing
-  // recovery re-read on top.
+  // recovery re-read on top, and the same call's attempts show it as one
+  // extra deepest-sensing step.
   ReadContext hard{.lpn = 1, .ppn = 1, .required_levels = top,
                    .correctable = false, .now = 100};
-  EXPECT_EQ(f.policy->read_cost(hard).total(),
-            plain.policy->read_cost(read_of(1, 1, top)).total() +
-                f.cfg.latency.read_fixed(top));
-  // The trace shows the recovery attempt as one extra ladder step.
   std::vector<ReadAttempt> recovery_attempts;
-  f.policy->trace_attempts(hard, recovery_attempts);
+  const ReadCost recovery = f.policy->read_cost(hard, &recovery_attempts);
   std::vector<ReadAttempt> plain_attempts;
-  plain.policy->trace_attempts(read_of(1, 1, top), plain_attempts);
-  EXPECT_EQ(recovery_attempts.size(), plain_attempts.size() + 1);
+  const ReadCost climb =
+      plain.policy->read_cost(read_of(1, 1, top), &plain_attempts);
+  EXPECT_EQ(recovery.total(),
+            climb.total() + f.cfg.latency.read_fixed(top));
+  ASSERT_EQ(recovery_attempts.size(), plain_attempts.size() + 1);
+  EXPECT_EQ(recovery_attempts.back().levels, top);
+  EXPECT_EQ(total_of(recovery_attempts), recovery.total());
 }
 
 TEST_F(ReadPolicyTest, RecoveryAdjudicatesRescueOrLoss) {

@@ -10,6 +10,7 @@
 #include "flexlevel/reduce_mapper.h"
 #include "nand/level_config.h"
 #include "ssd/simulator.h"
+#include "support/build_simulator.h"
 #include "trace/workloads.h"
 
 namespace flex::ssd {
@@ -81,9 +82,10 @@ reliability::BerModel* SimulatorProperty::reduced_ = nullptr;
 TEST_F(SimulatorProperty, SameSeedSameResults) {
   const auto trace = trace_for(0.8);
   auto run_once = [&] {
-    SsdSimulator sim(config(Scheme::kFlexLevel), *normal_, *reduced_);
-    sim.prefill(4000);
-    return sim.run(trace);
+    auto sim = test::build_simulator(config(Scheme::kFlexLevel), *normal_,
+                                     *reduced_);
+    sim->prefill(4000);
+    return sim->run(trace);
   };
   const SsdResults a = run_once();
   const SsdResults b = run_once();
@@ -97,13 +99,13 @@ TEST_F(SimulatorProperty, SameSeedSameResults) {
 TEST_F(SimulatorProperty, DifferentSeedsDifferentPrefillAges) {
   const auto trace = trace_for(0.95);
   auto cfg = config(Scheme::kLdpcInSsd);
-  SsdSimulator a(cfg, *normal_, *reduced_);
+  auto a = test::build_simulator(cfg, *normal_, *reduced_);
   cfg.seed = 0xD1FF;
-  SsdSimulator b(cfg, *normal_, *reduced_);
-  a.prefill(4000);
-  b.prefill(4000);
-  const auto ra = a.run(trace);
-  const auto rb = b.run(trace);
+  auto b = test::build_simulator(cfg, *normal_, *reduced_);
+  a->prefill(4000);
+  b->prefill(4000);
+  const auto ra = a->run(trace);
+  const auto rb = b->run(trace);
   // Age draws differ, so the sensing-level mix cannot be identical.
   EXPECT_NE(ra.sensing_level_reads, rb.sensing_level_reads);
 }
@@ -117,9 +119,9 @@ TEST_F(SimulatorProperty, HostVisibleCountsAreSchemeInvariant) {
   for (const Scheme scheme :
        {Scheme::kBaseline, Scheme::kLdpcInSsd, Scheme::kLevelAdjustOnly,
         Scheme::kFlexLevel}) {
-    SsdSimulator sim(config(scheme), *normal_, *reduced_);
-    sim.prefill(4000);
-    const auto results = sim.run(trace);
+    auto sim = test::build_simulator(config(scheme), *normal_, *reduced_);
+    sim->prefill(4000);
+    const auto results = sim->run(trace);
     EXPECT_EQ(results.all_response.count(), trace.size());
     if (expected_reads == 0) {
       expected_reads = results.read_response.count();
@@ -139,9 +141,9 @@ TEST_F(SimulatorProperty, StaticAgeIgnoresRewrites) {
     cfg.age_model = model;
     cfg.min_prefill_age = kWeek;  // everything needs soft sensing at 6000
     cfg.max_prefill_age = kMonth;
-    SsdSimulator sim(cfg, *normal_, *reduced_);
-    sim.prefill(4000);
-    return sim.run(trace);
+    auto sim = test::build_simulator(cfg, *normal_, *reduced_);
+    sim->prefill(4000);
+    return sim->run(trace);
   };
   const auto fixed = run_model(AgeModel::kStaticPerLba);
   const auto physical = run_model(AgeModel::kPhysical);
@@ -157,9 +159,9 @@ TEST_F(SimulatorProperty, HintNeverChangesSensingRequirements) {
   auto run_hint = [&](bool hint) {
     auto cfg = config(Scheme::kLdpcInSsd);
     cfg.sensing_hint = hint;
-    SsdSimulator sim(cfg, *normal_, *reduced_);
-    sim.prefill(4000);
-    return sim.run(trace);
+    auto sim = test::build_simulator(cfg, *normal_, *reduced_);
+    sim->prefill(4000);
+    return sim->run(trace);
   };
   const auto plain = run_hint(false);
   const auto hinted = run_hint(true);
@@ -182,16 +184,16 @@ TEST_F(SimulatorProperty, ResetMeasurementsEqualsAccumulatedDelta) {
   const std::vector<trace::Request> warmup{trace.begin(), split};
   const std::vector<trace::Request> measured{split, trace.end()};
 
-  SsdSimulator a(cfg, *normal_, *reduced_);
-  a.prefill(4000);
-  a.run(warmup);
-  a.reset_measurements();
-  const SsdResults ra = a.run(measured);
+  auto a = test::build_simulator(cfg, *normal_, *reduced_);
+  a->prefill(4000);
+  a->run(warmup);
+  a->reset_measurements();
+  const SsdResults ra = a->run(measured);
 
-  SsdSimulator b(cfg, *normal_, *reduced_);
-  b.prefill(4000);
-  const SsdResults rb1 = b.run(warmup);
-  const SsdResults rb2 = b.run(measured);  // accumulates, no reset
+  auto b = test::build_simulator(cfg, *normal_, *reduced_);
+  b->prefill(4000);
+  const SsdResults rb1 = b->run(warmup);
+  const SsdResults rb2 = b->run(measured);  // accumulates, no reset
 
   // Host-visible counts and response sums.
   EXPECT_EQ(ra.all_response.count(),
@@ -244,16 +246,16 @@ TEST_F(SimulatorProperty, ResetClearsCountersButNotLearnedState) {
   const auto trace = trace_for(0.95);
   const auto split =
       trace.begin() + static_cast<std::ptrdiff_t>(trace.size() / 2);
-  SsdSimulator sim(cfg, *normal_, *reduced_);
-  sim.prefill(4000);
-  const SsdResults warm = sim.run({trace.begin(), split});
+  auto sim = test::build_simulator(cfg, *normal_, *reduced_);
+  sim->prefill(4000);
+  const SsdResults warm = sim->run({trace.begin(), split});
   ASSERT_GT(warm.migrations_to_reduced, 0u);
   ASSERT_GT(warm.pool_pages, 0u);
-  sim.reset_measurements();
+  sim->reset_measurements();
   // The second half revisits the same Zipf-hot set: the pool carries over
   // (gauge), so the already-migrated pages need no migrating again
   // (counter restarts and stays low).
-  const SsdResults steady = sim.run({split, trace.end()});
+  const SsdResults steady = sim->run({split, trace.end()});
   EXPECT_GE(steady.pool_pages, warm.pool_pages);
   EXPECT_LT(steady.migrations_to_reduced, warm.migrations_to_reduced);
 }
@@ -268,9 +270,9 @@ TEST_F(SimulatorProperty, FaultsOnIsDeterministic) {
   cfg.faults.grown_defect_rate = 1e-2;
   const auto trace = trace_for(0.5);  // write-heavy: programs and erases
   auto run_once = [&] {
-    SsdSimulator sim(cfg, *normal_, *reduced_);
-    sim.prefill(4000);
-    return sim.run(trace);
+    auto sim = test::build_simulator(cfg, *normal_, *reduced_);
+    sim->prefill(4000);
+    return sim->run(trace);
   };
   const SsdResults a = run_once();
   const SsdResults b = run_once();
@@ -295,9 +297,9 @@ TEST_F(SimulatorProperty, FaultyDriveStillServicesEveryRequest) {
   cfg.faults.erase_fail_rate = 1e-2;
   cfg.faults.grown_defect_rate = 1e-2;
   const auto trace = trace_for(0.5);
-  SsdSimulator sim(cfg, *normal_, *reduced_);
-  sim.prefill(4000);
-  const SsdResults results = sim.run(trace);
+  auto sim = test::build_simulator(cfg, *normal_, *reduced_);
+  sim->prefill(4000);
+  const SsdResults results = sim->run(trace);
   EXPECT_EQ(results.all_response.count(), trace.size());
   EXPECT_EQ(results.unmapped_reads, 0u);
   EXPECT_GE(results.retired_blocks, results.ftl.program_fails +
@@ -314,15 +316,15 @@ TEST_F(SimulatorProperty, FaultsDisabledAreFree) {
   // change no observable output relative to a default config.
   const auto trace = trace_for(0.7);
   auto cfg = config(Scheme::kLdpcInSsd);
-  SsdSimulator plain(cfg, *normal_, *reduced_);
+  auto plain = test::build_simulator(cfg, *normal_, *reduced_);
   cfg.faults.program_fail_rate = 0.5;
   cfg.faults.erase_fail_rate = 0.5;
   cfg.faults.grown_defect_rate = 0.5;  // armed but not enabled
-  SsdSimulator armed(cfg, *normal_, *reduced_);
-  plain.prefill(4000);
-  armed.prefill(4000);
-  const SsdResults a = plain.run(trace);
-  const SsdResults b = armed.run(trace);
+  auto armed = test::build_simulator(cfg, *normal_, *reduced_);
+  plain->prefill(4000);
+  armed->prefill(4000);
+  const SsdResults a = plain->run(trace);
+  const SsdResults b = armed->run(trace);
   EXPECT_DOUBLE_EQ(a.all_response.mean(), b.all_response.mean());
   EXPECT_EQ(a.ftl.nand_writes, b.ftl.nand_writes);
   EXPECT_EQ(b.retired_blocks, 0u);
@@ -355,23 +357,20 @@ TEST_F(SimulatorProperty, BuilderValidatesBeforeConstruction) {
       SsdSimulator::Builder(*normal_, *reduced_).config(bad_rate).Build().ok());
 }
 
-TEST_F(SimulatorProperty, BuilderRunMatchesLegacyConstructor) {
-  // The Builder is a validated front door to the same simulator: a built
-  // instance driven through run_segment()/results() reproduces the legacy
-  // constructor + run() path bit for bit.
+TEST_F(SimulatorProperty, RunSnapshotMatchesRunSegment) {
+  // run() is run_segment() plus a copy of the accumulated results: two
+  // simulators built from one config report identically through either.
   const auto trace = trace_for(0.8);
   const auto cfg = config(Scheme::kFlexLevel);
 
-  SsdSimulator legacy(cfg, *normal_, *reduced_);
-  legacy.prefill(4000);
-  const SsdResults expected = legacy.run(trace);
+  auto snapshot = test::build_simulator(cfg, *normal_, *reduced_);
+  snapshot->prefill(4000);
+  const SsdResults expected = snapshot->run(trace);
 
-  auto built = SsdSimulator::Builder(*normal_, *reduced_).config(cfg).Build();
-  ASSERT_TRUE(built.ok()) << built.status().to_string();
-  SsdSimulator& sim = **built;
-  sim.prefill(4000);
-  sim.run_segment(trace);
-  const SsdResults& actual = sim.results();
+  auto sim = test::build_simulator(cfg, *normal_, *reduced_);
+  sim->prefill(4000);
+  sim->run_segment(trace);
+  const SsdResults& actual = sim->results();
   EXPECT_DOUBLE_EQ(actual.all_response.mean(), expected.all_response.mean());
   EXPECT_EQ(actual.ftl.nand_writes, expected.ftl.nand_writes);
   EXPECT_EQ(actual.read_response.count(), expected.read_response.count());
@@ -379,9 +378,10 @@ TEST_F(SimulatorProperty, BuilderRunMatchesLegacyConstructor) {
 
 TEST_F(SimulatorProperty, PercentilesBracketTheMean) {
   const auto trace = trace_for(0.9);
-  SsdSimulator sim(config(Scheme::kLdpcInSsd), *normal_, *reduced_);
-  sim.prefill(4000);
-  const auto results = sim.run(trace);
+  auto sim = test::build_simulator(config(Scheme::kLdpcInSsd), *normal_,
+                                   *reduced_);
+  sim->prefill(4000);
+  const auto results = sim->run(trace);
   const double p50 = results.read_latency_hist.quantile(0.5);
   const double p99 = results.read_latency_hist.quantile(0.99);
   EXPECT_GT(p50, 0.0);

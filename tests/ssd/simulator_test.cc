@@ -8,6 +8,7 @@
 #include "flexlevel/nunma.h"
 #include "flexlevel/reduce_mapper.h"
 #include "nand/level_config.h"
+#include "support/build_simulator.h"
 #include "trace/workloads.h"
 
 namespace flex::ssd {
@@ -85,33 +86,36 @@ reliability::BerModel* SimulatorTest::reduced_ = nullptr;
 TEST_F(SimulatorTest, RunsEverySchemeToCompletion) {
   for (const Scheme scheme : {Scheme::kBaseline, Scheme::kLdpcInSsd,
                               Scheme::kLevelAdjustOnly, Scheme::kFlexLevel}) {
-    SsdSimulator sim(small_config(scheme), *normal_, *reduced_);
-    sim.prefill(4000);
-    const SsdResults results = sim.run(small_trace(0.7, 42));
+    auto sim = test::build_simulator(small_config(scheme), *normal_, *reduced_);
+    sim->prefill(4000);
+    const SsdResults results = sim->run(small_trace(0.7, 42));
     EXPECT_EQ(results.all_response.count(), 20'000u) << scheme_name(scheme);
     EXPECT_GT(results.read_response.mean(), 0.0) << scheme_name(scheme);
   }
 }
 
 TEST_F(SimulatorTest, BaselineSlowerThanProgressive) {
-  SsdSimulator base(small_config(Scheme::kBaseline), *normal_, *reduced_);
-  base.prefill(4000);
-  const auto base_results = base.run(small_trace(0.9, 7));
+  auto base = test::build_simulator(small_config(Scheme::kBaseline), *normal_,
+                                    *reduced_);
+  base->prefill(4000);
+  const auto base_results = base->run(small_trace(0.9, 7));
 
-  SsdSimulator prog(small_config(Scheme::kLdpcInSsd), *normal_, *reduced_);
-  prog.prefill(4000);
-  const auto prog_results = prog.run(small_trace(0.9, 7));
+  auto prog = test::build_simulator(small_config(Scheme::kLdpcInSsd), *normal_,
+                                    *reduced_);
+  prog->prefill(4000);
+  const auto prog_results = prog->run(small_trace(0.9, 7));
 
   EXPECT_GT(base_results.read_response.mean(),
             prog_results.read_response.mean());
 }
 
 TEST_F(SimulatorTest, FlexLevelMigratesHotSoftData) {
-  SsdSimulator sim(small_config(Scheme::kFlexLevel), *normal_, *reduced_);
-  sim.prefill(4000);
-  const auto results = sim.run(small_trace(0.9, 11));
+  auto sim = test::build_simulator(small_config(Scheme::kFlexLevel), *normal_,
+                                   *reduced_);
+  sim->prefill(4000);
+  const auto results = sim->run(small_trace(0.9, 11));
   EXPECT_GT(results.migrations_to_reduced, 0u);
-  EXPECT_GT(sim.ftl().reduced_blocks(), 0u);
+  EXPECT_GT(sim->ftl().reduced_blocks(), 0u);
 }
 
 TEST_F(SimulatorTest, FlexLevelFasterReadsThanLdpcInSsd) {
@@ -122,11 +126,11 @@ TEST_F(SimulatorTest, FlexLevelFasterReadsThanLdpcInSsd) {
   const auto split =
       trace.begin() + static_cast<std::ptrdiff_t>(trace.size() / 2);
   auto steady = [&](Scheme scheme) {
-    SsdSimulator sim(small_config(scheme), *normal_, *reduced_);
-    sim.prefill(4000);
-    sim.run({trace.begin(), split});
-    sim.reset_measurements();
-    return sim.run({split, trace.end()});
+    auto sim = test::build_simulator(small_config(scheme), *normal_, *reduced_);
+    sim->prefill(4000);
+    sim->run({trace.begin(), split});
+    sim->reset_measurements();
+    return sim->run({split, trace.end()});
   };
   const auto flex_results = steady(Scheme::kFlexLevel);
   const auto prog_results = steady(Scheme::kLdpcInSsd);
@@ -136,21 +140,24 @@ TEST_F(SimulatorTest, FlexLevelFasterReadsThanLdpcInSsd) {
 
 TEST_F(SimulatorTest, FlexLevelWritesMoreThanLdpcInSsd) {
   // Fig. 7(a)/(b): migrations add NAND writes and erases.
-  SsdSimulator flex(small_config(Scheme::kFlexLevel), *normal_, *reduced_);
-  flex.prefill(4000);
-  const auto flex_results = flex.run(small_trace(0.7, 17));
+  auto flex = test::build_simulator(small_config(Scheme::kFlexLevel), *normal_,
+                                    *reduced_);
+  flex->prefill(4000);
+  const auto flex_results = flex->run(small_trace(0.7, 17));
 
-  SsdSimulator prog(small_config(Scheme::kLdpcInSsd), *normal_, *reduced_);
-  prog.prefill(4000);
-  const auto prog_results = prog.run(small_trace(0.7, 17));
+  auto prog = test::build_simulator(small_config(Scheme::kLdpcInSsd), *normal_,
+                                    *reduced_);
+  prog->prefill(4000);
+  const auto prog_results = prog->run(small_trace(0.7, 17));
 
   EXPECT_GT(flex_results.ftl.nand_writes, prog_results.ftl.nand_writes);
 }
 
 TEST_F(SimulatorTest, WriteBufferAbsorbsRewrites) {
-  SsdSimulator sim(small_config(Scheme::kLdpcInSsd), *normal_, *reduced_);
-  sim.prefill(4000);
-  const auto results = sim.run(small_trace(0.2, 19));  // write-heavy
+  auto sim = test::build_simulator(small_config(Scheme::kLdpcInSsd), *normal_,
+                                   *reduced_);
+  sim->prefill(4000);
+  const auto results = sim->run(small_trace(0.2, 19));  // write-heavy
   EXPECT_GT(results.buffer_hits, 0u);
   // Host page writes that reached NAND are fewer than host writes issued
   // (buffer coalescing).
@@ -158,9 +165,10 @@ TEST_F(SimulatorTest, WriteBufferAbsorbsRewrites) {
 }
 
 TEST_F(SimulatorTest, SensingLevelDistributionTracked) {
-  SsdSimulator sim(small_config(Scheme::kLdpcInSsd), *normal_, *reduced_);
-  sim.prefill(4000);
-  const auto results = sim.run(small_trace(0.95, 23));
+  auto sim = test::build_simulator(small_config(Scheme::kLdpcInSsd), *normal_,
+                                   *reduced_);
+  sim->prefill(4000);
+  const auto results = sim->run(small_trace(0.95, 23));
   std::uint64_t nand_reads = 0;
   for (const auto count : results.sensing_level_reads) nand_reads += count;
   EXPECT_GT(nand_reads, 0u);
@@ -173,10 +181,10 @@ TEST_F(SimulatorTest, SensingLevelDistributionTracked) {
 TEST_F(SimulatorTest, ReducedPagesReadHardEvenWhenOld) {
   // LevelAdjust-only drive: every page reduced (NUNMA 3) -> all NAND reads
   // at zero extra levels despite age and wear.
-  SsdSimulator sim(small_config(Scheme::kLevelAdjustOnly), *normal_,
-                   *reduced_);
-  sim.prefill(4000);
-  const auto results = sim.run(small_trace(0.95, 29));
+  auto sim = test::build_simulator(small_config(Scheme::kLevelAdjustOnly),
+                                   *normal_, *reduced_);
+  sim->prefill(4000);
+  const auto results = sim->run(small_trace(0.95, 29));
   std::uint64_t soft_reads = 0;
   for (std::size_t l = 1; l < results.sensing_level_reads.size(); ++l) {
     soft_reads += results.sensing_level_reads[l];
@@ -186,9 +194,10 @@ TEST_F(SimulatorTest, ReducedPagesReadHardEvenWhenOld) {
 }
 
 TEST_F(SimulatorTest, NoUncorrectableReadsAtPaperOperatingPoint) {
-  SsdSimulator sim(small_config(Scheme::kLdpcInSsd), *normal_, *reduced_);
-  sim.prefill(4000);
-  const auto results = sim.run(small_trace(0.8, 31));
+  auto sim = test::build_simulator(small_config(Scheme::kLdpcInSsd), *normal_,
+                                   *reduced_);
+  sim->prefill(4000);
+  const auto results = sim->run(small_trace(0.8, 31));
   EXPECT_EQ(results.uncorrectable_reads, 0u);
 }
 

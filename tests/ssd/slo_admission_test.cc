@@ -14,6 +14,7 @@
 #include "flexlevel/reduce_mapper.h"
 #include "nand/level_config.h"
 #include "ssd/simulator.h"
+#include "support/build_simulator.h"
 #include "trace/workloads.h"
 
 namespace flex::ssd {
@@ -91,9 +92,9 @@ TEST_F(SloAdmissionTest, AdmittedReadsAlwaysMeetTheDeadline) {
   const Duration deadline = 2 * kMillisecond;
   const auto trace = overload_reads(77);
 
-  SsdSimulator sim(slo_config(deadline), *normal_, *reduced_);
-  sim.prefill(4000);
-  const SsdResults results = sim.run(trace);
+  auto sim = test::build_simulator(slo_config(deadline), *normal_, *reduced_);
+  sim->prefill(4000);
+  const SsdResults results = sim->run(trace);
 
   // Overload must actually have triggered rejections, or the property
   // below is vacuous.
@@ -112,9 +113,9 @@ TEST_F(SloAdmissionTest, WithoutAdmissionTheDeadlineIsMissed) {
   const Duration deadline = 2 * kMillisecond;
   SsdConfig cfg = slo_config(deadline);
   cfg.qos.slo_read_admission = false;
-  SsdSimulator sim(cfg, *normal_, *reduced_);
-  sim.prefill(4000);
-  const SsdResults results = sim.run(overload_reads(77));
+  auto sim = test::build_simulator(cfg, *normal_, *reduced_);
+  sim->prefill(4000);
+  const SsdResults results = sim->run(overload_reads(77));
   EXPECT_EQ(results.slo_rejected, 0u);
   EXPECT_GT(results.read_response.max(), to_seconds(deadline));
 }
@@ -125,9 +126,9 @@ TEST_F(SloAdmissionTest, TighterDeadlinesRejectMore) {
   bool first = true;
   for (const Duration deadline :
        {8 * kMillisecond, 2 * kMillisecond, 500 * kMicrosecond}) {
-    SsdSimulator sim(slo_config(deadline), *normal_, *reduced_);
-    sim.prefill(4000);
-    const SsdResults results = sim.run(trace);
+    auto sim = test::build_simulator(slo_config(deadline), *normal_, *reduced_);
+    sim->prefill(4000);
+    const SsdResults results = sim->run(trace);
     if (!first) EXPECT_GE(results.slo_rejected, previous);
     previous = results.slo_rejected;
     first = false;

@@ -16,6 +16,7 @@
 #include "flexlevel/reduce_mapper.h"
 #include "nand/level_config.h"
 #include "ssd/simulator.h"
+#include "support/build_simulator.h"
 #include "telemetry/export.h"
 #include "telemetry/metrics.h"
 #include "telemetry/span.h"
@@ -255,12 +256,16 @@ class TelemetrySimulationTest : public ::testing::Test {
     return trace::generate(params, /*seed=*/777);
   }
 
+  static ssd::SsdResults run_config(ssd::SsdConfig cfg,
+                                    Telemetry* telemetry) {
+    auto sim = test::build_simulator(std::move(cfg), *normal_, *reduced_);
+    sim->prefill(4000);
+    sim->attach_telemetry(telemetry);
+    return sim->run(small_trace());
+  }
   static ssd::SsdResults run_scheme(ssd::Scheme scheme,
                                     Telemetry* telemetry) {
-    ssd::SsdSimulator sim(small_config(scheme), *normal_, *reduced_);
-    sim.prefill(4000);
-    sim.attach_telemetry(telemetry);
-    return sim.run(small_trace());
+    return run_config(small_config(scheme), telemetry);
   }
 
   static reliability::BerModel* normal_;
@@ -338,6 +343,45 @@ TEST_F(TelemetrySimulationTest, SpansNestWithinTracks) {
   std::ostringstream out;
   write_chrome_trace(out, telemetry.spans.spans());
   EXPECT_NE(out.str().find("\"ph\":\"X\""), std::string::npos);
+}
+
+TEST_F(TelemetrySimulationTest, ReadAttemptSpansTileTheChipRead) {
+  // Each chip "read" span is followed by its per-attempt sense/xfer/decode
+  // children, which must partition [start, start + dur] exactly: no gap,
+  // no overlap, nothing past the end. The sensing hint makes second reads
+  // of a page start at the remembered depth instead of a hard read.
+  ssd::SsdConfig cfg = small_config(ssd::Scheme::kLdpcInSsd);
+  cfg.sensing_hint = true;
+  Telemetry telemetry;
+  telemetry.trace = true;
+  run_config(std::move(cfg), &telemetry);
+  const std::vector<Span>& spans = telemetry.spans.spans();
+  std::uint64_t reads = 0;
+  std::uint64_t hinted_reads = 0;
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    const Span& parent = spans[i];
+    if (std::string(parent.name) != "read" ||
+        std::string(parent.cat) != "chip") {
+      continue;
+    }
+    ++reads;
+    SimTime cursor = parent.start;
+    std::size_t j = i + 1;
+    for (; j < spans.size() && std::string(spans[j].cat) == "read"; ++j) {
+      const Span& child = spans[j];
+      EXPECT_EQ(child.tid, parent.tid);
+      EXPECT_EQ(child.start, cursor) << "span " << j;
+      EXPECT_GT(child.dur, 0);
+      cursor += child.dur;
+    }
+    ASSERT_GT(j, i + 1) << "chip read without attempt spans";
+    EXPECT_EQ(cursor, parent.start + parent.dur) << "span " << i;
+    // arg0 of an attempt span is its sensing depth; a first attempt above
+    // a hard read is the hint at work.
+    if (spans[i + 1].arg0 > 0.0) ++hinted_reads;
+  }
+  EXPECT_GT(reads, 0u);
+  EXPECT_GT(hinted_reads, 0u);
 }
 
 }  // namespace
