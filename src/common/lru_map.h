@@ -1,8 +1,8 @@
 // Intrusive doubly-linked LRU over a flat slot array.
 //
 // Replaces the std::list + std::unordered_map<key, list::iterator> pattern
-// on simulator hot paths (write-buffer recency, the FlexLevel ReducedCell
-// pool): one node allocation per *slot* instead of per *operation*, O(1)
+// for small sparse key sets (the write buffer's recency order): one node
+// allocation per *slot* instead of per *operation*, O(1)
 // touch with no iterator indirection, and every structure lives in two
 // contiguous vectors. Slots are recycled through a free stack, so the
 // steady state allocates nothing once the high-water mark is reached.
@@ -10,6 +10,10 @@
 // Determinism: recency order is an explicit doubly-linked list threaded
 // through the slot array, so iteration (for_each_oldest_first) depends only
 // on the operation history — never on hash layout or slot numbering.
+//
+// The FlexLevel ReducedCell pool does not use it: its keys are LPNs of a
+// large dense range, so it threads its LRU through an LPN-indexed link
+// array instead (flexlevel::ReducedCellPool).
 #pragma once
 
 #include <cstdint>

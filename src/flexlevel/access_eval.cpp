@@ -6,6 +6,68 @@
 
 namespace flex::flexlevel {
 
+bool ReducedCellPool::touch(std::uint64_t lpn) {
+  if (!contains(lpn)) return false;
+  const auto index = static_cast<std::uint32_t>(lpn);
+  if (head_ != index) {
+    unlink(index);
+    link_front(index);
+  }
+  return true;
+}
+
+void ReducedCellPool::push_front(std::uint64_t lpn) {
+  FLEX_EXPECTS(lpn < kNil);
+  FLEX_EXPECTS(!contains(lpn));
+  if (lpn >= links_.size()) links_.resize(lpn + 1);
+  link_front(static_cast<std::uint32_t>(lpn));
+  ++size_;
+}
+
+bool ReducedCellPool::erase(std::uint64_t lpn) {
+  if (!contains(lpn)) return false;
+  const auto index = static_cast<std::uint32_t>(lpn);
+  unlink(index);
+  links_[index] = Link{};
+  --size_;
+  return true;
+}
+
+std::uint64_t ReducedCellPool::pop_back() {
+  FLEX_EXPECTS(tail_ != kNil);
+  const std::uint32_t lpn = tail_;
+  erase(lpn);
+  return lpn;
+}
+
+void ReducedCellPool::clear() {
+  std::fill(links_.begin(), links_.end(), Link{});
+  head_ = kNil;
+  tail_ = kNil;
+  size_ = 0;
+}
+
+void ReducedCellPool::link_front(std::uint32_t lpn) {
+  links_[lpn] = Link{.prev = kNil, .next = head_};
+  if (head_ != kNil) links_[head_].prev = lpn;
+  head_ = lpn;
+  if (tail_ == kNil) tail_ = lpn;
+}
+
+void ReducedCellPool::unlink(std::uint32_t lpn) {
+  const Link link = links_[lpn];
+  if (link.prev != kNil) {
+    links_[link.prev].next = link.next;
+  } else {
+    head_ = link.next;
+  }
+  if (link.next != kNil) {
+    links_[link.next].prev = link.prev;
+  } else {
+    tail_ = link.prev;
+  }
+}
+
 AccessEval::AccessEval(Config config)
     : config_(config), hotness_(config.hotness) {
   FLEX_EXPECTS(config_.freq_levels >= 1);
@@ -88,7 +150,7 @@ std::vector<std::uint64_t> AccessEval::rebuild_pool(
     }
     // push_front like insert(): the last-registered lpn reads as most
     // recent, and ascending registration keeps rebuilds deterministic.
-    pool_.push_front(lpn, 0);
+    pool_.push_front(lpn);
   }
   FLEX_ENSURES(pool_.size() <= config_.pool_capacity_pages);
   return overflow;
@@ -107,7 +169,7 @@ std::optional<std::uint64_t> AccessEval::insert(std::uint64_t lpn) {
     // Convert the least-recently-read reduced page back to normal state.
     evicted = pool_.pop_back();
   }
-  pool_.push_front(lpn, 0);
+  pool_.push_front(lpn);
   FLEX_ENSURES(pool_.size() <= config_.pool_capacity_pages);
   return evicted;
 }

@@ -6,7 +6,9 @@
 //    (from the multi-Bloom hot-read identifier) times soft-sensing bucket
 //    L_sensing; a product above the threshold marks the data HLO;
 //  * the ReducedCell pool: a bounded LRU set of the pages currently kept in
-//    reduced state (the paper caps it at 64 GB of a 256 GB drive);
+//    reduced state (the paper caps it at 64 GB of a 256 GB drive), threaded
+//    through an LPN-indexed link array so a read touches only its own
+//    record and its list neighbours;
 //  * the controller: on each read, classifies the page and emits the
 //    migration/eviction decisions the FTL must carry out.
 #pragma once
@@ -15,10 +17,49 @@
 #include <optional>
 #include <vector>
 
-#include "common/lru_map.h"
 #include "flexlevel/bloom.h"
 
 namespace flex::flexlevel {
+
+/// The ReducedCell pool's membership and recency: an exact LRU set of LPNs
+/// threaded through one {prev, next} link pair per LPN (8 bytes). With no
+/// hash index or node array, a hit touches only the page's link and its
+/// list neighbours, and a miss one link. The link array grows to the
+/// largest LPN ever admitted; LPNs past it are non-members. Order depends
+/// only on the operation history.
+class ReducedCellPool {
+ public:
+  std::uint64_t size() const { return size_; }
+  bool contains(std::uint64_t lpn) const {
+    return lpn < links_.size() && links_[lpn].prev != kAbsent;
+  }
+  /// Moves a member to the most-recent end; false for a non-member.
+  bool touch(std::uint64_t lpn);
+  /// Inserts a non-member as most recent.
+  void push_front(std::uint64_t lpn);
+  /// Removes `lpn`; false for a non-member.
+  bool erase(std::uint64_t lpn);
+  /// Evicts and returns the least-recently-read member (pool not empty).
+  std::uint64_t pop_back();
+  void clear();
+
+ private:
+  static constexpr std::uint32_t kNil = 0xfffffffeu;     ///< list end
+  static constexpr std::uint32_t kAbsent = 0xffffffffu;  ///< non-member
+
+  struct Link {
+    std::uint32_t prev = kAbsent;  ///< toward the most-recent end
+    std::uint32_t next = kAbsent;  ///< toward the least-recent end
+  };
+
+  void link_front(std::uint32_t lpn);
+  void unlink(std::uint32_t lpn);
+
+  std::vector<Link> links_;  ///< by lpn
+  std::uint32_t head_ = kNil;  ///< most recent
+  std::uint32_t tail_ = kNil;  ///< least recent
+  std::uint64_t size_ = 0;
+};
 
 /// What the FTL should do after a read completed.
 struct AccessDecision {
@@ -84,9 +125,7 @@ class AccessEval {
 
   Config config_;
   MultiBloomHotness hotness_;
-  // Pool membership as an intrusive LRU set: most-recently-read at the
-  // front. Values are unused (membership only).
-  LruMap<std::uint8_t> pool_;
+  ReducedCellPool pool_;
 };
 
 }  // namespace flex::flexlevel

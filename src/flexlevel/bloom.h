@@ -17,18 +17,30 @@ namespace flex::flexlevel {
 
 class BloomFilter {
  public:
+  /// A key's double-hash pair: probe i sets bit (h1 + i*h2) mod size. It
+  /// depends only on the key, so filters of one size share it.
+  struct KeyHash {
+    std::uint64_t h1;
+    std::uint64_t h2;  ///< odd stride
+  };
+  static KeyHash hash(std::uint64_t key);
+
   /// `bits` is rounded up to a power of two; `hashes` >= 1.
   BloomFilter(std::size_t bits, int hashes);
 
-  void insert(std::uint64_t key);
-  bool contains(std::uint64_t key) const;
+  void insert(std::uint64_t key) { insert(hash(key)); }
+  bool contains(std::uint64_t key) const { return contains(hash(key)); }
+  void insert(const KeyHash& h);
+  bool contains(const KeyHash& h) const;
   void clear();
 
   std::size_t bit_count() const { return bits_.size() * 64; }
   int hash_count() const { return hashes_; }
 
  private:
-  std::uint64_t hash(std::uint64_t key, int i) const;
+  std::uint64_t bit(const KeyHash& h, int i) const {
+    return (h.h1 + static_cast<std::uint64_t>(i) * h.h2) & mask_;
+  }
 
   std::vector<std::uint64_t> bits_;
   std::uint64_t mask_;
@@ -48,7 +60,7 @@ class MultiBloomHotness {
   explicit MultiBloomHotness(Config config);
 
   /// Records an access and returns the key's hotness *after* recording,
-  /// in [1, filter_count].
+  /// in [1, filter_count]. Hashes the key once for every filter.
   int record(std::uint64_t key);
 
   /// Hotness without recording, in [0, filter_count].

@@ -41,7 +41,7 @@ PageMappingFtl::PageMappingFtl(FtlConfig config)
   for (auto& block : blocks_) {
     block.erase_count = config_.initial_pe_cycles;
   }
-  pages_.assign(config_.spec.total_pages(), PageMeta{});
+  valid_.assign((config_.spec.total_pages() + 63) / 64, 0);
   if ((config_.spec.pages_per_block & (config_.spec.pages_per_block - 1)) ==
       0) {
     page_shift_ = 0;
@@ -78,7 +78,7 @@ PageMappingFtl::PageMappingFtl(FtlConfig config)
 void PageMappingFtl::clear_block_pages(std::uint32_t block_id) {
   const std::uint64_t base = make_ppn(block_id, 0);
   for (std::uint32_t p = 0; p < config_.spec.pages_per_block; ++p) {
-    pages_[base + p].lpn = kInvalid;
+    clear_page_valid(base + p);
   }
 }
 
@@ -111,10 +111,10 @@ std::optional<PageInfo> PageMappingFtl::lookup(std::uint64_t lpn) const {
   const std::uint64_t ppn = map_[lpn];
   if (ppn == kInvalid) return std::nullopt;
   const BlockMeta& block = blocks_[block_of(ppn)];
-  FLEX_ASSERT(pages_[ppn].lpn == lpn);
+  FLEX_ASSERT(page_lpn(ppn) == lpn);
   return PageInfo{.ppn = ppn,
                   .mode = block.mode,
-                  .write_time = pages_[ppn].write_time,
+                  .write_time = oob_[ppn].write_time,
                   .pe_cycles = block.erase_count,
                   .block_reads = block.read_count};
 }
@@ -132,8 +132,8 @@ void PageMappingFtl::invalidate(std::uint64_t lpn) {
   if (ppn == kInvalid) return;
   const std::uint32_t block_id = block_of(ppn);
   BlockMeta& block = blocks_[block_id];
-  FLEX_ASSERT(pages_[ppn].lpn == lpn);
-  pages_[ppn].lpn = kInvalid;
+  FLEX_ASSERT(page_lpn(ppn) == lpn);
+  clear_page_valid(ppn);
   FLEX_ASSERT(block.valid_count > 0);
   const bool closed = !block.open && block.next_page > 0;
   if (closed) {
@@ -203,7 +203,7 @@ std::uint64_t PageMappingFtl::append(std::uint64_t lpn, PageMode mode,
       continue;  // re-drive the write on the fresh frontier
     }
     const std::uint64_t ppn = make_ppn(frontier, page_id);
-    pages_[ppn] = PageMeta{.lpn = lpn, .write_time = now};
+    set_page_valid(ppn);
     ++block.valid_count;
     map_[lpn] = ppn;
     // The OOB record lands in the same page program as the data — atomic
@@ -321,11 +321,11 @@ void PageMappingFtl::relocate_valid_pages(std::uint32_t block_id, SimTime now,
   BlockMeta& victim = blocks_[block_id];
   const std::uint64_t base = make_ppn(block_id, 0);
   for (std::uint32_t p = 0; p < victim.next_page; ++p) {
-    const std::uint64_t lpn = pages_[base + p].lpn;
-    if (lpn == kInvalid) continue;
+    if (!page_valid(base + p)) continue;
+    const std::uint64_t lpn = oob_[base + p].lpn;
     // Relocation reprograms the data into fresh cells, so its retention
     // clock restarts at `now`; only the logical identity is preserved.
-    pages_[base + p].lpn = kInvalid;
+    clear_page_valid(base + p);
     --victim.valid_count;
     map_[lpn] = kInvalid;
     append(lpn, victim.mode, now, programs, /*relocation=*/true);
@@ -576,7 +576,7 @@ MountReport PageMappingFtl::Mount(const MountOptions& options) {
     block.read_count = 0;
     if (block.retired) ++retired_count_;
   }
-  for (PageMeta& page : pages_) page.lpn = kInvalid;
+  std::fill(valid_.begin(), valid_.end(), 0);
 
   // OOB scan, last-epoch-wins. Programmed records form a prefix of every
   // block (a failed program retires the block before any further program
@@ -616,7 +616,7 @@ MountReport PageMappingFtl::Mount(const MountOptions& options) {
     map_[lpn] = ppn;
     version_[lpn] = oob.version;
     BlockMeta& block = blocks_[block_of(ppn)];
-    pages_[ppn] = PageMeta{.lpn = lpn, .write_time = oob.write_time};
+    set_page_valid(ppn);
     ++block.valid_count;
     ++report.mappings_recovered;
     if (oob.mode == PageMode::kReduced) report.reduced_lpns.push_back(lpn);
@@ -679,7 +679,7 @@ Status PageMappingFtl::check_consistency() const {
                   " maps past the write pointer of block " +
                   std::to_string(block_id));
     }
-    if (pages_[ppn].lpn != lpn) {
+    if (page_lpn(ppn) != lpn) {
       return fail("lpn " + std::to_string(lpn) +
                   " maps to a page that does not map back (ppn " +
                   std::to_string(ppn) + ")");
@@ -692,7 +692,7 @@ Status PageMappingFtl::check_consistency() const {
     if (block.retired) ++retired_seen;
     std::uint32_t valid_seen = 0;
     for (std::uint32_t p = 0; p < config_.spec.pages_per_block; ++p) {
-      const std::uint64_t lpn = pages_[make_ppn(id, p)].lpn;
+      const std::uint64_t lpn = page_lpn(make_ppn(id, p));
       if (lpn == kInvalid) continue;
       ++valid_seen;
       ++mapped_pages;
@@ -738,7 +738,7 @@ std::vector<std::uint64_t> PageMappingFtl::double_mapped_lpns() const {
     const BlockMeta& block = blocks_[id];
     if (block.retired) continue;
     for (std::uint32_t p = 0; p < block.next_page; ++p) {
-      const std::uint64_t lpn = pages_[make_ppn(id, p)].lpn;
+      const std::uint64_t lpn = page_lpn(make_ppn(id, p));
       if (lpn == kInvalid) continue;
       FLEX_ASSERT(lpn < logical_pages_);
       if (++claims[lpn] == 2) doubled.push_back(lpn);

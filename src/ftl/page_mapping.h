@@ -299,10 +299,10 @@ class PageMappingFtl {
   std::uint32_t reduced_blocks() const;
 
  private:
-  // Per-page metadata lives in one global ppn-indexed flat array (pages_)
-  // rather than per-block vectors: the write and invalidate hot paths
-  // touch exactly one cache line per page instead of chasing
-  // block -> pages-vector -> element.
+  // Volatile per-page state is one validity bit per ppn (valid_); a valid
+  // page's lpn and write time are read from its OOB record, which the same
+  // program wrote. A lookup touches the bitmap (resident: 1 bit per page)
+  // and one 32-byte OOB line.
   struct BlockMeta {
     PageMode mode = PageMode::kNormal;
     bool open = false;             ///< is a write frontier
@@ -341,7 +341,7 @@ class PageMappingFtl {
   /// (lpn, version, epoch, mode): controller metadata updates travel a
   /// separate journaled path, so mapping-integrity invariants stay intact
   /// while the data rots.
-  struct OobRecord {
+  struct alignas(32) OobRecord {
     std::uint64_t epoch = 0;    ///< global program ordinal (1-based)
     SimTime write_time = 0;
     std::uint32_t lpn = kInvalidLpn;
@@ -351,6 +351,8 @@ class PageMappingFtl {
     SealState seal = SealState::kNone;
   };
   static_assert(sizeof(OobRecord) == 32, "OOB record must stay packed");
+  // Aligned to its size, no record straddles two 64-byte cache lines.
+  static_assert(alignof(OobRecord) == 32, "OOB record must stay aligned");
 
   /// Generation of the bytes a sealed page actually stores.
   static std::uint64_t stored_version(const OobRecord& oob) {
@@ -403,7 +405,7 @@ class PageMappingFtl {
                               std::uint64_t* programs);
   /// Marks an already-empty block retired (erase-fail / grown-defect tail).
   void mark_retired(std::uint32_t block_id);
-  /// Resets the block's slice of pages_ to invalid (erase/retire tail).
+  /// Clears the block's validity bits (erase/retire tail).
   void clear_block_pages(std::uint32_t block_id);
   /// Appends to the frontier of `mode`; assumes space exists.
   /// `relocation` marks programs that move an existing generation (GC,
@@ -421,19 +423,25 @@ class PageMappingFtl {
   void candidate_insert(std::uint32_t block_id);
   void candidate_remove(std::uint32_t block_id, std::uint32_t old_valid);
 
-  /// Per-page metadata, one 16-byte record per ppn so a lookup touches a
-  /// single cache line. `lpn == kInvalid` means the page holds no valid
-  /// data and `write_time` is garbage.
-  struct PageMeta {
-    std::uint64_t lpn = kInvalid;
-    SimTime write_time = 0;
-  };
+  bool page_valid(std::uint64_t ppn) const {
+    return (valid_[ppn / 64] >> (ppn % 64)) & 1u;
+  }
+  void set_page_valid(std::uint64_t ppn) {
+    valid_[ppn / 64] |= 1ULL << (ppn % 64);
+  }
+  void clear_page_valid(std::uint64_t ppn) {
+    valid_[ppn / 64] &= ~(1ULL << (ppn % 64));
+  }
+  /// The lpn whose valid copy sits at `ppn`, or kInvalid.
+  std::uint64_t page_lpn(std::uint64_t ppn) const {
+    return page_valid(ppn) ? oob_[ppn].lpn : kInvalid;
+  }
 
   FtlConfig config_;
   std::uint64_t logical_pages_;
   std::vector<BlockMeta> blocks_;
   std::vector<std::uint64_t> map_;   // lpn -> ppn (kInvalid when unmapped)
-  std::vector<PageMeta> pages_;      // by ppn (flat across all blocks)
+  std::vector<std::uint64_t> valid_;  // validity bitmap by ppn
   /// log2(pages_per_block) when it is a power of two (the common
   /// geometry), else kNoShift: block_of()/make_ppn() then fall back to
   /// divide/multiply. Purely a strength reduction — same results.

@@ -93,5 +93,40 @@ TEST(MultiBloomTest, HotnessNeverExceedsFilterCount) {
   EXPECT_LE(hot.hotness(1), 2);
 }
 
+TEST(MultiBloomTest, RecordMatchesPerFilterContains) {
+  // record() hashes once and skips the filter it just inserted into; a
+  // reference window of plain filters, probed key by key, must agree on
+  // every access of a seeded stream that crosses many rotations.
+  const MultiBloomHotness::Config config{.filter_count = 4,
+                                         .bits_per_filter = 1 << 10,
+                                         .hashes = 3,
+                                         .window_accesses = 37};
+  MultiBloomHotness hot(config);
+  std::vector<BloomFilter> reference(config.filter_count,
+                                     BloomFilter(config.bits_per_filter,
+                                                 config.hashes));
+  std::size_t current = 0;
+  std::uint64_t in_window = 0;
+  Rng rng(2015);
+  int rotations = 0;
+  for (int i = 0; i < 5000; ++i) {
+    // A small hot set plus a uniform tail, so counts span 1..filter_count.
+    const std::uint64_t key =
+        rng.chance(0.6) ? rng.below(40) : rng.below(1'000'000);
+    reference[current].insert(key);
+    if (++in_window >= config.window_accesses) {
+      in_window = 0;
+      current = (current + 1) % reference.size();
+      reference[current].clear();
+      ++rotations;
+    }
+    int expected = 0;
+    for (const auto& filter : reference) expected += filter.contains(key);
+    ASSERT_EQ(hot.record(key), expected) << "access " << i;
+    ASSERT_EQ(hot.hotness(key), expected) << "access " << i;
+  }
+  EXPECT_GE(rotations, 100);
+}
+
 }  // namespace
 }  // namespace flex::flexlevel

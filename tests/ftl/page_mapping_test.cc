@@ -1,6 +1,7 @@
 #include "ftl/page_mapping.h"
 
 #include <unordered_map>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -112,6 +113,59 @@ TEST(PageMappingTest, GcPreservesAllLiveData) {
     const auto info = ftl.lookup(lpn);
     EXPECT_EQ(info.has_value(), expected.contains(lpn)) << "lpn " << lpn;
   }
+}
+
+TEST(PageMappingTest, WriteTimesSurviveGcRefreshAndMount) {
+  // A page's write time is its last program: the host write, or the GC,
+  // refresh or migration move that last relocated it. The reference is
+  // derived from the outside: any lpn whose ppn changed during an
+  // operation was programmed at that operation's time.
+  PageMappingFtl ftl(tiny_config());
+  Rng rng(2015);
+  std::vector<SimTime> expected(ftl.logical_pages(), 0);
+  std::vector<std::uint64_t> before = ftl.l2p_dump();
+  std::uint64_t refreshes = 0;
+  for (SimTime now = 1; now <= 6'000; ++now) {
+    const std::uint64_t lpn = rng.below(ftl.logical_pages());
+    const auto info = ftl.lookup(lpn);
+    const std::uint64_t roll = rng.below(100);
+    if (info && roll < 10) {
+      ftl.migrate(lpn,
+                  info->mode == PageMode::kNormal ? PageMode::kReduced
+                                                  : PageMode::kNormal,
+                  now);
+    } else if (info && roll < 14) {
+      refreshes += ftl.refresh_block(info->ppn, now).has_value();
+    } else {
+      // Overwrites concentrate on a small range so GC finds cold blocks.
+      const std::uint64_t target = rng.chance(0.7) ? rng.below(64) : lpn;
+      ftl.write(target,
+                rng.chance(0.2) ? PageMode::kReduced : PageMode::kNormal, now);
+    }
+    const std::vector<std::uint64_t>& after = ftl.l2p_dump();
+    for (std::uint64_t l = 0; l < after.size(); ++l) {
+      if (after[l] != before[l]) expected[l] = now;
+    }
+    before = after;
+  }
+  ASSERT_GT(ftl.stats().gc_page_moves, 0u);
+  ASSERT_GT(ftl.stats().mode_migrations, 0u);
+  ASSERT_GT(refreshes, 0u);
+  const auto expect_write_times = [&](const char* phase) {
+    for (std::uint64_t lpn = 0; lpn < ftl.logical_pages(); ++lpn) {
+      const auto info = ftl.lookup(lpn);
+      if (!info) continue;
+      ASSERT_EQ(info->write_time, expected[lpn])
+          << phase << ": lpn " << lpn;
+    }
+  };
+  expect_write_times("live");
+  const std::vector<std::uint64_t> live_map = ftl.l2p_dump();
+  ftl.Mount();
+  EXPECT_EQ(ftl.l2p_dump(), live_map);
+  expect_write_times("mounted");
+  EXPECT_TRUE(ftl.check_consistency().ok());
+  EXPECT_TRUE(ftl.double_mapped_lpns().empty());
 }
 
 TEST(PageMappingTest, WriteAmplificationAboveOneUnderChurn) {
