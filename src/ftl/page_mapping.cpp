@@ -163,7 +163,6 @@ std::uint32_t PageMappingFtl::allocate_block(PageMode mode) {
     FLEX_ASSERT(block.valid_count == 0 && block.next_page == 0);
     if (injector_ && injector_->grown_defect(id, block.erase_count)) {
       ++stats_.grown_defects;
-      if (telemetry_) ++metrics_.grown_defects->value;
       mark_retired(id);
       continue;
     }
@@ -193,12 +192,10 @@ std::uint64_t PageMappingFtl::append(std::uint64_t lpn, PageMode mode,
     // A failed attempt still costs the chip a program op and burns the
     // page slot, so the attempt is counted before the fault check.
     ++stats_.nand_writes;
-    if (telemetry_) ++metrics_.nand_writes->value;
     ++*programs;
     if (injector_ && injector_->program_fails(make_ppn(frontier, page_id),
                                               block.erase_count)) {
       ++stats_.program_fails;
-      if (telemetry_) ++metrics_.program_fails->value;
       retire_failed_frontier(frontier, now, programs);
       continue;  // re-drive the write on the fresh frontier
     }
@@ -225,7 +222,6 @@ std::uint64_t PageMappingFtl::append(std::uint64_t lpn, PageMode mode,
         // Data and seal went to some other page; this slot reports
         // success but stays unsealed garbage.
         ++stats_.misdirected_writes;
-        if (telemetry_) ++metrics_.misdirected_writes->value;
       } else {
         seals_[ppn] = payload_.crc(lpn, oob.version);
         oob.seal = SealState::kIntact;
@@ -235,7 +231,6 @@ std::uint64_t PageMappingFtl::append(std::uint64_t lpn, PageMode mode,
           // generation's bytes land under the fresh seal.
           oob.seal = SealState::kTorn;
           ++stats_.torn_relocations;
-          if (telemetry_) ++metrics_.torn_relocations->value;
         }
       }
     }
@@ -261,7 +256,6 @@ void PageMappingFtl::retire_failed_frontier(std::uint32_t block_id,
   block.open = false;
   block.read_count = 0;
   mark_retired(block_id);
-  if (telemetry_) metrics_.retire_page_moves->value += moves;
 }
 
 void PageMappingFtl::mark_retired(std::uint32_t block_id) {
@@ -276,7 +270,6 @@ void PageMappingFtl::mark_retired(std::uint32_t block_id) {
   summaries_[block_id].retired = true;
   ++retired_count_;
   ++stats_.retired_blocks;
-  if (telemetry_) ++metrics_.retired_blocks->value;
 }
 
 std::optional<std::uint32_t> PageMappingFtl::pick_gc_victim() const {
@@ -349,7 +342,6 @@ void PageMappingFtl::reclaim_block(std::uint32_t block_id, SimTime now,
   // Erase renews the cells: the accumulated pass-voltage stress is gone.
   victim.read_count = 0;
   ++stats_.nand_erases;
-  if (telemetry_) ++metrics_.nand_erases->value;
   // The summary page records the erase attempt either way (wear is real
   // even when the erase fails), so erase counts survive power loss.
   summaries_[block_id].erase_count = victim.erase_count;
@@ -357,7 +349,6 @@ void PageMappingFtl::reclaim_block(std::uint32_t block_id, SimTime now,
     // The erase failed: the block never returns to the free list, so the
     // GC loop (free count unchanged) simply reclaims another victim.
     ++stats_.erase_fails;
-    if (telemetry_) ++metrics_.erase_fails->value;
     mark_retired(block_id);
     return;
   }
@@ -376,7 +367,7 @@ void PageMappingFtl::maybe_garbage_collect(SimTime now,
   while (free_count_ < config_.gc_low_watermark) {
     std::optional<std::uint32_t> victim_id;
     if (config_.static_wl_interval > 0 &&
-        stats_.gc_runs % config_.static_wl_interval ==
+        boot_gc_runs_ % config_.static_wl_interval ==
             config_.static_wl_interval - 1) {
       victim_id = pick_wear_leveling_victim();
     }
@@ -385,22 +376,20 @@ void PageMappingFtl::maybe_garbage_collect(SimTime now,
                 "no GC victim: drive is over-committed");
     candidate_remove(*victim_id, blocks_[*victim_id].valid_count);
     ++stats_.gc_runs;
+    ++boot_gc_runs_;
     std::uint64_t moves = 0;
     reclaim_block(*victim_id, now, &moves, programs);
     stats_.gc_page_moves += moves;
     ++*erases;
-    if (telemetry_) {
-      ++metrics_.gc_runs->value;
-      metrics_.gc_page_moves->value += moves;
-      if (telemetry::SpanRecorder* tracer = telemetry_->tracer()) {
-        tracer->record({.name = "gc",
-                        .cat = "ftl",
-                        .pid = telemetry_->pid,
-                        .tid = telemetry::kFtlTrack,
-                        .start = now,
-                        .arg0_key = "pages_moved",
-                        .arg0 = static_cast<double>(moves)});
-      }
+    if (telemetry::SpanRecorder* tracer =
+            telemetry_ ? telemetry_->tracer() : nullptr) {
+      tracer->record({.name = "gc",
+                      .cat = "ftl",
+                      .pid = telemetry_->pid,
+                      .tid = telemetry::kFtlTrack,
+                      .start = now,
+                      .arg0_key = "pages_moved",
+                      .arg0 = static_cast<double>(moves)});
     }
   }
 }
@@ -427,10 +416,6 @@ std::optional<RefreshResult> PageMappingFtl::refresh_block(std::uint64_t ppn,
   std::uint64_t moves = 0;
   reclaim_block(block_id, now, &moves, &result.page_programs);
   stats_.refresh_page_moves += moves;
-  if (telemetry_) {
-    ++metrics_.refresh_runs->value;
-    metrics_.refresh_page_moves->value += moves;
-  }
   result.pages_moved = moves;
   ++result.erases;
   return result;
@@ -442,7 +427,6 @@ WriteResult PageMappingFtl::write(std::uint64_t lpn, PageMode mode,
   WriteResult result;
   result.page_programs = 0;
   ++stats_.host_writes;
-  if (telemetry_) ++metrics_.host_writes->value;
   // A host write is a new generation of the data; migrations and GC
   // relocations move a generation without bumping it.
   FLEX_ASSERT(version_[lpn] < ~0U && "u32 write generation overflow");
@@ -461,7 +445,6 @@ WriteResult PageMappingFtl::migrate(std::uint64_t lpn, PageMode mode,
   WriteResult result;
   result.page_programs = 0;
   ++stats_.mode_migrations;
-  if (telemetry_) ++metrics_.mode_migrations->value;
   invalidate(lpn);
   maybe_garbage_collect(now, &result.page_programs, &result.erases);
   // A migration moves the existing generation between modes — a
@@ -480,7 +463,6 @@ WriteResult PageMappingFtl::repair(std::uint64_t lpn, SimTime now) {
   WriteResult result;
   result.page_programs = 0;
   ++stats_.repair_writes;
-  if (telemetry_) ++metrics_.repair_writes->value;
   invalidate(lpn);
   maybe_garbage_collect(now, &result.page_programs, &result.erases);
   // Fresh current-generation data from the controller buffer (the array
@@ -641,21 +623,15 @@ MountReport PageMappingFtl::Mount(const MountOptions& options) {
   }
   report.retired_blocks = retired_count_;
 
-  // Statistics restart from the recovered ledger: post-mount stats
-  // describe this boot, except retired_blocks, which is durable state the
-  // metrics snapshot must keep covering (the harness's ledger invariant).
-  stats_ = FtlStats{};
-  stats_.retired_blocks = retired_count_;
-  stats_.mounts = 1;
-  stats_.mount_pages_scanned = report.pages_scanned;
-  stats_.mount_mappings_recovered = report.mappings_recovered;
-  stats_.mount_stale_records = report.stale_records;
-  if (telemetry_) {
-    ++metrics_.mounts->value;
-    metrics_.mount_pages_scanned->value += report.pages_scanned;
-    metrics_.mount_mappings_recovered->value += report.mappings_recovered;
-    metrics_.mount_stale_records->value += report.stale_records;
-  }
+  // Statistics are lifetime counts: the mount adds its own work and keeps
+  // the rest. Every retirement was persisted when it happened, so the
+  // event count still equals the recovered ledger.
+  FLEX_ASSERT(stats_.retired_blocks == retired_count_);
+  ++stats_.mounts;
+  stats_.mount_pages_scanned += report.pages_scanned;
+  stats_.mount_mappings_recovered += report.mappings_recovered;
+  stats_.mount_stale_records += report.stale_records;
+  boot_gc_runs_ = 0;
   return report;
 }
 
@@ -757,35 +733,18 @@ std::vector<std::uint32_t> PageMappingFtl::retired_block_ids() const {
   return ids;
 }
 
+PageMappingFtl::~PageMappingFtl() {
+  if (telemetry_) telemetry_->metrics.unbind(this);
+}
+
 void PageMappingFtl::attach_telemetry(telemetry::Telemetry* telemetry) {
+  if (telemetry_) telemetry_->metrics.unbind(this);
   telemetry_ = telemetry;
-  if (!telemetry_) {
-    metrics_ = Metrics{};
-    return;
+  if (!telemetry_) return;
+  for (const auto& [name, field] : kFtlStatsCounters) {
+    telemetry_->metrics.bind(this, name,
+                             [this, field] { return stats_.*field; });
   }
-  telemetry::MetricsRegistry& registry = telemetry_->metrics;
-  metrics_.host_writes = &registry.counter("ftl.host_writes");
-  metrics_.nand_writes = &registry.counter("ftl.nand_writes");
-  metrics_.nand_erases = &registry.counter("ftl.nand_erases");
-  metrics_.gc_runs = &registry.counter("ftl.gc_runs");
-  metrics_.gc_page_moves = &registry.counter("ftl.gc_page_moves");
-  metrics_.mode_migrations = &registry.counter("ftl.mode_migrations");
-  metrics_.refresh_runs = &registry.counter("ftl.refresh_runs");
-  metrics_.refresh_page_moves = &registry.counter("ftl.refresh_page_moves");
-  metrics_.program_fails = &registry.counter("ftl.program_fails");
-  metrics_.erase_fails = &registry.counter("ftl.erase_fails");
-  metrics_.grown_defects = &registry.counter("ftl.grown_defects");
-  metrics_.retired_blocks = &registry.counter("ftl.retired_blocks");
-  metrics_.retire_page_moves = &registry.counter("ftl.retire_page_moves");
-  metrics_.mounts = &registry.counter("ftl.mounts");
-  metrics_.mount_pages_scanned = &registry.counter("ftl.mount_pages_scanned");
-  metrics_.mount_mappings_recovered =
-      &registry.counter("ftl.mount_mappings_recovered");
-  metrics_.mount_stale_records =
-      &registry.counter("ftl.mount_stale_records");
-  metrics_.misdirected_writes = &registry.counter("ftl.misdirected_writes");
-  metrics_.torn_relocations = &registry.counter("ftl.torn_relocations");
-  metrics_.repair_writes = &registry.counter("ftl.repair_writes");
 }
 
 void PageMappingFtl::attach_fault_injector(

@@ -10,7 +10,9 @@
 #pragma once
 
 #include <cstdint>
+#include <iterator>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -66,8 +68,9 @@ struct FtlStats {
   std::uint64_t grown_defects = 0;  ///< blocks found defective at allocation
   std::uint64_t retired_blocks = 0;     ///< blocks taken out of service
   std::uint64_t retire_page_moves = 0;  ///< valid pages rescued off them
-  // Power-on recovery (all zero until Mount() runs; Mount resets every
-  // other counter of this struct, so post-mount stats describe one boot).
+  // Power-on recovery (all zero until Mount() runs). Every counter of this
+  // struct counts over the FTL's lifetime: Mount() adds its own work and
+  // resets nothing, so a window's delta spans any mounts inside it.
   std::uint64_t mounts = 0;
   std::uint64_t mount_pages_scanned = 0;       ///< OOB records read
   std::uint64_t mount_mappings_recovered = 0;  ///< L2P entries rebuilt
@@ -86,6 +89,35 @@ struct FtlStats {
                      static_cast<double>(host_writes);
   }
 };
+
+/// Every FtlStats counter with its telemetry name: the one list the
+/// registry binding and per-window deltas walk.
+inline constexpr std::pair<const char*, std::uint64_t FtlStats::*>
+    kFtlStatsCounters[] = {
+        {"ftl.host_writes", &FtlStats::host_writes},
+        {"ftl.nand_writes", &FtlStats::nand_writes},
+        {"ftl.nand_erases", &FtlStats::nand_erases},
+        {"ftl.gc_runs", &FtlStats::gc_runs},
+        {"ftl.gc_page_moves", &FtlStats::gc_page_moves},
+        {"ftl.mode_migrations", &FtlStats::mode_migrations},
+        {"ftl.refresh_runs", &FtlStats::refresh_runs},
+        {"ftl.refresh_page_moves", &FtlStats::refresh_page_moves},
+        {"ftl.program_fails", &FtlStats::program_fails},
+        {"ftl.erase_fails", &FtlStats::erase_fails},
+        {"ftl.grown_defects", &FtlStats::grown_defects},
+        {"ftl.retired_blocks", &FtlStats::retired_blocks},
+        {"ftl.retire_page_moves", &FtlStats::retire_page_moves},
+        {"ftl.mounts", &FtlStats::mounts},
+        {"ftl.mount_pages_scanned", &FtlStats::mount_pages_scanned},
+        {"ftl.mount_mappings_recovered", &FtlStats::mount_mappings_recovered},
+        {"ftl.mount_stale_records", &FtlStats::mount_stale_records},
+        {"ftl.misdirected_writes", &FtlStats::misdirected_writes},
+        {"ftl.torn_relocations", &FtlStats::torn_relocations},
+        {"ftl.repair_writes", &FtlStats::repair_writes},
+};
+static_assert(sizeof(FtlStats) ==
+                  std::size(kFtlStatsCounters) * sizeof(std::uint64_t),
+              "every FtlStats field is a listed counter");
 
 /// Result of placing one logical page.
 struct WriteResult {
@@ -173,6 +205,12 @@ struct DataAudit {
 class PageMappingFtl {
  public:
   explicit PageMappingFtl(FtlConfig config);
+  /// Move-constructible only. Counter bindings stay with the object that
+  /// made them (a moved-to FTL must attach again to be observed), and no
+  /// assignment can overwrite a bound FTL.
+  PageMappingFtl(PageMappingFtl&&) = default;
+  PageMappingFtl& operator=(PageMappingFtl&&) = delete;
+  ~PageMappingFtl();
 
   std::uint64_t logical_pages() const { return logical_pages_; }
   std::uint64_t physical_blocks() const { return blocks_.size(); }
@@ -227,9 +265,8 @@ class PageMappingFtl {
 
   const FtlStats& stats() const { return stats_; }
 
-  /// Binds the FTL's write/GC/refresh counters into `telemetry` and
-  /// enables GC trace spans (see telemetry.h for the null-sink contract);
-  /// nullptr detaches.
+  /// Binds the `ftl.*` counters to stats() and enables GC trace spans
+  /// (see telemetry.h); nullptr detaches.
   void attach_telemetry(telemetry::Telemetry* telemetry);
 
   /// Attaches the fault source (nullptr detaches — the default, and the
@@ -251,15 +288,16 @@ class PageMappingFtl {
   }
 
   /// Power-on recovery: discards every volatile structure (L2P map, free
-  /// list, frontiers, GC buckets, read counters, statistics) and rebuilds
-  /// them from the durable medium — per-page OOB records and per-block
+  /// list, frontiers, GC buckets, read counters) and rebuilds them from
+  /// the durable medium — per-page OOB records and per-block
   /// summary pages. Mapping conflicts resolve last-epoch-wins: every
   /// program stamps a monotonic global epoch into its OOB record, so the
   /// newest surviving copy of each LPN is unambiguous even when a crash
   /// interrupts a GC/migration relocation train and leaves two copies.
   /// Idempotent: mounting twice (with equal options) yields byte-identical
-  /// state — the free list is rebuilt in ascending block order and the
-  /// statistics restart from the recovered ledger.
+  /// state — the free list is rebuilt in ascending block order. The
+  /// lifetime statistics only grow: each mount adds one to `mounts` and
+  /// its scan counts to the `mount_*` fields.
   MountReport Mount(const MountOptions& options = {});
 
   /// Full-structure invariant sweep (post-mount verification): every
@@ -470,6 +508,9 @@ class PageMappingFtl {
   std::vector<std::vector<std::uint32_t>> gc_buckets_;  // by valid_count
   std::vector<std::uint32_t> gc_bucket_pos_;  // block -> index in its bucket
   FtlStats stats_;
+  /// GC runs since construction or the last Mount(): the static
+  /// wear-levelling cadence restarts with every boot.
+  std::uint64_t boot_gc_runs_ = 0;
   const faults::FaultInjector* injector_ = nullptr;
   std::uint32_t retired_count_ = 0;
   // Durable state (the simulated medium): per-page OOB records, per-block
@@ -489,31 +530,7 @@ class PageMappingFtl {
   // Volatile, rebuilt by Mount() from the winning OOB records.
   std::vector<std::uint32_t> version_;  // by lpn
 
-  /// Bound metric handles mirroring FtlStats (null when detached).
-  struct Metrics {
-    telemetry::MetricsRegistry::Counter* host_writes = nullptr;
-    telemetry::MetricsRegistry::Counter* nand_writes = nullptr;
-    telemetry::MetricsRegistry::Counter* nand_erases = nullptr;
-    telemetry::MetricsRegistry::Counter* gc_runs = nullptr;
-    telemetry::MetricsRegistry::Counter* gc_page_moves = nullptr;
-    telemetry::MetricsRegistry::Counter* mode_migrations = nullptr;
-    telemetry::MetricsRegistry::Counter* refresh_runs = nullptr;
-    telemetry::MetricsRegistry::Counter* refresh_page_moves = nullptr;
-    telemetry::MetricsRegistry::Counter* program_fails = nullptr;
-    telemetry::MetricsRegistry::Counter* erase_fails = nullptr;
-    telemetry::MetricsRegistry::Counter* grown_defects = nullptr;
-    telemetry::MetricsRegistry::Counter* retired_blocks = nullptr;
-    telemetry::MetricsRegistry::Counter* retire_page_moves = nullptr;
-    telemetry::MetricsRegistry::Counter* mounts = nullptr;
-    telemetry::MetricsRegistry::Counter* mount_pages_scanned = nullptr;
-    telemetry::MetricsRegistry::Counter* mount_mappings_recovered = nullptr;
-    telemetry::MetricsRegistry::Counter* mount_stale_records = nullptr;
-    telemetry::MetricsRegistry::Counter* misdirected_writes = nullptr;
-    telemetry::MetricsRegistry::Counter* torn_relocations = nullptr;
-    telemetry::MetricsRegistry::Counter* repair_writes = nullptr;
-  };
   telemetry::Telemetry* telemetry_ = nullptr;
-  Metrics metrics_;
 };
 
 }  // namespace flex::ftl

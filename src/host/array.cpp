@@ -225,27 +225,32 @@ StatusOr<std::unique_ptr<ArraySimulator>> ArraySimulator::Builder::Build()
   return array;
 }
 
+ArraySimulator::~ArraySimulator() {
+  if (telemetry_) telemetry_->metrics.unbind(this);
+}
+
 void ArraySimulator::attach_telemetry(telemetry::Telemetry* telemetry) {
-  telemetry_ = telemetry;
   kernel_->attach_telemetry(telemetry);
-  if (!telemetry_) {
-    requests_metric_ = nullptr;
-    reads_metric_ = nullptr;
-    writes_metric_ = nullptr;
-    commands_metric_ = nullptr;
-    observe_metric_ = nullptr;
-    failover_metric_ = nullptr;
-    repair_metric_ = nullptr;
-    return;
-  }
+  if (telemetry_) telemetry_->metrics.unbind(this);
+  telemetry_ = telemetry;
+  if (!telemetry_) return;
   telemetry::MetricsRegistry& registry = telemetry_->metrics;
-  requests_metric_ = &registry.counter("array.requests");
-  reads_metric_ = &registry.counter("array.reads");
-  writes_metric_ = &registry.counter("array.writes");
-  commands_metric_ = &registry.counter("array.commands");
-  observe_metric_ = &registry.counter("array.observe_feeds");
-  failover_metric_ = &registry.counter("array.integrity_failovers");
-  repair_metric_ = &registry.counter("array.read_repairs");
+  registry.bind(this, "array.requests",
+                [this] { return results_.all_response.count(); });
+  registry.bind(this, "array.reads",
+                [this] { return results_.read_response.count(); });
+  registry.bind(this, "array.writes",
+                [this] { return results_.write_response.count(); });
+  registry.bind(this, "array.commands", [this] {
+    std::uint64_t submitted = 0;
+    for (const auto& qp : qps_) submitted += qp->stats().submitted;
+    return submitted;
+  });
+  registry.bind(this, "array.observe_feeds",
+                [this] { return observe_feeds_; });
+  registry.bind(this, "array.integrity_failovers",
+                [this] { return integrity_failovers_; });
+  registry.bind(this, "array.read_repairs", [this] { return read_repairs_; });
 }
 
 void ArraySimulator::prefill(std::uint64_t host_pages) {
@@ -345,7 +350,6 @@ void ArraySimulator::submit_command(std::uint64_t slot, std::uint32_t drive,
       .submit_bytes = capsule + (req.is_write ? payload : 0),
       .complete_bytes = capsule + (req.is_write ? 0 : payload)};
   ++requests_[slot].outstanding;
-  if (telemetry_) ++commands_metric_->value;
   qps_[drive]->submit(cmd, now);
 }
 
@@ -427,7 +431,6 @@ Duration ArraySimulator::dispatch(const HostCommand& cmd, SimTime now) {
         drives_[sibling]->observe_read_access(cmd.lpn + i, now);
         ++observe_feeds_;
       }
-      if (telemetry_) observe_metric_->value += cmd.pages;
     }
   }
   return service;
@@ -440,7 +443,6 @@ Duration ArraySimulator::recover_corrupt_pages(
   const std::uint32_t group = cmd.drive / volume_.replicas();
   for (const std::uint64_t dlpn : lpns) {
     ++integrity_failovers_;
-    if (telemetry_) ++failover_metric_->value;
     const Duration before = extra;
     bool repaired = false;
     // Siblings in drive order — deterministic, like every other fan-out.
@@ -462,20 +464,18 @@ Duration ArraySimulator::recover_corrupt_pages(
       drives_[cmd.drive]->repair_page(dlpn, now);
       ++read_repairs_;
       repaired = true;
-      if (telemetry_) {
-        ++repair_metric_->value;
-        if (telemetry::SpanRecorder* tracer = telemetry_->tracer()) {
-          tracer->record({.name = "read_repair",
-                          .cat = "array",
-                          .pid = telemetry_->pid,
-                          .tid = telemetry::kHostTrack,
-                          .start = now,
-                          .dur = extra - before,
-                          .arg0_key = "lpn",
-                          .arg0 = static_cast<double>(dlpn),
-                          .arg1_key = "drive",
-                          .arg1 = static_cast<double>(cmd.drive)});
-        }
+      if (telemetry::SpanRecorder* tracer =
+              telemetry_ ? telemetry_->tracer() : nullptr) {
+        tracer->record({.name = "read_repair",
+                        .cat = "array",
+                        .pid = telemetry_->pid,
+                        .tid = telemetry::kHostTrack,
+                        .start = now,
+                        .dur = extra - before,
+                        .arg0_key = "lpn",
+                        .arg0 = static_cast<double>(dlpn),
+                        .arg1_key = "drive",
+                        .arg1 = static_cast<double>(cmd.drive)});
       }
     }
   }
@@ -525,25 +525,18 @@ void ArraySimulator::finalize(std::uint64_t slot) {
     tstats.read_response.add(seconds);
     tstats.read_latency_hist.add(seconds);
   }
-  if (telemetry_) {
-    ++requests_metric_->value;
-    if (req.is_write) {
-      ++writes_metric_->value;
-    } else {
-      ++reads_metric_->value;
-    }
-    if (telemetry::SpanRecorder* tracer = telemetry_->tracer()) {
-      tracer->record({.name = req.is_write ? "write" : "read",
-                      .cat = "array",
-                      .pid = telemetry_->pid,
-                      .tid = telemetry::kHostTrack,
-                      .start = req.arrival,
-                      .dur = req.response,
-                      .arg0_key = "lpn",
-                      .arg0 = static_cast<double>(req.lpn),
-                      .arg1_key = "tenant",
-                      .arg1 = static_cast<double>(req.tenant)});
-    }
+  if (telemetry::SpanRecorder* tracer =
+          telemetry_ ? telemetry_->tracer() : nullptr) {
+    tracer->record({.name = req.is_write ? "write" : "read",
+                    .cat = "array",
+                    .pid = telemetry_->pid,
+                    .tid = telemetry::kHostTrack,
+                    .start = req.arrival,
+                    .dur = req.response,
+                    .arg0_key = "lpn",
+                    .arg0 = static_cast<double>(req.lpn),
+                    .arg1_key = "tenant",
+                    .arg1 = static_cast<double>(req.tenant)});
   }
 }
 

@@ -195,9 +195,13 @@ class ArraySimulator : private QueuePairSet::Transport,
     return *drives_[d];
   }
 
-  /// Host-level metrics/spans; drive-level internals are not attached (N
+  /// Host-level metrics/spans: the `array.*` counters read the array's
+  /// own results, queue-pair and failover counts, and the shared kernel
+  /// binds `event_queue.*`. Drive-level internals are not attached (N
   /// drives would collide on one registry's counter names).
   void attach_telemetry(telemetry::Telemetry* telemetry);
+
+  ~ArraySimulator();
 
  private:
   struct ArrayRequest {
@@ -282,13 +286,6 @@ class ArraySimulator : private QueuePairSet::Transport,
   trace::Request open_loop_next_;
   std::uint64_t open_loop_remaining_ = 0;
   telemetry::Telemetry* telemetry_ = nullptr;
-  telemetry::MetricsRegistry::Counter* requests_metric_ = nullptr;
-  telemetry::MetricsRegistry::Counter* reads_metric_ = nullptr;
-  telemetry::MetricsRegistry::Counter* writes_metric_ = nullptr;
-  telemetry::MetricsRegistry::Counter* commands_metric_ = nullptr;
-  telemetry::MetricsRegistry::Counter* observe_metric_ = nullptr;
-  telemetry::MetricsRegistry::Counter* failover_metric_ = nullptr;
-  telemetry::MetricsRegistry::Counter* repair_metric_ = nullptr;
 };
 
 }  // namespace flex::host

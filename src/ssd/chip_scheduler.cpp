@@ -30,9 +30,7 @@ SimTime ChipScheduler::submit(std::size_t chip, SimTime arrival,
   stats.controller_busy += cmd.controller;
 
   if (telemetry_) {
-    ++commands_metric_->value;
     if (start > arrival) {
-      ++queued_metric_->value;
       wait_hist_->add(static_cast<double>(start - arrival) / 1000.0);
     }
     if (telemetry::SpanRecorder* tracer = telemetry_->tracer()) {
@@ -94,7 +92,8 @@ void ChipScheduler::enable_qos(const QosSchedulerConfig& config,
   qos_active_.assign(chips(), QosPending{});
   qos_active_start_.assign(chips(), 0);
   qos_virtual_.clear();
-  bind_qos_metrics();
+  // Re-attaching adds the QoS counters to an attached registry.
+  attach_telemetry(telemetry_);
 }
 
 Duration ChipScheduler::qos_class_budget(QosClass klass) const {
@@ -137,7 +136,6 @@ std::uint64_t ChipScheduler::submit_qos(std::size_t chip, SimTime now,
 
   ChipStats& stats = stats_[chip];
   ++stats.commands;
-  if (telemetry_) ++commands_metric_->value;
   ++in_flight_[chip];
   stats.max_queue_depth = std::max(stats.max_queue_depth, in_flight_[chip]);
 
@@ -184,7 +182,6 @@ void ChipScheduler::qos_start_service(std::size_t chip, SimTime start,
 
   if (telemetry_) {
     if (start > entry.arrival) {
-      ++queued_metric_->value;
       wait_hist_->add(static_cast<double>(start - entry.arrival) / 1000.0);
     }
     if (telemetry::SpanRecorder* tracer = telemetry_->tracer()) {
@@ -262,10 +259,7 @@ std::size_t ChipScheduler::qos_pick_index(std::size_t chip, SimTime now) {
     const bool fairness_override =
         have_host &&
         max_v - min_v > static_cast<double>(qos_config_.fair_share_slack);
-    if (fairness_override) {
-      ++qos_fairness_overrides_;
-      if (telemetry_) ++qos_overrides_metric_->value;
-    }
+    if (fairness_override) ++qos_fairness_overrides_;
     for (std::size_t i = 0; i < queue.size(); ++i) {
       const QosPending& e = queue[i];
       if (!eligible(e)) continue;
@@ -284,10 +278,7 @@ std::size_t ChipScheduler::qos_pick_index(std::size_t chip, SimTime now) {
       }
     }
   }
-  if (deferred_any) {
-    ++qos_background_deferrals_;
-    if (telemetry_) ++qos_deferrals_metric_->value;
-  }
+  if (deferred_any) ++qos_background_deferrals_;
   FLEX_ENSURES(best < queue.size());
   return best;
 }
@@ -371,36 +362,40 @@ void ChipScheduler::reset_stats() {
   qos_fairness_overrides_ = 0;
 }
 
+ChipScheduler::~ChipScheduler() {
+  if (telemetry_) telemetry_->metrics.unbind(this);
+}
+
 void ChipScheduler::attach_telemetry(telemetry::Telemetry* telemetry) {
+  if (telemetry_) telemetry_->metrics.unbind(this);
   telemetry_ = telemetry;
   if (!telemetry_) {
-    commands_metric_ = nullptr;
-    queued_metric_ = nullptr;
-    qos_deferrals_metric_ = nullptr;
-    qos_overrides_metric_ = nullptr;
     wait_hist_ = nullptr;
     return;
   }
-  commands_metric_ = &telemetry_->metrics.counter("chip.commands");
-  queued_metric_ = &telemetry_->metrics.counter("chip.queued_commands");
+  telemetry::MetricsRegistry& registry = telemetry_->metrics;
+  const auto total = [this](std::uint64_t ChipStats::*field) {
+    std::uint64_t sum = 0;
+    for (const ChipStats& stats : stats_) sum += stats.*field;
+    return sum;
+  };
+  registry.bind(this, "chip.commands",
+                [total] { return total(&ChipStats::commands); });
+  registry.bind(this, "chip.queued_commands",
+                [total] { return total(&ChipStats::queued_commands); });
   // Queueing waits span sub-µs bus gaps to ms-scale GC trains; log bins
   // keep relative resolution across the whole range (values in µs).
-  wait_hist_ = &telemetry_->metrics.histogram(
+  wait_hist_ = &registry.histogram(
       "chip.wait_us",
       telemetry::HistogramSpec{
           .lo = 1e-2, .hi = 1e6, .bins = 160, .log_spaced = true});
-  bind_qos_metrics();
-}
-
-void ChipScheduler::bind_qos_metrics() {
   // QoS counters exist only when QoS mode is on, so legacy metric
-  // snapshots (the pinned golden set) are unaffected. enable_qos() and
-  // attach_telemetry() both land here because either order is legal.
-  if (!telemetry_ || !qos_enabled_) return;
-  qos_deferrals_metric_ =
-      &telemetry_->metrics.counter("sched.qos_background_deferrals");
-  qos_overrides_metric_ =
-      &telemetry_->metrics.counter("sched.qos_fairness_overrides");
+  // snapshots (the pinned golden set) are unaffected.
+  if (!qos_enabled_) return;
+  registry.bind(this, "sched.qos_background_deferrals",
+                [this] { return qos_background_deferrals_; });
+  registry.bind(this, "sched.qos_fairness_overrides",
+                [this] { return qos_fairness_overrides_; });
 }
 
 }  // namespace flex::ssd

@@ -119,6 +119,9 @@ class QosSink {
 class ChipScheduler {
  public:
   ChipScheduler(std::size_t chips, EventQueue& events);
+  ChipScheduler(const ChipScheduler&) = delete;
+  ChipScheduler& operator=(const ChipScheduler&) = delete;
+  ~ChipScheduler();
 
   /// Tag for fire-and-forget commands (no sink notification).
   static constexpr std::uint64_t kNoTag = ~0ULL;
@@ -210,8 +213,9 @@ class ChipScheduler {
   /// used by SsdSimulator::reset_measurements between warmup and measure.
   void reset_stats();
 
-  /// Binds command/wait metrics and enables per-chip trace spans (see
-  /// telemetry.h for the null-sink contract); nullptr detaches.
+  /// Binds the `chip.*` (and, in QoS mode, `sched.qos_*`) counters to
+  /// the scheduler's own stats, the wait histogram, and per-chip trace
+  /// spans (see telemetry.h); nullptr detaches.
   void attach_telemetry(telemetry::Telemetry* telemetry);
 
  private:
@@ -235,7 +239,6 @@ class ChipScheduler {
   void qos_start_service(std::size_t chip, SimTime start,
                          const QosPending& entry);
   void qos_complete(std::size_t chip, SimTime now);
-  void bind_qos_metrics();
 
   EventQueue& events_;
   std::vector<SimTime> free_at_;
@@ -260,10 +263,6 @@ class ChipScheduler {
   std::uint64_t qos_fairness_overrides_ = 0;
 
   telemetry::Telemetry* telemetry_ = nullptr;
-  telemetry::MetricsRegistry::Counter* commands_metric_ = nullptr;
-  telemetry::MetricsRegistry::Counter* queued_metric_ = nullptr;
-  telemetry::MetricsRegistry::Counter* qos_deferrals_metric_ = nullptr;
-  telemetry::MetricsRegistry::Counter* qos_overrides_metric_ = nullptr;
   Histogram* wait_hist_ = nullptr;
 };
 

@@ -41,7 +41,6 @@ void EventQueue::push_queued(std::uint32_t slot, SimTime when) {
     slab_[slot].heap_pos = static_cast<std::uint32_t>(heap_.size() - 1);
     sift_up(heap_.size() - 1);
   }
-  if (scheduled_metric_) ++scheduled_metric_->value;
 }
 
 bool EventQueue::cancel(EventId id) {
@@ -93,7 +92,6 @@ bool EventQueue::run_next() {
   release_slot(top.slot);
   now_ = top.when;
   ++fired_;
-  if (fired_metric_) ++fired_metric_->value;
   invoke(storage, top.when);
   return true;
 }
@@ -169,14 +167,18 @@ void EventQueue::sift_down(std::size_t pos) {
   slab_[entry.slot].heap_pos = static_cast<std::uint32_t>(pos);
 }
 
+EventQueue::~EventQueue() {
+  if (telemetry_) telemetry_->metrics.unbind(this);
+}
+
 void EventQueue::attach_telemetry(telemetry::Telemetry* telemetry) {
-  if (!telemetry) {
-    scheduled_metric_ = nullptr;
-    fired_metric_ = nullptr;
-    return;
-  }
-  scheduled_metric_ = &telemetry->metrics.counter("event_queue.scheduled");
-  fired_metric_ = &telemetry->metrics.counter("event_queue.fired");
+  if (telemetry_) telemetry_->metrics.unbind(this);
+  telemetry_ = telemetry;
+  if (!telemetry_) return;
+  telemetry_->metrics.bind(this, "event_queue.scheduled",
+                           [this] { return next_seq_; });
+  telemetry_->metrics.bind(this, "event_queue.fired",
+                           [this] { return fired_; });
 }
 
 }  // namespace flex::ssd

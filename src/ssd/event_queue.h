@@ -50,6 +50,11 @@ class EventQueue {
   /// Max inline callable size; sized for `this` plus two words of capture.
   static constexpr std::size_t kInlineStorage = 24;
 
+  EventQueue() = default;
+  EventQueue(const EventQueue&) = delete;
+  EventQueue& operator=(const EventQueue&) = delete;
+  ~EventQueue();
+
   /// Handle for cancel(). `gen` guards against slot reuse: a handle goes
   /// stale the moment its event fires, is cancelled, or is dropped.
   struct EventId {
@@ -108,8 +113,9 @@ class EventQueue {
   /// growing once the pending-event peak is reached (slots are recycled).
   std::size_t slab_slots() const { return slab_.size(); }
 
-  /// Binds the kernel's counters into `telemetry` (see telemetry.h for
-  /// the null-sink contract); nullptr detaches.
+  /// Binds `event_queue.scheduled` and `event_queue.fired` to the
+  /// kernel's ordinal and fired counts (see telemetry.h); nullptr
+  /// detaches.
   void attach_telemetry(telemetry::Telemetry* telemetry);
 
  private:
@@ -162,8 +168,7 @@ class EventQueue {
   std::uint64_t next_seq_ = 0;
   std::uint64_t fired_ = 0;
   SimTime now_ = 0;
-  telemetry::MetricsRegistry::Counter* scheduled_metric_ = nullptr;
-  telemetry::MetricsRegistry::Counter* fired_metric_ = nullptr;
+  telemetry::Telemetry* telemetry_ = nullptr;
 };
 
 }  // namespace flex::ssd

@@ -139,33 +139,34 @@ class FlexLevelPolicy final : public ReadPolicy {
     if (decision.migrate_to_reduced) {
       ftl_.migrate(ctx.lpn, ftl::PageMode::kReduced, ctx.now);
       ++migrations_to_reduced_;
-      record_migration(ctx.now, "migrate_to_reduced", ctx.lpn,
-                       to_reduced_metric_);
+      record_migration(ctx.now, "migrate_to_reduced", ctx.lpn);
     }
     if (decision.evicted.has_value()) {
       ftl_.migrate(*decision.evicted, ftl::PageMode::kNormal, ctx.now);
       ++migrations_to_normal_;
-      record_migration(ctx.now, "migrate_to_normal", *decision.evicted,
-                       to_normal_metric_);
+      record_migration(ctx.now, "migrate_to_normal", *decision.evicted);
     }
     if (telemetry_) {
       pool_gauge_->value = static_cast<double>(access_eval_.pool_size());
     }
   }
 
+  ~FlexLevelPolicy() override {
+    if (telemetry_) telemetry_->metrics.unbind(this);
+  }
+
   void attach_telemetry(telemetry::Telemetry* telemetry) override {
     inner_->attach_telemetry(telemetry);
+    if (telemetry_) telemetry_->metrics.unbind(this);
     telemetry_ = telemetry;
     if (!telemetry_) {
-      to_reduced_metric_ = nullptr;
-      to_normal_metric_ = nullptr;
       pool_gauge_ = nullptr;
       return;
     }
-    to_reduced_metric_ =
-        &telemetry_->metrics.counter("policy.migrations_to_reduced");
-    to_normal_metric_ =
-        &telemetry_->metrics.counter("policy.migrations_to_normal");
+    telemetry_->metrics.bind(this, "policy.migrations_to_reduced",
+                             [this] { return migrations_to_reduced_; });
+    telemetry_->metrics.bind(this, "policy.migrations_to_normal",
+                             [this] { return migrations_to_normal_; });
     pool_gauge_ = &telemetry_->metrics.gauge("policy.pool_pages");
   }
 
@@ -194,7 +195,7 @@ class FlexLevelPolicy final : public ReadPolicy {
          access_eval_.rebuild_pool(report.reduced_lpns)) {
       ftl_.migrate(lpn, ftl::PageMode::kNormal, now);
       ++migrations_to_normal_;
-      record_migration(now, "migrate_to_normal", lpn, to_normal_metric_);
+      record_migration(now, "migrate_to_normal", lpn);
     }
     if (telemetry_) {
       pool_gauge_->value = static_cast<double>(access_eval_.pool_size());
@@ -223,15 +224,13 @@ class FlexLevelPolicy final : public ReadPolicy {
     for (const std::uint64_t lpn : access_eval_.shrink_capacity(target)) {
       ftl_.migrate(lpn, ftl::PageMode::kNormal, now);
       ++migrations_to_normal_;
-      record_migration(now, "migrate_to_normal", lpn, to_normal_metric_);
+      record_migration(now, "migrate_to_normal", lpn);
     }
   }
 
-  void record_migration(SimTime now, const char* name, std::uint64_t lpn,
-                        telemetry::MetricsRegistry::Counter* metric) {
-    if (!telemetry_) return;
-    ++metric->value;
-    if (telemetry::SpanRecorder* tracer = telemetry_->tracer()) {
+  void record_migration(SimTime now, const char* name, std::uint64_t lpn) {
+    if (telemetry::SpanRecorder* tracer =
+            telemetry_ ? telemetry_->tracer() : nullptr) {
       tracer->record({.name = name,
                       .cat = "policy",
                       .pid = telemetry_->pid,
@@ -251,8 +250,6 @@ class FlexLevelPolicy final : public ReadPolicy {
   std::uint64_t migrations_to_reduced_ = 0;
   std::uint64_t migrations_to_normal_ = 0;
   telemetry::Telemetry* telemetry_ = nullptr;
-  telemetry::MetricsRegistry::Counter* to_reduced_metric_ = nullptr;
-  telemetry::MetricsRegistry::Counter* to_normal_metric_ = nullptr;
   telemetry::MetricsRegistry::Gauge* pool_gauge_ = nullptr;
 };
 
@@ -285,35 +282,32 @@ class RefreshPolicy final : public ReadPolicy {
     if (const auto scrub = ftl_.refresh_block(ctx.ppn, ctx.now)) {
       ++refresh_blocks_;
       refresh_page_moves_ += scrub->pages_moved;
-      if (telemetry_) {
-        ++refresh_blocks_metric_->value;
-        refresh_moves_metric_->value += scrub->pages_moved;
-        if (telemetry::SpanRecorder* tracer = telemetry_->tracer()) {
-          tracer->record({.name = "refresh",
-                          .cat = "policy",
-                          .pid = telemetry_->pid,
-                          .tid = telemetry::kFtlTrack,
-                          .start = ctx.now,
-                          .arg0_key = "pages_moved",
-                          .arg0 =
-                              static_cast<double>(scrub->pages_moved)});
-        }
+      if (telemetry::SpanRecorder* tracer =
+              telemetry_ ? telemetry_->tracer() : nullptr) {
+        tracer->record({.name = "refresh",
+                        .cat = "policy",
+                        .pid = telemetry_->pid,
+                        .tid = telemetry::kFtlTrack,
+                        .start = ctx.now,
+                        .arg0_key = "pages_moved",
+                        .arg0 = static_cast<double>(scrub->pages_moved)});
       }
     }
   }
 
+  ~RefreshPolicy() override {
+    if (telemetry_) telemetry_->metrics.unbind(this);
+  }
+
   void attach_telemetry(telemetry::Telemetry* telemetry) override {
     inner_->attach_telemetry(telemetry);
+    if (telemetry_) telemetry_->metrics.unbind(this);
     telemetry_ = telemetry;
-    if (!telemetry_) {
-      refresh_blocks_metric_ = nullptr;
-      refresh_moves_metric_ = nullptr;
-      return;
-    }
-    refresh_blocks_metric_ =
-        &telemetry_->metrics.counter("policy.refresh_blocks");
-    refresh_moves_metric_ =
-        &telemetry_->metrics.counter("policy.refresh_page_moves");
+    if (!telemetry_) return;
+    telemetry_->metrics.bind(this, "policy.refresh_blocks",
+                             [this] { return refresh_blocks_; });
+    telemetry_->metrics.bind(this, "policy.refresh_page_moves",
+                             [this] { return refresh_page_moves_; });
   }
 
   ftl::PageMode write_mode(std::uint64_t lpn) const override {
@@ -346,8 +340,6 @@ class RefreshPolicy final : public ReadPolicy {
   std::uint64_t refresh_blocks_ = 0;
   std::uint64_t refresh_page_moves_ = 0;
   telemetry::Telemetry* telemetry_ = nullptr;
-  telemetry::MetricsRegistry::Counter* refresh_blocks_metric_ = nullptr;
-  telemetry::MetricsRegistry::Counter* refresh_moves_metric_ = nullptr;
 };
 
 /// Uncorrectable-read recovery ladder (fault injection on): when even the
@@ -400,19 +392,16 @@ class RecoveryPolicy final : public ReadPolicy {
       } else {
         ++integrity_unrecovered_reads_;
       }
-      if (telemetry_) {
-        ++(cured ? integrity_recovered_metric_ : integrity_unrecovered_metric_)
-              ->value;
-        if (telemetry::SpanRecorder* tracer = telemetry_->tracer()) {
-          tracer->record(
-              {.name = cured ? "integrity_recovered" : "integrity_unrecovered",
-               .cat = "policy",
-               .pid = telemetry_->pid,
-               .tid = telemetry::kFtlTrack,
-               .start = ctx.now,
-               .arg0_key = "lpn",
-               .arg0 = static_cast<double>(ctx.lpn)});
-        }
+      if (telemetry::SpanRecorder* tracer =
+              telemetry_ ? telemetry_->tracer() : nullptr) {
+        tracer->record(
+            {.name = cured ? "integrity_recovered" : "integrity_unrecovered",
+             .cat = "policy",
+             .pid = telemetry_->pid,
+             .tid = telemetry::kFtlTrack,
+             .start = ctx.now,
+             .arg0_key = "lpn",
+             .arg0 = static_cast<double>(ctx.lpn)});
       }
     }
     if (ctx.correctable) return;
@@ -422,36 +411,36 @@ class RecoveryPolicy final : public ReadPolicy {
     } else {
       ++data_loss_reads_;
     }
-    if (telemetry_) {
-      ++(rescued ? recovered_metric_ : data_loss_metric_)->value;
-      if (telemetry::SpanRecorder* tracer = telemetry_->tracer()) {
-        tracer->record({.name = rescued ? "read_recovered" : "read_data_loss",
-                        .cat = "policy",
-                        .pid = telemetry_->pid,
-                        .tid = telemetry::kFtlTrack,
-                        .start = ctx.now,
-                        .arg0_key = "lpn",
-                        .arg0 = static_cast<double>(ctx.lpn)});
-      }
+    if (telemetry::SpanRecorder* tracer =
+            telemetry_ ? telemetry_->tracer() : nullptr) {
+      tracer->record({.name = rescued ? "read_recovered" : "read_data_loss",
+                      .cat = "policy",
+                      .pid = telemetry_->pid,
+                      .tid = telemetry::kFtlTrack,
+                      .start = ctx.now,
+                      .arg0_key = "lpn",
+                      .arg0 = static_cast<double>(ctx.lpn)});
     }
+  }
+
+  ~RecoveryPolicy() override {
+    if (telemetry_) telemetry_->metrics.unbind(this);
   }
 
   void attach_telemetry(telemetry::Telemetry* telemetry) override {
     inner_->attach_telemetry(telemetry);
+    if (telemetry_) telemetry_->metrics.unbind(this);
     telemetry_ = telemetry;
-    if (!telemetry_) {
-      recovered_metric_ = nullptr;
-      data_loss_metric_ = nullptr;
-      integrity_recovered_metric_ = nullptr;
-      integrity_unrecovered_metric_ = nullptr;
-      return;
-    }
-    recovered_metric_ = &telemetry_->metrics.counter("policy.recovered_reads");
-    data_loss_metric_ = &telemetry_->metrics.counter("policy.data_loss_reads");
-    integrity_recovered_metric_ =
-        &telemetry_->metrics.counter("policy.integrity_recovered_reads");
-    integrity_unrecovered_metric_ =
-        &telemetry_->metrics.counter("policy.integrity_unrecovered_reads");
+    if (!telemetry_) return;
+    telemetry::MetricsRegistry& registry = telemetry_->metrics;
+    registry.bind(this, "policy.recovered_reads",
+                  [this] { return recovered_reads_; });
+    registry.bind(this, "policy.data_loss_reads",
+                  [this] { return data_loss_reads_; });
+    registry.bind(this, "policy.integrity_recovered_reads",
+                  [this] { return integrity_recovered_reads_; });
+    registry.bind(this, "policy.integrity_unrecovered_reads",
+                  [this] { return integrity_unrecovered_reads_; });
   }
 
   ftl::PageMode write_mode(std::uint64_t lpn) const override {
@@ -491,11 +480,6 @@ class RecoveryPolicy final : public ReadPolicy {
   std::uint64_t integrity_recovered_reads_ = 0;
   std::uint64_t integrity_unrecovered_reads_ = 0;
   telemetry::Telemetry* telemetry_ = nullptr;
-  telemetry::MetricsRegistry::Counter* recovered_metric_ = nullptr;
-  telemetry::MetricsRegistry::Counter* data_loss_metric_ = nullptr;
-  telemetry::MetricsRegistry::Counter* integrity_recovered_metric_ = nullptr;
-  telemetry::MetricsRegistry::Counter* integrity_unrecovered_metric_ =
-      nullptr;
 };
 
 std::unique_ptr<ReadPolicy> make_progressive(

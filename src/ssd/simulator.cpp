@@ -313,53 +313,55 @@ void SsdSimulator::reset_measurements() {
   }
 }
 
+SsdSimulator::~SsdSimulator() {
+  if (telemetry_) telemetry_->metrics.unbind(this);
+}
+
 void SsdSimulator::attach_telemetry(telemetry::Telemetry* telemetry) {
-  telemetry_ = telemetry;
   events_.attach_telemetry(telemetry);
   scheduler_.attach_telemetry(telemetry);
   ftl_.attach_telemetry(telemetry);
   policy_->attach_telemetry(telemetry);
+  if (telemetry_) telemetry_->metrics.unbind(this);
+  telemetry_ = telemetry;
   if (!telemetry_) {
-    requests_metric_ = nullptr;
-    reads_metric_ = nullptr;
-    writes_metric_ = nullptr;
-    buffer_hits_metric_ = nullptr;
-    unmapped_metric_ = nullptr;
-    uncorrectable_metric_ = nullptr;
-    acked_metric_ = nullptr;
-    durable_metric_ = nullptr;
-    crashes_metric_ = nullptr;
-    integrity_verified_metric_ = nullptr;
-    integrity_mismatch_metric_ = nullptr;
-    tenant_reads_metrics_.clear();
-    tenant_writes_metrics_.clear();
-    tenant_rejected_metrics_.clear();
     read_latency_us_hist_ = nullptr;
     return;
   }
   telemetry::MetricsRegistry& registry = telemetry_->metrics;
-  requests_metric_ = &registry.counter("ssd.requests");
-  reads_metric_ = &registry.counter("ssd.reads");
-  writes_metric_ = &registry.counter("ssd.writes");
-  buffer_hits_metric_ = &registry.counter("ssd.buffer_hits");
-  unmapped_metric_ = &registry.counter("ssd.unmapped_reads");
-  uncorrectable_metric_ = &registry.counter("ssd.uncorrectable_reads");
-  acked_metric_ = &registry.counter("ssd.writes_acked");
-  durable_metric_ = &registry.counter("ssd.writes_durable");
-  crashes_metric_ = &registry.counter("ssd.crashes");
-  integrity_verified_metric_ =
-      &registry.counter("ssd.integrity_verified_reads");
-  integrity_mismatch_metric_ =
-      &registry.counter("ssd.integrity_mismatch_reads");
-  tenant_reads_metrics_.clear();
-  tenant_writes_metrics_.clear();
-  tenant_rejected_metrics_.clear();
+  static constexpr std::pair<const char*, std::uint64_t SsdResults::*>
+      kCounters[] = {
+          {"ssd.buffer_hits", &SsdResults::buffer_hits},
+          {"ssd.unmapped_reads", &SsdResults::unmapped_reads},
+          {"ssd.uncorrectable_reads", &SsdResults::uncorrectable_reads},
+          {"ssd.writes_acked", &SsdResults::writes_acked},
+          {"ssd.writes_durable", &SsdResults::writes_durable},
+          {"ssd.crashes", &SsdResults::crashes},
+          {"ssd.integrity_verified_reads",
+           &SsdResults::integrity_verified_reads},
+          {"ssd.integrity_mismatch_reads",
+           &SsdResults::integrity_mismatch_reads},
+      };
+  for (const auto& [name, field] : kCounters) {
+    registry.bind(this, name, [this, field] { return results_.*field; });
+  }
+  registry.bind(this, "ssd.requests",
+                [this] { return results_.all_response.count(); });
+  registry.bind(this, "ssd.reads",
+                [this] { return results_.read_response.count(); });
+  registry.bind(this, "ssd.writes",
+                [this] { return results_.write_response.count(); });
   for (std::uint32_t i = 0; i < tenant_count_; ++i) {
     const std::string prefix = "tenant." + std::to_string(i) + ".";
-    tenant_reads_metrics_.push_back(&registry.counter(prefix + "reads"));
-    tenant_writes_metrics_.push_back(&registry.counter(prefix + "writes"));
-    tenant_rejected_metrics_.push_back(
-        &registry.counter(prefix + "rejected"));
+    registry.bind(this, prefix + "reads", [this, i] {
+      return results_.tenant[i].read_response.count();
+    });
+    registry.bind(this, prefix + "writes", [this, i] {
+      return results_.tenant[i].write_response.count();
+    });
+    registry.bind(this, prefix + "rejected", [this, i] {
+      return results_.tenant[i].admission_rejected;
+    });
   }
   read_latency_us_hist_ = &registry.histogram(
       "ssd.read_latency_us",
@@ -407,7 +409,6 @@ void SsdSimulator::verify_read_page(ReadContext& ctx) {
   const ftl::SealVerdict verdict =
       ftl_.verify_page(ctx.lpn, ctx.ppn, ctx.block_reads);
   ++results_.integrity_verified_reads;
-  if (telemetry_) ++integrity_verified_metric_->value;
   if (verdict.delivered_bad && !verdict.flagged) {
     // The only way here is a genuine CRC64 collision between two distinct
     // payload generations — the event the integrity bench asserts never
@@ -416,7 +417,6 @@ void SsdSimulator::verify_read_page(ReadContext& ctx) {
   }
   if (!verdict.flagged) return;
   ++results_.integrity_mismatch_reads;
-  if (telemetry_) ++integrity_mismatch_metric_->value;
   if (verdict.persistent && external_kernel_) {
     // Hand the unservable lpn to the array layer for replica failover.
     integrity_failed_lpns_.push_back(ctx.lpn);
@@ -453,19 +453,14 @@ std::optional<ReadContext> SsdSimulator::begin_read(std::uint64_t lpn,
   ResolvedRead read = resolve_read(lpn, now);
   if (read.source == ReadSource::kBuffer) {
     ++results_.buffer_hits;
-    if (telemetry_) ++buffer_hits_metric_->value;
     return std::nullopt;
   }
   if (read.source == ReadSource::kUnmapped) {
     // Read of never-written data: served from the mapping table alone.
     ++results_.unmapped_reads;
-    if (telemetry_) ++unmapped_metric_->value;
     return std::nullopt;
   }
-  if (!read.ctx.correctable) {
-    ++results_.uncorrectable_reads;
-    if (telemetry_) ++uncorrectable_metric_->value;
-  }
+  if (!read.ctx.correctable) ++results_.uncorrectable_reads;
   ++results_.sensing_level_reads[static_cast<std::size_t>(
       read.ctx.required_levels)];
   verify_read_page(read.ctx);
@@ -545,7 +540,6 @@ void SsdSimulator::flush_victim(std::uint64_t lpn, SimTime now) {
   }
   mark_durable(lpn);
   ++results_.writes_durable;
-  if (telemetry_) ++durable_metric_->value;
 }
 
 void SsdSimulator::buffer_write(std::uint64_t lpn, SimTime now) {
@@ -567,7 +561,6 @@ void SsdSimulator::buffer_write(std::uint64_t lpn, SimTime now) {
 void SsdSimulator::settle_write_through(std::uint64_t lpn, SimTime now) {
   mark_durable(lpn);
   ++results_.writes_durable;
-  if (telemetry_) ++durable_metric_->value;
   for (const std::uint64_t victim : buffer_.insert_clean(lpn)) {
     flush_victim(victim, now);
   }
@@ -575,7 +568,6 @@ void SsdSimulator::settle_write_through(std::uint64_t lpn, SimTime now) {
 
 Duration SsdSimulator::service_write_page(std::uint64_t lpn, SimTime now) {
   ++results_.writes_acked;
-  if (telemetry_) ++acked_metric_->value;
   if (config_.durability.policy == DurabilityPolicy::kFua) {
     // Force-unit-access: program before acknowledging, then keep the page
     // cached (clean) for reads. The ack carries the program latency — the
@@ -616,16 +608,14 @@ void SsdSimulator::power_loss() {
   qos_free_slots_.clear();
   std::fill(qos_outstanding_.begin(), qos_outstanding_.end(), 0);
   ++results_.crashes;
-  if (telemetry_) {
-    ++crashes_metric_->value;
-    if (telemetry::SpanRecorder* tracer = telemetry_->tracer()) {
-      tracer->record({.name = "power_loss",
-                      .cat = "sim",
-                      .pid = telemetry_->pid,
-                      .tid = telemetry::kHostTrack,
-                      .start = now,
-                      .dur = 0});
-    }
+  if (telemetry::SpanRecorder* tracer =
+          telemetry_ ? telemetry_->tracer() : nullptr) {
+    tracer->record({.name = "power_loss",
+                    .cat = "sim",
+                    .pid = telemetry_->pid,
+                    .tid = telemetry::kHostTrack,
+                    .start = now,
+                    .dur = 0});
   }
 }
 
@@ -656,9 +646,6 @@ ftl::MountReport SsdSimulator::mount() {
                       .dur = duration});
     }
   }
-  // Mount() reset the FTL's cumulative stats, so the delta baseline
-  // restarts from zero too.
-  prefill_stats_ = ftl::FtlStats{};
   crashed_ = false;
   acked_since_barrier_ = 0;
   return report;
@@ -697,15 +684,7 @@ void SsdSimulator::record_request_stats(bool is_write, std::uint16_t tenant,
     tstats.read_latency_hist.add(seconds);
   }
   if (telemetry_) {
-    ++requests_metric_->value;
-    if (is_write) {
-      ++writes_metric_->value;
-      ++tenant_writes_metrics_[tenant]->value;
-    } else {
-      ++reads_metric_->value;
-      ++tenant_reads_metrics_[tenant]->value;
-      read_latency_us_hist_->add(seconds * 1e6);
-    }
+    if (!is_write) read_latency_us_hist_->add(seconds * 1e6);
     if (telemetry::SpanRecorder* tracer = telemetry_->tracer()) {
       tracer->record({.name = is_write ? "write" : "read",
                       .cat = "request",
@@ -797,7 +776,6 @@ void SsdSimulator::service_request_qos(const trace::Request& request,
     // both queue memory and drive-state divergence under overload.
     ++results_.tenant[tenant].admission_rejected;
     ++results_.admission_rejected;
-    if (telemetry_) ++tenant_rejected_metrics_[tenant]->value;
     return;
   }
   if (!request.is_write && config_.qos.slo_read_admission &&
@@ -807,7 +785,6 @@ void SsdSimulator::service_request_qos(const trace::Request& request,
     ++results_.tenant[tenant].admission_rejected;
     ++results_.admission_rejected;
     ++results_.slo_rejected;
-    if (telemetry_) ++tenant_rejected_metrics_[tenant]->value;
     return;
   }
   std::uint64_t slot;
@@ -915,7 +892,6 @@ void SsdSimulator::issue_write_page_qos(std::uint64_t lpn,
                                         std::uint8_t priority, SimTime now) {
   QosRequest& st = qos_requests_[slot];
   ++results_.writes_acked;
-  if (telemetry_) ++acked_metric_->value;
   // Write admission: past the dirty watermark (or always, under kFua) the
   // page programs through to NAND as a *queued* host command — the ack
   // waits for the program, which is the back-pressure that keeps the
@@ -1067,39 +1043,10 @@ void SsdSimulator::collect_results() {
   results_.retired_blocks = ftl_.retired_block_count();
   results_.chip_stats = scheduler_.stats();
   // Report trace-phase FTL activity only.
-  const ftl::FtlStats& total = ftl_.stats();
-  results_.ftl.host_writes = total.host_writes - prefill_stats_.host_writes;
-  results_.ftl.nand_writes = total.nand_writes - prefill_stats_.nand_writes;
-  results_.ftl.nand_erases = total.nand_erases - prefill_stats_.nand_erases;
-  results_.ftl.gc_runs = total.gc_runs - prefill_stats_.gc_runs;
-  results_.ftl.gc_page_moves =
-      total.gc_page_moves - prefill_stats_.gc_page_moves;
-  results_.ftl.mode_migrations =
-      total.mode_migrations - prefill_stats_.mode_migrations;
-  results_.ftl.refresh_runs = total.refresh_runs - prefill_stats_.refresh_runs;
-  results_.ftl.refresh_page_moves =
-      total.refresh_page_moves - prefill_stats_.refresh_page_moves;
-  results_.ftl.program_fails =
-      total.program_fails - prefill_stats_.program_fails;
-  results_.ftl.erase_fails = total.erase_fails - prefill_stats_.erase_fails;
-  results_.ftl.grown_defects =
-      total.grown_defects - prefill_stats_.grown_defects;
-  results_.ftl.retired_blocks =
-      total.retired_blocks - prefill_stats_.retired_blocks;
-  results_.ftl.retire_page_moves =
-      total.retire_page_moves - prefill_stats_.retire_page_moves;
-  results_.ftl.mounts = total.mounts - prefill_stats_.mounts;
-  results_.ftl.mount_pages_scanned =
-      total.mount_pages_scanned - prefill_stats_.mount_pages_scanned;
-  results_.ftl.mount_mappings_recovered =
-      total.mount_mappings_recovered - prefill_stats_.mount_mappings_recovered;
-  results_.ftl.mount_stale_records =
-      total.mount_stale_records - prefill_stats_.mount_stale_records;
-  results_.ftl.misdirected_writes =
-      total.misdirected_writes - prefill_stats_.misdirected_writes;
-  results_.ftl.torn_relocations =
-      total.torn_relocations - prefill_stats_.torn_relocations;
-  results_.ftl.repair_writes = total.repair_writes - prefill_stats_.repair_writes;
+  for (const auto& counter : ftl::kFtlStatsCounters) {
+    const auto field = counter.second;
+    results_.ftl.*field = ftl_.stats().*field - prefill_stats_.*field;
+  }
   results_.qos_request_slots_high_water = qos_slots_high_water_;
   results_.qos_pending_high_water = scheduler_.qos_pending_high_water();
   results_.background_deferrals = scheduler_.qos_background_deferrals();

@@ -274,7 +274,8 @@ struct SsdResults {
   Histogram sensing_share_hist{0.0, 1.0, 50};
   Histogram transfer_share_hist{0.0, 1.0, 50};
   Histogram decode_share_hist{0.0, 1.0, 50};
-  ftl::FtlStats ftl;            ///< trace-phase deltas (prefill excluded)
+  ftl::FtlStats ftl;            ///< the window's deltas (prefill excluded,
+                                ///< mounts inside the window included)
   std::uint64_t buffer_hits = 0;
   std::uint64_t unmapped_reads = 0;
   std::uint64_t uncorrectable_reads = 0;
@@ -532,10 +533,13 @@ class SsdSimulator : private QosSink {
   const ChipScheduler& scheduler() const { return scheduler_; }
 
   /// Attaches a telemetry context to every layer (event kernel, chip
-  /// scheduler, FTL, read policy, and the simulator's own counters);
-  /// nullptr detaches. Instrumentation only observes: results are
-  /// bit-identical with and without a context attached (see telemetry.h).
+  /// scheduler, FTL, read policy, and the simulator's own `ssd.*` and
+  /// `tenant.<i>.*` counters, read from results()); nullptr detaches.
+  /// Instrumentation only observes: results are bit-identical with and
+  /// without a context attached (see telemetry.h).
   void attach_telemetry(telemetry::Telemetry* telemetry);
+
+  ~SsdSimulator();
 
  private:
   /// Constructed only by Builder::Build(), after validation.
@@ -702,22 +706,6 @@ class SsdSimulator : private QosSink {
   trace::Request open_loop_next_;
   std::uint64_t open_loop_remaining_ = 0;
   telemetry::Telemetry* telemetry_ = nullptr;
-  telemetry::MetricsRegistry::Counter* requests_metric_ = nullptr;
-  telemetry::MetricsRegistry::Counter* reads_metric_ = nullptr;
-  telemetry::MetricsRegistry::Counter* writes_metric_ = nullptr;
-  telemetry::MetricsRegistry::Counter* buffer_hits_metric_ = nullptr;
-  telemetry::MetricsRegistry::Counter* unmapped_metric_ = nullptr;
-  telemetry::MetricsRegistry::Counter* uncorrectable_metric_ = nullptr;
-  telemetry::MetricsRegistry::Counter* acked_metric_ = nullptr;
-  telemetry::MetricsRegistry::Counter* durable_metric_ = nullptr;
-  telemetry::MetricsRegistry::Counter* crashes_metric_ = nullptr;
-  telemetry::MetricsRegistry::Counter* integrity_verified_metric_ = nullptr;
-  telemetry::MetricsRegistry::Counter* integrity_mismatch_metric_ = nullptr;
-  /// Per-tenant counters (tenant.<i>.reads/.writes/.rejected), sized
-  /// tenant_count_ when telemetry is attached.
-  std::vector<telemetry::MetricsRegistry::Counter*> tenant_reads_metrics_;
-  std::vector<telemetry::MetricsRegistry::Counter*> tenant_writes_metrics_;
-  std::vector<telemetry::MetricsRegistry::Counter*> tenant_rejected_metrics_;
   Histogram* read_latency_us_hist_ = nullptr;
 };
 

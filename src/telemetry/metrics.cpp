@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <ostream>
 #include <sstream>
+#include <utility>
 
 #include "common/assert.h"
 
@@ -67,10 +68,41 @@ std::string MetricsSnapshot::to_jsonl() const {
   return out.str();
 }
 
-MetricsRegistry::Counter& MetricsRegistry::counter(std::string_view name) {
-  const auto it = counters_.find(name);
-  if (it != counters_.end()) return it->second;
-  return counters_.emplace(std::string(name), Counter{}).first->second;
+namespace {
+
+std::uint64_t growth(std::uint64_t now, std::uint64_t base) {
+  // A reader that shrank means its component reset a count without a
+  // zero() of the registry: the window would silently wrap.
+  FLEX_ASSERT(now >= base);
+  return now - base;
+}
+
+}  // namespace
+
+std::uint64_t MetricsRegistry::CounterEntry::value() const {
+  std::uint64_t total = settled;
+  for (const Binding& b : bindings) total += growth(b.read(), b.base);
+  return total;
+}
+
+void MetricsRegistry::bind(const void* owner, std::string_view name,
+                           Reader reader) {
+  auto it = counters_.find(name);
+  if (it == counters_.end()) {
+    it = counters_.emplace(std::string(name), CounterEntry{}).first;
+  }
+  const std::uint64_t base = reader();
+  it->second.bindings.push_back({owner, std::move(reader), base});
+}
+
+void MetricsRegistry::unbind(const void* owner) {
+  for (auto& [name, c] : counters_) {
+    std::erase_if(c.bindings, [&c, owner](const Binding& b) {
+      if (b.owner != owner) return false;
+      c.settled += growth(b.read(), b.base);
+      return true;
+    });
+  }
 }
 
 MetricsRegistry::Gauge& MetricsRegistry::gauge(std::string_view name) {
@@ -93,7 +125,9 @@ Histogram& MetricsRegistry::histogram(std::string_view name,
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
   MetricsSnapshot snap;
-  for (const auto& [name, c] : counters_) snap.counters.emplace(name, c.value);
+  for (const auto& [name, c] : counters_) {
+    snap.counters.emplace(name, c.value());
+  }
   for (const auto& [name, g] : gauges_) snap.gauges.emplace(name, g.value);
   for (const auto& [name, entry] : histograms_) {
     HistogramData data;
@@ -109,7 +143,10 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
 }
 
 void MetricsRegistry::zero() {
-  for (auto& [name, c] : counters_) c.value = 0;
+  for (auto& [name, c] : counters_) {
+    c.settled = 0;
+    for (Binding& b : c.bindings) b.base = b.read();
+  }
   for (auto& [name, g] : gauges_) g.value = 0.0;
   for (auto& [name, entry] : histograms_) entry.hist = entry.spec.make();
 }

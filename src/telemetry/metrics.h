@@ -1,10 +1,13 @@
 // Deterministic metrics registry for the telemetry subsystem.
 //
-// Components bind *handles* (stable references to a counter/gauge/
-// histogram) once, at attach time, so the per-event cost of an enabled
-// metric is one integer increment — and the cost of a *disabled* one is a
-// single null-pointer check at the instrumentation site (the null-sink
-// fast path; see telemetry.h).
+// A counter is a *binding*, not a second copy: a component binds a name to
+// a reader over a count it already keeps (its stats struct, its results),
+// and the registry reports that count's growth since the binding was made
+// or since the last zero(). The component's hot path therefore bumps one
+// field and nothing else, and the registry and the component's own stats
+// cannot disagree. Gauges and histograms are push-style: the component
+// holds a stable handle and writes through it, guarded by a single
+// null-pointer check at the instrumentation site (see telemetry.h).
 //
 // Snapshots are ordered maps, so serialising one is deterministic, and
 // merging shards in a fixed order (the bench harness folds cells in index
@@ -12,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <map>
 #include <string>
@@ -72,34 +76,56 @@ struct MetricsSnapshot {
 
 class MetricsRegistry {
  public:
-  struct Counter {
-    std::uint64_t value = 0;
-  };
+  /// Reads a count its component keeps. Between a bind (or zero()) and
+  /// any later read the count may only grow.
+  using Reader = std::function<std::uint64_t()>;
   struct Gauge {
     double value = 0.0;
   };
 
+  /// Binds counter `name` to `reader` on behalf of `owner`. The counter
+  /// keeps what it already held and adds the reader's growth from now on;
+  /// live bindings of one name add up.
+  void bind(const void* owner, std::string_view name, Reader reader);
+  /// Freezes every counter `owner` bound at its current value and drops
+  /// the readers (detach, or the owner going away). A later bind of the
+  /// same name keeps accumulating from the frozen value.
+  void unbind(const void* owner);
+
   /// Get-or-create. The returned reference is stable for the registry's
-  /// lifetime (map nodes never move), so hot paths bind once and bump a
-  /// plain integer thereafter.
-  Counter& counter(std::string_view name);
+  /// lifetime (map nodes never move), so hot paths bind once and write a
+  /// plain value thereafter.
   Gauge& gauge(std::string_view name);
   /// Get-or-create; an existing histogram must have been created with the
   /// same spec.
   Histogram& histogram(std::string_view name, const HistogramSpec& spec);
 
   MetricsSnapshot snapshot() const;
-  /// Zeroes every value in place; handles stay valid. Used to scope
-  /// metrics to a measurement window (warmup vs measured pass).
+  /// Restarts every counter at zero (rebasing its readers on their
+  /// current values) and zeroes gauges and histograms in place; handles
+  /// stay valid. Used to scope metrics to a measurement window (warmup vs
+  /// measured pass).
   void zero();
 
  private:
+  struct Binding {
+    const void* owner;
+    Reader read;
+    std::uint64_t base;  ///< read() at bind time or the last zero()
+  };
+  struct CounterEntry {
+    /// Growth of bindings already dropped, since the last zero().
+    std::uint64_t settled = 0;
+    std::vector<Binding> bindings;
+
+    std::uint64_t value() const;
+  };
   struct HistEntry {
     HistogramSpec spec;
     Histogram hist;
   };
 
-  std::map<std::string, Counter, std::less<>> counters_;
+  std::map<std::string, CounterEntry, std::less<>> counters_;
   std::map<std::string, Gauge, std::less<>> gauges_;
   std::map<std::string, HistEntry, std::less<>> histograms_;
 };

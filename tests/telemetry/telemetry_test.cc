@@ -1,8 +1,12 @@
-// Unit tests for the telemetry subsystem: registry handle stability,
-// deterministic snapshots and merges, exporter escaping/ordering, and the
-// observation-only contract on a small end-to-end simulation.
+// Unit tests for the telemetry subsystem: read-through counter bindings
+// (rebase on zero, freeze on detach, accumulate across re-attach), handle
+// stability, deterministic snapshots and merges, exporter
+// escaping/ordering, and the observation-only contract on a small
+// end-to-end simulation.
 #include "telemetry/telemetry.h"
 
+#include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 #include <sstream>
 #include <string>
@@ -41,23 +45,33 @@ TEST(FormatDoubleTest, RoundTripsExactly) {
 
 TEST(MetricsRegistryTest, HandlesAreStableAcrossInsertions) {
   MetricsRegistry reg;
-  auto& a = reg.counter("a");
-  ++a.value;
+  auto& a = reg.gauge("a");
+  a.value = 1.0;
   // Insert many more entries: map nodes never move, so the old reference
   // must stay valid (the bind-once contract instrumentation relies on).
-  for (int i = 0; i < 100; ++i) reg.counter("c" + std::to_string(i));
-  ++a.value;
-  EXPECT_EQ(&reg.counter("a"), &a);
-  EXPECT_EQ(reg.snapshot().counters.at("a"), 2u);
-  EXPECT_EQ(reg.snapshot().counters.size(), 101u);
+  for (int i = 0; i < 100; ++i) reg.gauge("g" + std::to_string(i));
+  a.value = 2.0;
+  EXPECT_EQ(&reg.gauge("a"), &a);
+  EXPECT_EQ(reg.snapshot().gauges.at("a"), 2.0);
+  EXPECT_EQ(reg.snapshot().gauges.size(), 101u);
+}
+
+TEST(MetricsRegistryTest, BoundCounterReportsGrowthSinceBind) {
+  MetricsRegistry reg;
+  std::uint64_t events = 40;  // history before the bind is not counted
+  reg.bind(&events, "events", [&events] { return events; });
+  EXPECT_EQ(reg.snapshot().counters.at("events"), 0u);
+  events += 3;
+  EXPECT_EQ(reg.snapshot().counters.at("events"), 3u);
 }
 
 TEST(MetricsRegistryTest, ZeroPreservesKeysAndHandles) {
   MetricsRegistry reg;
-  auto& c = reg.counter("events");
+  std::uint64_t events = 0;
+  reg.bind(&events, "events", [&events] { return events; });
   auto& g = reg.gauge("level");
   Histogram& h = reg.histogram("lat", kSpec);
-  c.value = 7;
+  events = 7;
   g.value = 2.5;
   h.add(3.0);
   reg.zero();
@@ -65,8 +79,9 @@ TEST(MetricsRegistryTest, ZeroPreservesKeysAndHandles) {
   EXPECT_EQ(snap.counters.at("events"), 0u);
   EXPECT_EQ(snap.gauges.at("level"), 0.0);
   EXPECT_EQ(snap.histograms.at("lat").total, 0u);
-  // The old handles still feed the registry after zero().
-  ++c.value;
+  // The binding now counts from the rebased value; the old handles still
+  // feed the registry.
+  ++events;
   g.value = 1.0;
   h.add(50.0);
   snap = reg.snapshot();
@@ -75,10 +90,58 @@ TEST(MetricsRegistryTest, ZeroPreservesKeysAndHandles) {
   EXPECT_EQ(snap.histograms.at("lat").counts[1], 1u);
 }
 
+TEST(MetricsRegistryTest, UnbindFreezesCounters) {
+  MetricsRegistry reg;
+  const int owner = 0;
+  std::uint64_t events = 0;
+  reg.bind(&owner, "events", [&events] { return events; });
+  events = 5;
+  reg.unbind(&owner);
+  events = 100;  // no longer observed
+  EXPECT_EQ(reg.snapshot().counters.at("events"), 5u);
+  // Unbinding an owner that bound nothing is a no-op.
+  reg.unbind(&events);
+  EXPECT_EQ(reg.snapshot().counters.at("events"), 5u);
+  // A frozen counter still scopes to the window.
+  reg.zero();
+  EXPECT_EQ(reg.snapshot().counters.at("events"), 0u);
+}
+
+TEST(MetricsRegistryTest, RebindKeepsAccumulating) {
+  MetricsRegistry reg;
+  const int owner = 0;
+  std::uint64_t events = 0;
+  reg.bind(&owner, "events", [&events] { return events; });
+  events = 5;
+  reg.unbind(&owner);
+  events = 100;  // detached: not counted
+  reg.bind(&owner, "events", [&events] { return events; });
+  events = 102;
+  EXPECT_EQ(reg.snapshot().counters.at("events"), 7u);
+}
+
+TEST(MetricsRegistryTest, BindingsOfOneNameAdd) {
+  MetricsRegistry reg;
+  std::uint64_t a = 0;
+  std::uint64_t b = 10;
+  reg.bind(&a, "n", [&a] { return a; });
+  reg.bind(&b, "n", [&b] { return b; });
+  a = 2;
+  b = 13;
+  EXPECT_EQ(reg.snapshot().counters.at("n"), 5u);
+  reg.unbind(&a);
+  a = 50;
+  ++b;
+  EXPECT_EQ(reg.snapshot().counters.at("n"), 6u);
+  EXPECT_EQ(reg.snapshot().counters.size(), 1u);
+}
+
 MetricsSnapshot make_snapshot(std::uint64_t count, double gauge,
                               double sample) {
   MetricsRegistry reg;
-  reg.counter("n").value = count;
+  std::uint64_t n = 0;
+  reg.bind(&n, "n", [&n] { return n; });
+  n = count;
   reg.gauge("x").value = gauge;
   reg.histogram("h", kSpec).add(sample);
   return reg.snapshot();
@@ -125,8 +188,12 @@ TEST(MetricsSnapshotTest, MergeAddsHistogramsBinWise) {
 
 TEST(MetricsSnapshotTest, JsonlIsByteExactAndSorted) {
   MetricsRegistry reg;
-  reg.counter("z.second").value = 2;
-  reg.counter("a.first").value = 1;
+  std::uint64_t second = 0;
+  std::uint64_t first = 0;
+  reg.bind(&second, "z.second", [&second] { return second; });
+  reg.bind(&first, "a.first", [&first] { return first; });
+  second = 2;
+  first = 1;
   reg.gauge("g").value = 0.5;
   reg.histogram("h", {.lo = 1.0, .hi = 4.0, .bins = 2, .log_spaced = true})
       .add(3.0);
@@ -306,6 +373,42 @@ TEST_F(TelemetrySimulationTest, MetricsAgreeWithResultsCounters) {
             r.migrations_to_reduced);
   EXPECT_EQ(r.metrics.histograms.at("ssd.read_latency_us").total,
             r.read_response.count());
+  // The simulator is gone: its counters froze at their final values.
+  EXPECT_EQ(telemetry.metrics.snapshot(), r.metrics);
+}
+
+TEST_F(TelemetrySimulationTest, DetachFreezesAndReattachAccumulates) {
+  Telemetry telemetry;  // outlives the simulator attached to it
+  auto sim = test::build_simulator(small_config(ssd::Scheme::kFlexLevel),
+                                   *normal_, *reduced_);
+  sim->prefill(4000);
+  const std::vector<trace::Request> requests = small_trace();
+  const auto third = static_cast<std::ptrdiff_t>(requests.size() / 3);
+  const std::vector<trace::Request> a(requests.begin(),
+                                      requests.begin() + third);
+  const std::vector<trace::Request> b(requests.begin() + third,
+                                      requests.begin() + 2 * third);
+  const std::vector<trace::Request> c(requests.begin() + 2 * third,
+                                      requests.end());
+  sim->attach_telemetry(&telemetry);
+  sim->run_segment(a);
+  const MetricsSnapshot after_a = telemetry.metrics.snapshot();
+  EXPECT_EQ(after_a.counters.at("ssd.requests"), a.size());
+
+  sim->attach_telemetry(nullptr);
+  sim->run_segment(b);
+  EXPECT_EQ(telemetry.metrics.snapshot().counters, after_a.counters);
+
+  sim->attach_telemetry(&telemetry);
+  sim->run_segment(c);
+  const MetricsSnapshot after_c = telemetry.metrics.snapshot();
+  EXPECT_EQ(after_c.counters.at("ssd.requests"), a.size() + c.size());
+  // Every counter kept its frozen value and only grew from there; the
+  // detached segment is in the results but not in the registry.
+  for (const auto& [name, value] : after_a.counters) {
+    EXPECT_GE(after_c.counters.at(name), value) << name;
+  }
+  EXPECT_EQ(sim->results().all_response.count(), requests.size());
 }
 
 TEST_F(TelemetrySimulationTest, BreakdownSumsToReadResponseTotal) {
