@@ -2,10 +2,13 @@
 // simulator: the perf-regression tripwire behind the CI `perf-smoke` job.
 //
 // Reports three numbers (stdout table + BENCH_micro_kernel.json):
-//   * events/sec — raw EventQueue schedule+fire throughput under the
-//     simulator's real scheduling mix: a monotone pre-scheduled arrival
-//     stream (FIFO lane) whose callbacks schedule out-of-order
-//     completions (heap lane), exactly like run_segment + chip service.
+//   * events/sec — raw EventQueue schedule+fire throughput for a
+//     monotone arrival stream scheduled up front (FIFO lane) whose
+//     callbacks schedule out-of-order completions (heap lane). This is
+//     the pre-scheduled stream the FIFO lane exists for (callers that
+//     schedule a known sequence at once, like flexbench's kernel replay).
+//     It is not a copy of run_segment: the simulators stream arrivals
+//     one at a time through ArrivalFeed.
 //   * allocations/event — operator new calls per fired event in the
 //     steady state (after one warmup round that grows the slab and lane
 //     arrays to their high-water mark). The kernel's memory contract says
@@ -62,7 +65,7 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// One round of the simulator's scheduling mix: `arrivals` monotone
+/// One round of the pre-scheduled mix: `arrivals` monotone
 /// events appended to the FIFO lane; each firing schedules a completion
 /// 1.5 us out — behind later pending arrivals, so it lands in the heap
 /// lane. Fires 2 * arrivals events total.

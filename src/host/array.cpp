@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <limits>
-#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -190,6 +188,7 @@ ArraySimulator::ArraySimulator(
     std::vector<std::unique_ptr<ssd::SsdSimulator>> drives)
     : config_(config),
       kernel_(std::move(kernel)),
+      feed_(*kernel_, *this),
       drives_(std::move(drives)),
       volume_({.drives = config_.drives,
                .replication_factor = config_.replication_factor,
@@ -541,39 +540,20 @@ void ArraySimulator::finalize(std::uint64_t slot) {
 }
 
 void ArraySimulator::run_segment(const std::vector<trace::Request>& requests) {
-  for (const auto& request : requests) {
-    kernel_->schedule(request.arrival, [this, &request](SimTime now) {
-      submit_request(request, now);
-    });
-  }
+  feed_.start(requests);
   kernel_->run_all();
   collect_results();
-}
-
-void ArraySimulator::pump_open_loop() {
-  if (open_loop_remaining_ == 0) return;
-  const std::optional<trace::Request> request = open_loop_source_->next();
-  if (!request.has_value()) return;
-  --open_loop_remaining_;
-  open_loop_next_ = *request;
-  const SimTime when = std::max(request->arrival, kernel_->now());
-  kernel_->schedule(when, [this](SimTime now) {
-    const trace::Request current = open_loop_next_;
-    pump_open_loop();
-    submit_request(current, now);
-  });
 }
 
 void ArraySimulator::run_open_loop(trace::RequestSource& source,
                                    std::uint64_t max_requests) {
-  open_loop_source_ = &source;
-  open_loop_remaining_ = max_requests == 0
-                             ? std::numeric_limits<std::uint64_t>::max()
-                             : max_requests;
-  pump_open_loop();
+  feed_.start(source, max_requests);
   kernel_->run_all();
   collect_results();
-  open_loop_source_ = nullptr;
+}
+
+void ArraySimulator::on_arrival(const trace::Request& request, SimTime now) {
+  submit_request(request, now);
 }
 
 void ArraySimulator::collect_results() {

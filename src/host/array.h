@@ -41,6 +41,7 @@
 #include "host/interconnect.h"
 #include "host/queue_pair.h"
 #include "host/volume.h"
+#include "ssd/arrival_feed.h"
 #include "ssd/event_queue.h"
 #include "ssd/simulator.h"
 #include "telemetry/telemetry.h"
@@ -136,7 +137,8 @@ struct ArrayResults {
 };
 
 class ArraySimulator : private QueuePairSet::Transport,
-                       private QueuePairSet::Dispatcher {
+                       private QueuePairSet::Dispatcher,
+                       private ssd::ArrivalSink {
  public:
   /// Validated construction (the only way to build one).
   ///
@@ -241,7 +243,7 @@ class ArraySimulator : private QueuePairSet::Transport,
   /// 1-drive zero-cost configuration).
   void drain_finalized();
   void finalize(std::uint64_t slot);
-  void pump_open_loop();
+  void on_arrival(const trace::Request& request, SimTime now) override;
   /// Replica failover + read-repair for the persistent integrity failures
   /// a read command just surfaced: re-reads each corrupt page from
   /// sibling replicas (host-visible — returned Duration adds to the
@@ -256,6 +258,8 @@ class ArraySimulator : private QueuePairSet::Transport,
   /// The shared kernel, heap-held so the drives can be built (and their
   /// Status checked) on it before the array itself is constructed.
   std::unique_ptr<ssd::EventQueue> kernel_;
+  /// Trace arrivals of run_segment()/run_open_loop() on the shared kernel.
+  ssd::ArrivalFeed feed_;
   /// Declared before volume_: the per-drive logical capacity the volume
   /// math needs comes from the first drive's FTL.
   std::vector<std::unique_ptr<ssd::SsdSimulator>> drives_;
@@ -281,10 +285,6 @@ class ArraySimulator : private QueuePairSet::Transport,
   std::vector<std::uint64_t> repair_scratch_;
   SimTime window_start_ = 0;
   ArrayResults results_;
-  /// Open-loop pump state (mirrors SsdSimulator's).
-  trace::RequestSource* open_loop_source_ = nullptr;
-  trace::Request open_loop_next_;
-  std::uint64_t open_loop_remaining_ = 0;
   telemetry::Telemetry* telemetry_ = nullptr;
 };
 

@@ -25,22 +25,38 @@ void EventQueue::release_slot(std::uint32_t slot) {
   free_slots_.push_back(slot);
 }
 
-void EventQueue::push_queued(std::uint32_t slot, SimTime when) {
-  const std::uint64_t seq = next_seq_++;
-  // Monotone schedules (trace arrivals, end-of-trace completions) take the
-  // FIFO lane: seq is monotone, so `when >= back.when` keeps the lane
-  // sorted by (when, seq). Everything else goes through the heap.
-  if (fifo_.empty() || when >= fifo_.back().when) {
+void EventQueue::push_queued(std::uint32_t slot, SimTime when,
+                             std::uint64_t seq) {
+  const HeapEntry entry{when, seq, slot};
+  // Monotone schedules (a feed's pending arrival, pre-scheduled streams,
+  // end-of-trace completions) take the FIFO lane. The full (when, seq)
+  // key decides: a reserved ordinal can be smaller than the lane's last
+  // one at the same `when`. Everything else goes through the heap.
+  if (fifo_.empty() || when > fifo_.back().when ||
+      (when == fifo_.back().when && seq > fifo_.back().seq)) {
+    if (fifo_head_ >= kFifoReclaimMin &&
+        8 * (fifo_.size() - fifo_head_) <= fifo_head_) {
+      reclaim_fifo_prefix();
+    }
     FLEX_ASSERT(fifo_.size() < kFifoTag);
-    fifo_.push_back(HeapEntry{when, seq, slot});
     slab_[slot].heap_pos =
-        kFifoTag | static_cast<std::uint32_t>(fifo_.size() - 1);
+        kFifoTag | (fifo_base_ + static_cast<std::uint32_t>(fifo_.size()));
+    fifo_.push_back(entry);
     ++fifo_live_;
   } else {
-    heap_.push_back(HeapEntry{when, seq, slot});
+    heap_.push_back(entry);
     slab_[slot].heap_pos = static_cast<std::uint32_t>(heap_.size() - 1);
     sift_up(heap_.size() - 1);
   }
+}
+
+void EventQueue::reclaim_fifo_prefix() {
+  // Pending entries slide to the front; their positions (heap_pos) stay
+  // valid because the base advances by exactly the erased count.
+  fifo_.erase(fifo_.begin(),
+              fifo_.begin() + static_cast<std::ptrdiff_t>(fifo_head_));
+  fifo_base_ += static_cast<std::uint32_t>(fifo_head_);
+  fifo_head_ = 0;
 }
 
 bool EventQueue::cancel(EventId id) {
@@ -50,7 +66,7 @@ bool EventQueue::cancel(EventId id) {
   if (record.heap_pos & kFifoTag) {
     // FIFO entries tombstone in place (the lane must stay sorted);
     // run_next() skips tombstones at the head.
-    HeapEntry& entry = fifo_[record.heap_pos & ~kFifoTag];
+    HeapEntry& entry = fifo_[(record.heap_pos - fifo_base_) & kPosMask];
     FLEX_ASSERT(entry.slot == id.slot);
     entry.slot = kNotQueued;
     --fifo_live_;
@@ -68,11 +84,6 @@ bool EventQueue::run_next() {
     ++fifo_head_;
   }
   const bool have_fifo = fifo_head_ < fifo_.size();
-  if (!have_fifo && fifo_head_ != 0) {
-    // Lane fully consumed: recycle the storage, keep the capacity.
-    fifo_.clear();
-    fifo_head_ = 0;
-  }
   if (!have_fifo && heap_.empty()) return false;
   HeapEntry top;
   if (have_fifo && (heap_.empty() || before(fifo_[fifo_head_], heap_[0]))) {

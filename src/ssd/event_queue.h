@@ -1,36 +1,45 @@
 // Deterministic discrete-event kernel for the SSD simulator.
 //
 // Two pending-event lanes over a slab of fixed-size POD event records:
-//  * a sorted FIFO lane for the common monotone case — the simulator
-//    pre-schedules every trace arrival in nondecreasing time order, so
-//    those events need no heap at all, just an append and a head cursor;
+//  * a sorted FIFO lane for the common monotone case — an event whose
+//    (when, seq) key sorts after the lane's last entry is appended, so
+//    streams scheduled in nondecreasing order (a trace pre-scheduled by a
+//    caller, the one pending arrival of an ArrivalFeed, end-of-trace
+//    completions) need no heap at all, just an append and a head cursor;
 //  * an indexed 4-ary min-heap for everything scheduled out of order
 //    (chip completions land before already-queued arrivals). The heap
-//    only ever holds the in-flight dynamic events (tens), not the whole
-//    trace (hundreds of thousands), which keeps sift depth tiny.
-// An event is appended to the FIFO lane iff its (when, seq) key is >= the
-// lane's last entry (seq is monotone, so `when >= back.when` suffices);
+//    only ever holds the in-flight dynamic events (tens), which keeps
+//    sift depth tiny.
 // run_next() fires the smaller of the two lane heads. Determinism is
 // load-bearing — identical seeds must give bit-identical results,
 // including when independent simulations run on different threads of the
 // bench harness — so the kernel holds no global state and draws no entropy
 // of its own.
 //
-// Ordering contract (the tie-break rule): every schedule() call stamps the
-// event with a 64-bit ordinal (`seq`) taken from a monotonically increasing
-// counter that never repeats and never resets (not even across power loss —
-// see drop_pending()). Events are fired in lexicographic (when, seq) order,
-// so events scheduled for the same simulated instant fire in exactly the
-// order they were scheduled. The ordinal is part of the heap entry, not a
-// fallback comparator detail: any future heap implementation must preserve
-// (when, seq) as the total order or byte-identical replay breaks.
+// Ordering contract (the tie-break rule): every event carries a 64-bit
+// ordinal (`seq`) from a monotonically increasing counter that never
+// repeats and never resets (not even across power loss — see
+// drop_pending()). schedule() takes the next ordinal. reserve_ordinals(n)
+// takes n consecutive ordinals at once, and schedule_at_ordinal() later
+// stamps an event with one of them: a caller streaming a known sequence
+// (ArrivalFeed) gives each element the ordinal it would have had if the
+// whole sequence had been scheduled at reservation time, without keeping
+// it pending. Events are fired in lexicographic (when, seq) order, so
+// events scheduled for the same simulated instant fire in ordinal order.
+// The ordinal is part of the lane entry, not a fallback comparator detail:
+// any future heap implementation must preserve (when, seq) as the total
+// order or byte-identical replay breaks.
 //
 // Memory contract: callbacks are stored inline in the event record (no
-// std::function, no per-event heap allocation). The slab and heap grow to
-// the high-water mark of pending events and are reused thereafter, so the
-// steady state allocates nothing. Callables must be trivially copyable and
-// at most kInlineStorage bytes — in practice small capturing lambdas like
-// `[this, chip]`.
+// std::function, no per-event heap allocation). The slab, the heap and the
+// FIFO lane are sized by *pending* events. In the simulators, pending =
+// in-flight events + one arrival per feed: ArrivalFeed streams a trace, so
+// its length does not count. The FIFO lane reclaims its consumed prefix
+// once that prefix dominates the lane, so the lane too stays within a
+// constant factor (plus a fixed floor) of its pending entries. Containers
+// are reused, never shrunk, so the steady state allocates nothing.
+// Callables must be trivially copyable and at most kInlineStorage bytes —
+// in practice small capturing lambdas like `[this, chip]`.
 #pragma once
 
 #include <cstddef>
@@ -40,6 +49,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "common/assert.h"
 #include "common/units.h"
 #include "telemetry/telemetry.h"
 
@@ -67,23 +77,27 @@ class EventQueue {
   /// the event record; it receives the simulated time the event fires at.
   template <class Fn>
   EventId schedule(SimTime when, Fn fn) {
-    static_assert(std::is_trivially_copyable_v<Fn>,
-                  "event callables are memcpy'd into a POD slab record");
-    static_assert(sizeof(Fn) <= kInlineStorage,
-                  "callable capture exceeds inline event storage");
-    static_assert(alignof(Fn) <= alignof(std::max_align_t));
-    const std::uint32_t slot = acquire_slot();
-    Record& record = slab_[slot];
-    record.invoke = [](const void* storage, SimTime now) {
-      // The blob is a byte-copy of a trivially copyable Fn; run_next()
-      // copies it to a stack buffer before the call, so re-entrant
-      // schedule() calls cannot clobber it mid-invoke.
-      (*std::launder(reinterpret_cast<const Fn*>(storage)))(now);
-    };
-    std::memcpy(record.storage, &fn, sizeof(Fn));
-    const EventId id{slot, record.gen};
-    push_queued(slot, when);
-    return id;
+    return emplace(when, next_seq_++, fn);
+  }
+
+  /// Takes `count` consecutive ordinals without scheduling anything and
+  /// returns the first. The counter moves exactly as if `count` events
+  /// had been scheduled now.
+  std::uint64_t reserve_ordinals(std::uint64_t count) {
+    const std::uint64_t first = next_seq_;
+    next_seq_ += count;
+    return first;
+  }
+
+  /// Schedules `fn` at `when` under `ordinal`, which must come from an
+  /// earlier reserve_ordinals() call and be used at most once. The event
+  /// gets the (when, seq) key it would have had if scheduled when the
+  /// ordinal was reserved, so it fires in the same place as long as it is
+  /// scheduled before any event ordered after it fires.
+  template <class Fn>
+  EventId schedule_at_ordinal(SimTime when, std::uint64_t ordinal, Fn fn) {
+    FLEX_EXPECTS(ordinal < next_seq_);
+    return emplace(when, ordinal, fn);
   }
 
   /// Removes a pending event without firing it. Returns false when the
@@ -121,9 +135,19 @@ class EventQueue {
  private:
   /// Marks a slot as not currently pending in either lane.
   static constexpr std::uint32_t kNotQueued = 0xffffffffu;
-  /// Tag bit in Record::heap_pos: set = index into the FIFO lane, clear =
+  /// Tag bit in Record::heap_pos: set = FIFO lane position, clear =
   /// index into the heap lane.
   static constexpr std::uint32_t kFifoTag = 0x80000000u;
+  /// A FIFO entry's heap_pos is kFifoTag | (fifo_base_ + index), a
+  /// position counted from the lane's creation that wraps (the tag
+  /// overwrites its top bit); its index into fifo_ is
+  /// (heap_pos - fifo_base_) & kPosMask.
+  static constexpr std::uint32_t kPosMask = ~kFifoTag;
+  /// The consumed prefix is reclaimed, on append, once it is at least this
+  /// long and at least 8x the unconsumed rest: the memmove then costs at
+  /// most one entry per 8 consumed, and the lane never holds more than 9x
+  /// its unconsumed entries plus this floor.
+  static constexpr std::size_t kFifoReclaimMin = 4096;
 
   /// Slab record. POD by construction: the callable is a trivially
   /// copyable capture blob plus a type-erasing invoke thunk.
@@ -131,7 +155,8 @@ class EventQueue {
     void (*invoke)(const void* storage, SimTime now) = nullptr;
     alignas(std::max_align_t) unsigned char storage[kInlineStorage];
     std::uint32_t gen = 0;
-    /// Pending position: kNotQueued, heap index, or kFifoTag | fifo index.
+    /// Pending position: kNotQueued, heap index, or kFifoTag | FIFO
+    /// position (stable across reclaims; see kPosMask).
     std::uint32_t heap_pos = kNotQueued;
   };
 
@@ -148,9 +173,32 @@ class EventQueue {
     return a.seq < b.seq;
   }
 
+  template <class Fn>
+  EventId emplace(SimTime when, std::uint64_t seq, Fn fn) {
+    static_assert(std::is_trivially_copyable_v<Fn>,
+                  "event callables are memcpy'd into a POD slab record");
+    static_assert(sizeof(Fn) <= kInlineStorage,
+                  "callable capture exceeds inline event storage");
+    static_assert(alignof(Fn) <= alignof(std::max_align_t));
+    const std::uint32_t slot = acquire_slot();
+    Record& record = slab_[slot];
+    record.invoke = [](const void* storage, SimTime now) {
+      // The blob is a byte-copy of a trivially copyable Fn; run_next()
+      // copies it to a stack buffer before the call, so re-entrant
+      // schedule() calls cannot clobber it mid-invoke.
+      (*std::launder(reinterpret_cast<const Fn*>(storage)))(now);
+    };
+    std::memcpy(record.storage, &fn, sizeof(Fn));
+    const EventId id{slot, record.gen};
+    push_queued(slot, when, seq);
+    return id;
+  }
+
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);
-  void push_queued(std::uint32_t slot, SimTime when);
+  void push_queued(std::uint32_t slot, SimTime when, std::uint64_t seq);
+  /// Erases the FIFO lane's consumed prefix and advances fifo_base_.
+  void reclaim_fifo_prefix();
   void heap_remove(std::size_t pos);
   void sift_up(std::size_t pos);
   void sift_down(std::size_t pos);
@@ -160,15 +208,22 @@ class EventQueue {
   std::vector<HeapEntry> heap_;            ///< 4-ary min-heap on (when, seq)
   /// Sorted FIFO lane: entries appended in nondecreasing (when, seq),
   /// consumed from fifo_head_. Cancelled entries become tombstones
-  /// (slot == kNotQueued) and are skipped at the head. The vector is
-  /// recycled (cleared, not shrunk) once fully consumed.
+  /// (slot == kNotQueued) and are skipped at the head. The consumed
+  /// prefix is erased by reclaim_fifo_prefix() (storage kept, not
+  /// shrunk); fifo_base_ is the position of fifo_[0], so pending
+  /// entries keep their positions without being rewritten.
   std::vector<HeapEntry> fifo_;
   std::size_t fifo_head_ = 0;
+  std::uint32_t fifo_base_ = 0;
   std::size_t fifo_live_ = 0;  ///< non-tombstone entries in fifo_
   std::uint64_t next_seq_ = 0;
   std::uint64_t fired_ = 0;
   SimTime now_ = 0;
   telemetry::Telemetry* telemetry_ = nullptr;
+
+  /// Test seam (tests/ssd/event_queue_test.cc): lane capacities and the
+  /// FIFO position base.
+  friend struct EventQueueTestPeer;
 };
 
 }  // namespace flex::ssd

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <optional>
 #include <utility>
 
@@ -240,6 +239,7 @@ SsdSimulator::SsdSimulator(SsdConfig config,
       buffer_(config_.write_buffer_pages, config_.write_buffer_flush_batch),
       events_(kernel != nullptr ? *kernel : own_events_),
       external_kernel_(kernel != nullptr),
+      feed_(events_, *this),
       scheduler_(config_.ftl.spec.chips, events_),
       injector_(config_.faults.enabled
                     ? std::make_unique<faults::FaultInjector>(config_.faults,
@@ -980,51 +980,29 @@ void SsdSimulator::run_segment(const std::vector<trace::Request>& requests) {
   // powered-off drive would silently vanish.
   FLEX_EXPECTS(!external_kernel_);
   if (crashed_) return;
-  // Arrival events dispatch through the deterministic kernel: equal-time
-  // arrivals keep trace order via the queue's sequence tie-breaking.
-  for (const auto& request : requests) {
-    events_.schedule(request.arrival, [this, &request](SimTime now) {
-      service_request(request, now);
-    });
-  }
+  // Arrivals stream through the deterministic kernel one at a time, under
+  // ordinals reserved in trace order: equal-time events keep the order
+  // pre-scheduling the whole segment would give them.
+  feed_.start(requests);
   drain_events();
   collect_results();
 }
 
-void SsdSimulator::pump_open_loop() {
-  if (open_loop_remaining_ == 0) return;
-  const std::optional<trace::Request> request = open_loop_source_->next();
-  if (!request.has_value()) return;
-  --open_loop_remaining_;
-  open_loop_next_ = *request;
-  // Scheduling in the past would run the kernel clock backwards (the
-  // queue fires events in (when, seq) order, not wall order); an arrival
-  // the source stamped before `now` is served immediately instead.
-  const SimTime when = std::max(request->arrival, events_.now());
-  events_.schedule(when, [this](SimTime now) {
-    // Copy out, then pump: the successor arrival overwrites the slot.
-    const trace::Request current = open_loop_next_;
-    pump_open_loop();
-    service_request(current, now);
-  });
+void SsdSimulator::on_arrival(const trace::Request& request, SimTime now) {
+  service_request(request, now);
 }
 
 void SsdSimulator::run_open_loop(trace::RequestSource& source,
                                  std::uint64_t max_requests) {
   FLEX_EXPECTS(!external_kernel_);
   if (crashed_) return;
-  open_loop_source_ = &source;
-  open_loop_remaining_ = max_requests == 0
-                             ? std::numeric_limits<std::uint64_t>::max()
-                             : max_requests;
   // Exactly one arrival event is pending at any time: each arrival
   // schedules its successor when it fires, so the event queue holds the
   // in-flight completions plus a single arrival — open-loop pressure
   // without a materialised trace.
-  pump_open_loop();
+  feed_.start(source, max_requests);
   drain_events();
   collect_results();
-  open_loop_source_ = nullptr;
 }
 
 void SsdSimulator::collect_results() {

@@ -9,6 +9,8 @@
 //   * EventQueue     — deterministic discrete-event kernel (stable
 //                      sequence-number tie-breaking: identical seeds give
 //                      bit-identical results);
+//   * ArrivalFeed    — streams trace arrivals into the kernel, one pending
+//                      at a time, in the order pre-scheduling would give;
 //   * ChipScheduler  — per-chip command queues with channel/die/controller
 //                      occupancy split and queue-depth accounting;
 //   * ReadPolicy     — the scheme's read path (fixed worst-case,
@@ -40,6 +42,7 @@
 #include "reliability/read_channel.h"
 #include "reliability/read_disturb.h"
 #include "reliability/sensing_solver.h"
+#include "ssd/arrival_feed.h"
 #include "ssd/chip_scheduler.h"
 #include "ssd/event_queue.h"
 #include "ssd/latency_model.h"
@@ -355,7 +358,7 @@ struct SsdResults {
   double wall_seconds = 0;
 };
 
-class SsdSimulator : private QosSink {
+class SsdSimulator : private QosSink, private ArrivalSink {
  public:
   /// The only way to build a simulator: validates the configuration, then
   /// constructs it and attaches telemetry, reporting a bad configuration
@@ -531,6 +534,8 @@ class SsdSimulator : private QosSink {
 
   const ftl::PageMappingFtl& ftl() const { return ftl_; }
   const ChipScheduler& scheduler() const { return scheduler_; }
+  /// The kernel the drive schedules on (its own, or the external one).
+  const EventQueue& events() const { return events_; }
 
   /// Attaches a telemetry context to every layer (event kernel, chip
   /// scheduler, FTL, read policy, and the simulator's own `ssd.*` and
@@ -593,8 +598,7 @@ class SsdSimulator : private QosSink {
     return static_cast<std::uint16_t>(
         std::min<std::uint32_t>(request.tenant, tenant_count_ - 1));
   }
-  /// Schedules the next open-loop arrival from open_loop_source_.
-  void pump_open_loop();
+  void on_arrival(const trace::Request& request, SimTime now) override;
   /// Runs the event queue dry (crash-armed when injection is on).
   void drain_events();
   /// Where a page read is served from.
@@ -657,6 +661,9 @@ class SsdSimulator : private QosSink {
   EventQueue own_events_;
   EventQueue& events_;
   const bool external_kernel_ = false;
+  /// Trace arrivals of run_segment()/run_open_loop() (idle when an
+  /// external kernel is supplied: the host layer feeds it).
+  ArrivalFeed feed_;
   ChipScheduler scheduler_;
   /// Null unless config_.faults.enabled; attached to ftl_ and the read
   /// policy's recovery decorator. Declared before policy_ (construction
@@ -700,11 +707,6 @@ class SsdSimulator : private QosSink {
   std::vector<std::uint64_t> qos_free_slots_;
   std::vector<std::uint64_t> qos_outstanding_;
   std::uint64_t qos_slots_high_water_ = 0;
-  /// Open-loop pump state: the prefetched next request and how many more
-  /// the current run_open_loop() call may draw.
-  trace::RequestSource* open_loop_source_ = nullptr;
-  trace::Request open_loop_next_;
-  std::uint64_t open_loop_remaining_ = 0;
   telemetry::Telemetry* telemetry_ = nullptr;
   Histogram* read_latency_us_hist_ = nullptr;
 };

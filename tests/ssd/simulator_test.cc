@@ -94,6 +94,26 @@ TEST_F(SimulatorTest, RunsEverySchemeToCompletion) {
   }
 }
 
+TEST_F(SimulatorTest, SegmentKernelHoldsInFlightWorkNotTheTrace) {
+  // run_segment streams its arrivals: the kernel holds the in-flight
+  // completions plus one arrival, so its slab high-water mark stays at
+  // in-flight scale however long the segment is. Scheduling the whole
+  // segment up front needed one event record per request.
+  auto sim = test::build_simulator(small_config(Scheme::kLdpcInSsd),
+                                   *normal_, *reduced_);
+  sim->prefill(4000);
+  trace::WorkloadParams params;
+  params.name = "long";
+  params.footprint_pages = 4000;
+  params.mean_request_pages = 1.2;
+  params.max_request_pages = 4;
+  params.iops = 1500;
+  params.requests = 100'000;
+  sim->run_segment(trace::generate(params, 7));
+  EXPECT_EQ(sim->results().all_response.count(), 100'000u);
+  EXPECT_LT(sim->events().slab_slots(), 256u);
+}
+
 TEST_F(SimulatorTest, BaselineSlowerThanProgressive) {
   auto base = test::build_simulator(small_config(Scheme::kBaseline), *normal_,
                                     *reduced_);
