@@ -1,12 +1,15 @@
 #include "bench_common.h"
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <set>
 #include <thread>
 #include <utility>
@@ -479,27 +482,57 @@ void write_bench_json(const std::string& path, const std::string& bench,
   out << "\n]}\n";
 }
 
+std::optional<int> parse_jobs_value(const char* text) {
+  // from_chars into an unsigned type takes digits only: no sign, space or
+  // base prefix.
+  const char* const end = text + std::strlen(text);
+  unsigned value = 0;
+  const auto [stop, error] = std::from_chars(text, end, value);
+  if (error != std::errc() || stop != end ||
+      value > static_cast<unsigned>(std::numeric_limits<int>::max())) {
+    return std::nullopt;
+  }
+  return static_cast<int>(value);
+}
+
+namespace {
+
+/// Parses a --jobs / FLEX_BENCH_JOBS value or exits with a usage error.
+int jobs_or_exit(const char* source, const char* text) {
+  const std::optional<int> jobs = parse_jobs_value(text);
+  if (!jobs.has_value()) {
+    std::fprintf(stderr,
+                 "usage error: %s expects a job count (a non-negative "
+                 "integer, 0 = one per hardware thread), got \"%s\"\n",
+                 source, text);
+    std::exit(2);
+  }
+  return *jobs;
+}
+
+}  // namespace
+
 int parse_jobs(int* argc, char** argv) {
   int jobs = 1;
   if (const char* env = std::getenv("FLEX_BENCH_JOBS")) {
-    jobs = std::atoi(env);
+    jobs = jobs_or_exit("FLEX_BENCH_JOBS", env);
   }
   int out = 1;
   for (int i = 1; i < *argc; ++i) {
-    const bool is_flag = std::strcmp(argv[i], "--jobs") == 0 ||
-                         std::strcmp(argv[i], "-j") == 0;
-    if (is_flag && i + 1 < *argc) {
-      jobs = std::atoi(argv[++i]);
+    if (std::strcmp(argv[i], "--jobs") == 0 ||
+        std::strcmp(argv[i], "-j") == 0) {
+      const char* const flag = argv[i];
+      jobs = jobs_or_exit(flag, i + 1 < *argc ? argv[++i] : "");
       continue;
     }
     if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      jobs = std::atoi(argv[i] + 7);
+      jobs = jobs_or_exit("--jobs", argv[i] + 7);
       continue;
     }
     argv[out++] = argv[i];
   }
   *argc = out;
-  return jobs < 0 ? 1 : jobs;
+  return jobs;
 }
 
 }  // namespace flex::bench

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -115,10 +116,16 @@ std::vector<ssd::SsdResults> run_cells(const ExperimentHarness& harness,
                                        const std::vector<CellSpec>& cells,
                                        int jobs);
 
-/// Extracts `--jobs N` (or `-j N`) from argv, compacting it, and falls
-/// back to the FLEX_BENCH_JOBS environment variable; defaults to 1.
-/// 0 means "one job per hardware thread".
+/// Extracts `--jobs N` (or `-j N`, `--jobs=N`) from argv, compacting it,
+/// and falls back to the FLEX_BENCH_JOBS environment variable; defaults
+/// to 1. 0 means "one job per hardware thread". A value that
+/// parse_jobs_value() rejects, or a flag with no value, prints a usage
+/// error and exits with status 2.
 int parse_jobs(int* argc, char** argv);
+
+/// Parses a job count: decimal digits only, at most INT_MAX. Returns
+/// nullopt for anything else (empty, signs, spaces, trailing text).
+std::optional<int> parse_jobs_value(const char* text);
 
 /// Telemetry/export destinations for a bench run (empty string = off).
 struct OutputOptions {

@@ -10,10 +10,11 @@
 //     It is not a copy of run_segment: the simulators stream arrivals
 //     one at a time through ArrivalFeed.
 //   * allocations/event — operator new calls per fired event in the
-//     steady state (after one warmup round that grows the slab and lane
-//     arrays to their high-water mark). The kernel's memory contract says
-//     this is 0.0: callbacks live inline in POD slab records and every
-//     container is recycled, never shrunk.
+//     steady state (after one warmup round that grows both lane arrays to
+//     their high-water mark). The kernel's memory contract says this is
+//     0.0: callbacks live inline in POD lane entries and both lanes are
+//     recycled, never shrunk. The lanes' capacity (`lane_capacity`, in
+//     entries) is reported next to it: it is the kernel's whole footprint.
 //   * requests/sec — end-to-end simulated requests per wall-second for
 //     one fig6a cell (fin-2 / LevelAdjust+AccessEval @ P/E 6000),
 //     including FTL, scheduler, BER cache and telemetry-off read path.
@@ -84,14 +85,14 @@ struct KernelNumbers {
   std::uint64_t events = 0;
   double events_per_sec = 0.0;
   double allocations_per_event = 0.0;
-  std::size_t slab_slots = 0;
+  std::size_t lane_capacity = 0;
 };
 
 KernelNumbers bench_kernel(std::uint64_t arrivals, int rounds) {
   namespace alloc = flex::common::alloc_counter;
   flex::ssd::EventQueue queue;
-  // Warmup: grows the slab, both lane arrays and the free stack to their
-  // high-water marks. Steady state starts here.
+  // Warmup: grows both lane arrays to their high-water marks. Steady state
+  // starts here.
   run_round(queue, arrivals);
 
   const std::uint64_t allocs_before = alloc::allocation_count();
@@ -105,7 +106,7 @@ KernelNumbers bench_kernel(std::uint64_t arrivals, int rounds) {
   out.events_per_sec = static_cast<double>(out.events) / elapsed;
   out.allocations_per_event =
       static_cast<double>(allocs) / static_cast<double>(out.events);
-  out.slab_slots = queue.slab_slots();
+  out.lane_capacity = queue.lane_capacity();
   return out;
 }
 
@@ -140,13 +141,13 @@ void write_json(const std::string& path, const KernelNumbers& kernel,
                "\"git_sha\":\"%s\",\n"
                "\"kernel\":{\"events\":%" PRIu64
                ",\"events_per_sec\":%.1f,"
-               "\"allocations_per_event\":%.6f,\"slab_slots\":%zu},\n"
+               "\"allocations_per_event\":%.6f,\"lane_capacity\":%zu},\n"
                "\"ssd\":{\"workload\":\"fin-2\","
                "\"scheme\":\"LevelAdjust+AccessEval\",\"requests\":%" PRIu64
                ",\"requests_per_sec\":%.1f}\n"
                "}\n",
                FLEX_GIT_SHA, kernel.events, kernel.events_per_sec,
-               kernel.allocations_per_event, kernel.slab_slots, ssd.requests,
+               kernel.allocations_per_event, kernel.lane_capacity, ssd.requests,
                ssd.requests_per_sec);
   std::fclose(file);
 }
@@ -177,8 +178,8 @@ int main(int argc, char** argv) {
 
   const KernelNumbers kernel = bench_kernel(arrivals, rounds);
   std::printf("event kernel : %.2fM events/sec  (%" PRIu64
-              " events, %zu slab slots)\n",
-              kernel.events_per_sec / 1e6, kernel.events, kernel.slab_slots);
+              " events, %zu lane entries)\n",
+              kernel.events_per_sec / 1e6, kernel.events, kernel.lane_capacity);
   std::printf("steady state : %.6f allocations/event\n",
               kernel.allocations_per_event);
 

@@ -1,15 +1,16 @@
 // Deterministic discrete-event kernel for the SSD simulator.
 //
-// Two pending-event lanes over a slab of fixed-size POD event records:
+// Two pending-event lanes, each a flat array of fixed-size POD entries
+// that carry their callable inline:
 //  * a sorted FIFO lane for the common monotone case — an event whose
 //    (when, seq) key sorts after the lane's last entry is appended, so
 //    streams scheduled in nondecreasing order (a trace pre-scheduled by a
 //    caller, the one pending arrival of an ArrivalFeed, end-of-trace
 //    completions) need no heap at all, just an append and a head cursor;
-//  * an indexed 4-ary min-heap for everything scheduled out of order
-//    (chip completions land before already-queued arrivals). The heap
-//    only ever holds the in-flight dynamic events (tens), which keeps
-//    sift depth tiny.
+//  * a 4-ary min-heap for everything scheduled out of order (chip
+//    completions land before already-queued arrivals). The heap only ever
+//    holds the in-flight dynamic events (tens), which keeps sift depth
+//    tiny.
 // run_next() fires the smaller of the two lane heads. Determinism is
 // load-bearing — identical seeds must give bit-identical results,
 // including when independent simulations run on different threads of the
@@ -30,16 +31,21 @@
 // any future heap implementation must preserve (when, seq) as the total
 // order or byte-identical replay breaks.
 //
-// Memory contract: callbacks are stored inline in the event record (no
-// std::function, no per-event heap allocation). The slab, the heap and the
-// FIFO lane are sized by *pending* events. In the simulators, pending =
-// in-flight events + one arrival per feed: ArrivalFeed streams a trace, so
-// its length does not count. The FIFO lane reclaims its consumed prefix
-// once that prefix dominates the lane, so the lane too stays within a
-// constant factor (plus a fixed floor) of its pending entries. Containers
-// are reused, never shrunk, so the steady state allocates nothing.
-// Callables must be trivially copyable and at most kInlineStorage bytes —
-// in practice small capturing lambdas like `[this, chip]`.
+// A scheduled event cannot be withdrawn: schedule() returns no handle, and
+// only drop_pending() (power loss) discards pending events, all at once.
+//
+// Memory contract: a lane entry is 48 B — the callable's capture blob
+// (no std::function, no per-event heap allocation), its (when, seq) key
+// and an invoke thunk — and the two lanes are the kernel's only storage
+// (lane_capacity()). They are sized by *pending* events. In the
+// simulators, pending = in-flight events + one arrival per feed:
+// ArrivalFeed streams a trace, so its length does not count. The FIFO
+// lane reclaims its consumed prefix once that prefix dominates the lane,
+// so the lane too stays within a constant factor (plus a fixed floor) of
+// its pending entries. Containers are reused, never shrunk, so the steady
+// state allocates nothing. Callables must be trivially copyable and at
+// most kInlineStorage bytes — in practice small capturing lambdas like
+// `[this, chip]`.
 #pragma once
 
 #include <cstddef>
@@ -65,19 +71,12 @@ class EventQueue {
   EventQueue& operator=(const EventQueue&) = delete;
   ~EventQueue();
 
-  /// Handle for cancel(). `gen` guards against slot reuse: a handle goes
-  /// stale the moment its event fires, is cancelled, or is dropped.
-  struct EventId {
-    std::uint32_t slot = 0;
-    std::uint32_t gen = 0;
-  };
-
   /// Schedules `fn` at `when`. Events at the same `when` fire in
   /// scheduling order (ordinals never tie). The callable is copied into
-  /// the event record; it receives the simulated time the event fires at.
+  /// the lane entry; it receives the simulated time the event fires at.
   template <class Fn>
-  EventId schedule(SimTime when, Fn fn) {
-    return emplace(when, next_seq_++, fn);
+  void schedule(SimTime when, Fn fn) {
+    push(make_entry(when, next_seq_++, fn));
   }
 
   /// Takes `count` consecutive ordinals without scheduling anything and
@@ -95,15 +94,10 @@ class EventQueue {
   /// ordinal was reserved, so it fires in the same place as long as it is
   /// scheduled before any event ordered after it fires.
   template <class Fn>
-  EventId schedule_at_ordinal(SimTime when, std::uint64_t ordinal, Fn fn) {
+  void schedule_at_ordinal(SimTime when, std::uint64_t ordinal, Fn fn) {
     FLEX_EXPECTS(ordinal < next_seq_);
-    return emplace(when, ordinal, fn);
+    push(make_entry(when, ordinal, fn));
   }
-
-  /// Removes a pending event without firing it. Returns false when the
-  /// handle is stale (already fired, cancelled, or dropped). The event's
-  /// ordinal is consumed either way; cancelling never renumbers survivors.
-  bool cancel(EventId id);
 
   /// Pops and runs the earliest event; returns false when none is pending.
   bool run_next();
@@ -119,13 +113,19 @@ class EventQueue {
 
   /// Time of the most recently fired event.
   SimTime now() const { return now_; }
-  std::size_t pending() const { return heap_.size() + fifo_live_; }
+  std::size_t pending() const {
+    return heap_.size() + fifo_.size() - fifo_head_;
+  }
   bool empty() const { return pending() == 0; }
   /// Total events fired since construction.
   std::uint64_t fired() const { return fired_; }
-  /// Slab high-water mark: number of event records ever allocated. Stops
-  /// growing once the pending-event peak is reached (slots are recycled).
-  std::size_t slab_slots() const { return slab_.size(); }
+  /// Entries the two lanes can hold without allocating: the kernel's
+  /// whole footprint, lane_capacity() * sizeof(entry) bytes. Stops growing
+  /// once the pending-event peak (and the FIFO lane's reclaim floor) is
+  /// reached, since the lanes are reused, never shrunk.
+  std::size_t lane_capacity() const {
+    return heap_.capacity() + fifo_.capacity();
+  }
 
   /// Binds `event_queue.scheduled` and `event_queue.fired` to the
   /// kernel's ordinal and fired counts (see telemetry.h); nullptr
@@ -133,96 +133,67 @@ class EventQueue {
   void attach_telemetry(telemetry::Telemetry* telemetry);
 
  private:
-  /// Marks a slot as not currently pending in either lane.
-  static constexpr std::uint32_t kNotQueued = 0xffffffffu;
-  /// Tag bit in Record::heap_pos: set = FIFO lane position, clear =
-  /// index into the heap lane.
-  static constexpr std::uint32_t kFifoTag = 0x80000000u;
-  /// A FIFO entry's heap_pos is kFifoTag | (fifo_base_ + index), a
-  /// position counted from the lane's creation that wraps (the tag
-  /// overwrites its top bit); its index into fifo_ is
-  /// (heap_pos - fifo_base_) & kPosMask.
-  static constexpr std::uint32_t kPosMask = ~kFifoTag;
   /// The consumed prefix is reclaimed, on append, once it is at least this
   /// long and at least 8x the unconsumed rest: the memmove then costs at
   /// most one entry per 8 consumed, and the lane never holds more than 9x
   /// its unconsumed entries plus this floor.
   static constexpr std::size_t kFifoReclaimMin = 4096;
 
-  /// Slab record. POD by construction: the callable is a trivially
-  /// copyable capture blob plus a type-erasing invoke thunk.
-  struct Record {
-    void (*invoke)(const void* storage, SimTime now) = nullptr;
+  /// Lane entry. POD by construction: the callable is a trivially
+  /// copyable capture blob plus a type-erasing invoke thunk, next to the
+  /// full (when, seq) sort key, so compares and moves stay inside the
+  /// contiguous lane arrays.
+  struct Entry {
     alignas(std::max_align_t) unsigned char storage[kInlineStorage];
-    std::uint32_t gen = 0;
-    /// Pending position: kNotQueued, heap index, or kFifoTag | FIFO
-    /// position (stable across reclaims; see kPosMask).
-    std::uint32_t heap_pos = kNotQueued;
-  };
-
-  /// Lane entries carry the full (when, seq) sort key so compares stay
-  /// inside the contiguous lane arrays instead of chasing into the slab.
-  struct HeapEntry {
     SimTime when;
     std::uint64_t seq;
-    std::uint32_t slot;
+    void (*invoke)(const void* storage, SimTime now);
   };
+  static_assert(std::is_trivially_copyable_v<Entry>);
+  static_assert(sizeof(Entry) == 48);
 
-  static bool before(const HeapEntry& a, const HeapEntry& b) {
+  static bool before(const Entry& a, const Entry& b) {
     if (a.when != b.when) return a.when < b.when;
     return a.seq < b.seq;
   }
 
   template <class Fn>
-  EventId emplace(SimTime when, std::uint64_t seq, Fn fn) {
+  static Entry make_entry(SimTime when, std::uint64_t seq, Fn fn) {
     static_assert(std::is_trivially_copyable_v<Fn>,
-                  "event callables are memcpy'd into a POD slab record");
+                  "event callables are memcpy'd into a POD lane entry");
     static_assert(sizeof(Fn) <= kInlineStorage,
                   "callable capture exceeds inline event storage");
     static_assert(alignof(Fn) <= alignof(std::max_align_t));
-    const std::uint32_t slot = acquire_slot();
-    Record& record = slab_[slot];
-    record.invoke = [](const void* storage, SimTime now) {
+    Entry entry{};
+    std::memcpy(entry.storage, &fn, sizeof(Fn));
+    entry.when = when;
+    entry.seq = seq;
+    entry.invoke = [](const void* storage, SimTime now) {
       // The blob is a byte-copy of a trivially copyable Fn; run_next()
-      // copies it to a stack buffer before the call, so re-entrant
-      // schedule() calls cannot clobber it mid-invoke.
+      // calls it from a local copy of the entry, so re-entrant schedule()
+      // calls cannot move it mid-invoke.
       (*std::launder(reinterpret_cast<const Fn*>(storage)))(now);
     };
-    std::memcpy(record.storage, &fn, sizeof(Fn));
-    const EventId id{slot, record.gen};
-    push_queued(slot, when, seq);
-    return id;
+    return entry;
   }
 
-  std::uint32_t acquire_slot();
-  void release_slot(std::uint32_t slot);
-  void push_queued(std::uint32_t slot, SimTime when, std::uint64_t seq);
-  /// Erases the FIFO lane's consumed prefix and advances fifo_base_.
-  void reclaim_fifo_prefix();
-  void heap_remove(std::size_t pos);
+  void push(const Entry& entry);
+  void pop_heap_root();
   void sift_up(std::size_t pos);
   void sift_down(std::size_t pos);
 
-  std::vector<Record> slab_;
-  std::vector<std::uint32_t> free_slots_;  ///< LIFO recycle stack
-  std::vector<HeapEntry> heap_;            ///< 4-ary min-heap on (when, seq)
+  std::vector<Entry> heap_;  ///< 4-ary min-heap on (when, seq)
   /// Sorted FIFO lane: entries appended in nondecreasing (when, seq),
-  /// consumed from fifo_head_. Cancelled entries become tombstones
-  /// (slot == kNotQueued) and are skipped at the head. The consumed
-  /// prefix is erased by reclaim_fifo_prefix() (storage kept, not
-  /// shrunk); fifo_base_ is the position of fifo_[0], so pending
-  /// entries keep their positions without being rewritten.
-  std::vector<HeapEntry> fifo_;
+  /// consumed from fifo_head_. The consumed prefix is erased on append
+  /// (storage kept, not shrunk) under the kFifoReclaimMin rule.
+  std::vector<Entry> fifo_;
   std::size_t fifo_head_ = 0;
-  std::uint32_t fifo_base_ = 0;
-  std::size_t fifo_live_ = 0;  ///< non-tombstone entries in fifo_
   std::uint64_t next_seq_ = 0;
   std::uint64_t fired_ = 0;
   SimTime now_ = 0;
   telemetry::Telemetry* telemetry_ = nullptr;
 
-  /// Test seam (tests/ssd/event_queue_test.cc): lane capacities and the
-  /// FIFO position base.
+  /// Test seam (tests/ssd/event_queue_test.cc): the FIFO lane's length.
   friend struct EventQueueTestPeer;
 };
 

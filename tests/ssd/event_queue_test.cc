@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -12,22 +14,23 @@
 
 namespace flex::ssd {
 
-/// Reaches the kernel's lane storage: the FIFO position base (to start a
-/// queue just below the 31-bit wrap) and the container capacities, which
-/// are the kernel's only allocations.
+/// Reaches the kernel's lanes: the FIFO lane's length and consumed
+/// prefix, and each lane's size and capacity.
 struct EventQueueTestPeer {
-  static void set_fifo_base(EventQueue& queue, std::uint32_t base) {
-    queue.fifo_base_ = base;
-  }
-  static std::uint32_t fifo_base(const EventQueue& queue) {
-    return queue.fifo_base_;
-  }
   static std::size_t fifo_length(const EventQueue& queue) {
     return queue.fifo_.size();
   }
-  static std::vector<std::size_t> capacities(const EventQueue& queue) {
-    return {queue.slab_.capacity(), queue.free_slots_.capacity(),
-            queue.heap_.capacity(), queue.fifo_.capacity()};
+  static std::size_t fifo_head(const EventQueue& queue) {
+    return queue.fifo_head_;
+  }
+  static std::size_t heap_size(const EventQueue& queue) {
+    return queue.heap_.size();
+  }
+  static std::size_t heap_capacity(const EventQueue& queue) {
+    return queue.heap_.capacity();
+  }
+  static std::size_t fifo_capacity(const EventQueue& queue) {
+    return queue.fifo_.capacity();
   }
 };
 
@@ -100,80 +103,26 @@ TEST(EventQueueTest, ReentrantScheduleFromCallback) {
   EXPECT_EQ(queue.fired(), 6u);
 }
 
-TEST(EventQueueTest, CancelHeapEvent) {
-  EventQueue queue;
-  std::vector<int> order;
-  queue.schedule(30, [&order](SimTime) { order.push_back(3); });
-  const EventQueue::EventId id =
-      queue.schedule(10, [&order](SimTime) { order.push_back(1); });
-  queue.schedule(20, [&order](SimTime) { order.push_back(2); });
-  EXPECT_TRUE(queue.cancel(id));
-  EXPECT_FALSE(queue.cancel(id));  // stale handle
-  queue.run_all();
-  EXPECT_EQ(order, (std::vector<int>{2, 3}));
-}
-
-TEST(EventQueueTest, CancelFifoEventTombstones) {
-  // Cancelling inside the sorted lane must not disturb its order; the
-  // tombstone is skipped when it reaches the head.
-  EventQueue queue;
-  std::vector<int> order;
-  queue.schedule(10, [&order](SimTime) { order.push_back(1); });
-  const EventQueue::EventId mid =
-      queue.schedule(20, [&order](SimTime) { order.push_back(2); });
-  queue.schedule(30, [&order](SimTime) { order.push_back(3); });
-  EXPECT_EQ(queue.pending(), 3u);
-  EXPECT_TRUE(queue.cancel(mid));
-  EXPECT_EQ(queue.pending(), 2u);
-  queue.run_all();
-  EXPECT_EQ(order, (std::vector<int>{1, 3}));
-  EXPECT_EQ(queue.fired(), 2u);  // cancelled events never count as fired
-}
-
-TEST(EventQueueTest, CancelFifoHeadSkipsToNextLive) {
-  EventQueue queue;
-  std::vector<int> order;
-  const EventQueue::EventId head =
-      queue.schedule(10, [&order](SimTime) { order.push_back(1); });
-  queue.schedule(20, [&order](SimTime) { order.push_back(2); });
-  EXPECT_TRUE(queue.cancel(head));
-  EXPECT_TRUE(queue.run_next());
-  EXPECT_EQ(order, (std::vector<int>{2}));
-}
-
-TEST(EventQueueTest, HandleGoesStaleAfterFiring) {
-  EventQueue queue;
-  const EventQueue::EventId id = queue.schedule(10, [](SimTime) {});
-  queue.run_all();
-  EXPECT_FALSE(queue.cancel(id));
-}
-
-TEST(EventQueueTest, SlabSlotsReusedAfterCancel) {
-  // Cancelled slots return to the free stack: scheduling the same number
-  // again must not grow the slab.
-  EventQueue queue;
-  std::vector<EventQueue::EventId> ids;
-  for (SimTime t = 1; t <= 100; ++t) {
-    ids.push_back(queue.schedule(t, [](SimTime) {}));
-  }
-  const std::size_t high_water = queue.slab_slots();
-  EXPECT_EQ(high_water, 100u);
-  for (const auto& id : ids) EXPECT_TRUE(queue.cancel(id));
-  EXPECT_TRUE(queue.empty());
-  for (SimTime t = 101; t <= 200; ++t) queue.schedule(t, [](SimTime) {});
-  EXPECT_EQ(queue.slab_slots(), high_water);  // no new allocations
-  queue.run_all();
-  EXPECT_EQ(queue.fired(), 100u);
-}
-
 TEST(EventQueueTest, SlabStopsGrowingInSteadyState) {
+  // Rounds of 50 monotone events, each round drained before the next. The
+  // lanes are the kernel's only storage: once the FIFO lane has passed its
+  // reclaim floor (4,096 consumed entries) the consumed prefix is erased
+  // instead of grown past, so 300 rounds (15,000 events) fit in what the
+  // floor plus one round needs, and later rounds allocate nothing.
   EventQueue queue;
-  for (int round = 0; round < 3; ++round) {
+  const auto round = [&queue] {
     const SimTime base = queue.now();
     for (SimTime i = 1; i <= 50; ++i) queue.schedule(base + i, [](SimTime) {});
     queue.run_all();
-    EXPECT_EQ(queue.slab_slots(), 50u) << round;
+  };
+  for (int r = 0; r < 100; ++r) round();
+  const std::size_t warm = queue.lane_capacity();
+  for (int r = 0; r < 200; ++r) {
+    round();
+    ASSERT_EQ(queue.lane_capacity(), warm) << r;
   }
+  EXPECT_EQ(queue.fired(), 15'000u);
+  EXPECT_LE(warm, 2 * (4096u + 50u));
 }
 
 TEST(EventQueueTest, DropPendingDiscardsBothLanes) {
@@ -181,15 +130,13 @@ TEST(EventQueueTest, DropPendingDiscardsBothLanes) {
   std::vector<int> order;
   queue.schedule(10, [&order](SimTime) { order.push_back(1); });
   EXPECT_TRUE(queue.run_next());
-  // Pending mix: two FIFO entries (one later cancelled), one heap entry.
+  // Pending mix: two FIFO entries, one heap entry.
   queue.schedule(20, [&order](SimTime) { order.push_back(2); });
-  const EventQueue::EventId doomed =
-      queue.schedule(30, [&order](SimTime) { order.push_back(3); });
+  queue.schedule(30, [&order](SimTime) { order.push_back(3); });
   queue.schedule(15, [&order](SimTime) { order.push_back(4); });
-  EXPECT_TRUE(queue.cancel(doomed));
-  EXPECT_EQ(queue.pending(), 2u);
+  EXPECT_EQ(queue.pending(), 3u);
 
-  EXPECT_EQ(queue.drop_pending(), 2u);
+  EXPECT_EQ(queue.drop_pending(), 3u);
   EXPECT_TRUE(queue.empty());
   EXPECT_FALSE(queue.run_next());
   EXPECT_EQ(order, (std::vector<int>{1}));
@@ -338,70 +285,14 @@ TEST(EventQueueTest, ReserveOrdinalsCountsAsScheduled) {
   EXPECT_EQ(queue.reserve_ordinals(1), 6u);
 }
 
-/// Appends `count` monotone events to the FIFO lane at `first` + 0, 1,
-/// ..., each logging first_label + its index; returns their handles.
-std::vector<EventQueue::EventId> fill_fifo(EventQueue& queue, SimTime first,
-                                           int count, int first_label,
-                                           std::vector<int>& log) {
-  std::vector<EventQueue::EventId> ids;
-  for (int i = 0; i < count; ++i) {
-    const int label = first_label + i;
-    ids.push_back(queue.schedule(first + i, [&log, label](SimTime) {
-      log.push_back(label);
-    }));
-  }
-  return ids;
-}
-
-void cancel_after_reclaims(std::uint32_t initial_base) {
-  EventQueue queue;
-  EventQueueTestPeer::set_fifo_base(queue, initial_base);
-  std::vector<int> log;
-  for (int round = 0; round < 4; ++round) {
-    // 5000 monotone entries; consume 4600 so the consumed prefix is at
-    // least 8x the 400 left, then append once more to reclaim it.
-    const int label = round * 10'000;
-    const SimTime start = queue.now() + 1;
-    const std::vector<EventQueue::EventId> ids =
-        fill_fifo(queue, start, 5000, label, log);
-    for (int i = 0; i < 4600; ++i) ASSERT_TRUE(queue.run_next());
-    EXPECT_TRUE(queue.cancel(ids[4800]));  // before the reclaim
-    const std::uint32_t base_before = EventQueueTestPeer::fifo_base(queue);
-    fill_fifo(queue, start + 5000, 1, label + 5000, log);
-    EXPECT_NE(EventQueueTestPeer::fifo_base(queue), base_before) << round;
-    EXPECT_EQ(EventQueueTestPeer::fifo_length(queue), 401u) << round;
-    // Cancel two more survivors, now behind a moved base, then drain.
-    EXPECT_TRUE(queue.cancel(ids[4700]));
-    EXPECT_TRUE(queue.cancel(ids[4999]));
-    EXPECT_FALSE(queue.cancel(ids[4000]));  // already fired
-    log.clear();
-    queue.run_all();
-    std::vector<int> expected;
-    for (int i = 4600; i <= 5000; ++i) {
-      if (i != 4700 && i != 4800 && i != 4999) expected.push_back(label + i);
-    }
-    EXPECT_EQ(log, expected) << round;
-  }
-}
-
-TEST(EventQueueTest, CancelFifoEntryAfterPrefixReclaim) {
-  cancel_after_reclaims(0);
-}
-
-TEST(EventQueueTest, CancelFifoEntryAcrossPositionWraparound) {
-  // Positions are 31 bits and wrap; start just below the wrap so both the
-  // entries' positions and the base cross it during the rounds.
-  cancel_after_reclaims(0x7fffffffu - 6000);
-}
-
 TEST(EventQueueTest, OpenLoopMixStopsGrowingAfterWarmup) {
   // One pending monotone arrival whose firing schedules its successor 1 us
   // out and a completion 1.5 us out: the completion lands behind the next
   // arrival in the FIFO lane, so the lane never runs empty. Every third
   // arrival adds a completion before the next arrival (heap lane). Once
-  // warm, a million more events must not grow any of the kernel's
-  // containers (its only allocations), and the FIFO lane stays bounded
-  // by its pending entries.
+  // warm, a million more events must not grow either lane (the kernel's
+  // only allocations), and the FIFO lane stays bounded by its pending
+  // entries.
   EventQueue queue;
   std::uint64_t remaining = 0;
   struct Pump {
@@ -418,7 +309,7 @@ TEST(EventQueueTest, OpenLoopMixStopsGrowingAfterWarmup) {
   remaining = 30'000;
   queue.schedule(1, Pump{&queue, &remaining});
   queue.run_all();
-  const std::vector<std::size_t> warm = EventQueueTestPeer::capacities(queue);
+  const std::size_t warm = queue.lane_capacity();
   const std::uint64_t fired_before = queue.fired();
 
   remaining = 450'000;
@@ -429,8 +320,250 @@ TEST(EventQueueTest, OpenLoopMixStopsGrowingAfterWarmup) {
         std::max(longest_lane, EventQueueTestPeer::fifo_length(queue));
   }
   EXPECT_GE(queue.fired() - fired_before, 1'000'000u);
-  EXPECT_EQ(EventQueueTestPeer::capacities(queue), warm);
+  EXPECT_EQ(queue.lane_capacity(), warm);
   EXPECT_LE(longest_lane, 4096u + 9 * 3);
+}
+
+// Drives a kernel with a randomized mix and checks every firing against an
+// independent reference: a std::set of the pending events ordered by
+// (when, seq), with the ordinals counted here, not read from the kernel.
+// The mix covers both lanes and the paths that move entries: deep heap
+// sifts, FIFO prefix reclaims, streamed and scattered reserved ordinals,
+// power-loss drops, and callbacks that grow both lanes while they run.
+class ReferenceMix {
+ public:
+  explicit ReferenceMix(std::uint64_t seed) : rng_(seed) {}
+
+  void run(std::uint64_t events) {
+    inner_drop_at_ = events - events / 6;
+    seed_roots();
+    while (!queue_.empty()) {
+      const std::size_t head = EventQueueTestPeer::fifo_head(queue_);
+      ASSERT_TRUE(queue_.run_next());
+      if (failed_) return;
+      // A reclaim inside the callback erased the prefix consumed so far:
+      // `head` entries plus the one just fired.
+      if (EventQueueTestPeer::fifo_head(queue_) < head && !dropped_now_) {
+        longest_reclaim_ = std::max(longest_reclaim_, head + 1);
+      }
+      dropped_now_ = false;
+      longest_heap_ =
+          std::max(longest_heap_, EventQueueTestPeer::heap_size(queue_));
+      // Power loss between events, twice per run, then new work.
+      if (queue_.fired() % (events / 3) == 0 && queue_.fired() < events) {
+        drop();
+        seed_roots();
+      }
+      if (queue_.fired() >= events) break;
+      if (queue_.empty()) seed_roots();  // after a drop inside a callback
+    }
+    EXPECT_EQ(queue_.pending(), pending_.size());
+    EXPECT_EQ(queue_.reserve_ordinals(0), next_seq_);
+  }
+
+  std::size_t longest_reclaim() const { return longest_reclaim_; }
+  std::size_t longest_heap() const { return longest_heap_; }
+  std::uint64_t drops() const { return drops_; }
+  std::uint64_t bursts() const { return bursts_; }
+  std::uint64_t bursts_growing_both() const { return bursts_growing_both_; }
+  std::uint64_t reserved_fired() const { return reserved_fired_; }
+
+ private:
+  /// A full 24 B capture: the tag is a function of the id, so a capture
+  /// that was torn or overwritten while its entry moved shows at fire time.
+  struct Probe {
+    ReferenceMix* mix;
+    std::uint64_t id;
+    std::uint64_t tag;
+    void operator()(SimTime now) const { mix->fire(*this, now); }
+  };
+  static_assert(sizeof(Probe) == EventQueue::kInlineStorage);
+
+  using Key = std::tuple<SimTime, std::uint64_t, std::uint64_t>;
+
+  /// One reserved block streamed like an ArrivalFeed segment: element i
+  /// schedules element i + 1 when it fires.
+  struct Stream {
+    std::uint64_t base;
+    std::vector<SimTime> times;
+  };
+  /// What an id does when it fires (beyond the random mix).
+  struct Role {
+    std::int64_t stream = -1;  ///< index into streams_, or -1
+    std::size_t element = 0;
+    bool outgrow = false;  ///< fires the burst that outgrows both lanes
+  };
+
+  static std::uint64_t tag_of(std::uint64_t id) {
+    return (id + 1) * 0x9E3779B97F4A7C15ull ^ 0xD1B54A32D192ED03ull;
+  }
+
+  std::uint64_t add(SimTime when, std::uint64_t seq, Role role) {
+    const std::uint64_t id = keys_.size();
+    keys_.push_back({when, seq, id});
+    roles_.push_back(role);
+    pending_.insert(keys_.back());
+    return id;
+  }
+
+  void schedule(SimTime when, Role role) {
+    const std::uint64_t id = add(when, next_seq_++, role);
+    queue_.schedule(when, Probe{this, id, tag_of(id)});
+  }
+  void schedule(SimTime when) { schedule(when, Role{}); }
+
+  void schedule_reserved(SimTime when, std::uint64_t ordinal, Role role) {
+    const std::uint64_t id = add(when, ordinal, role);
+    queue_.schedule_at_ordinal(when, ordinal, Probe{this, id, tag_of(id)});
+  }
+
+  std::uint64_t reserve(std::uint64_t count) {
+    const std::uint64_t base = queue_.reserve_ordinals(count);
+    EXPECT_EQ(base, next_seq_);
+    next_seq_ += count;
+    return base;
+  }
+
+  /// Delays on a coarse grid, so same-ns ties between lanes are common.
+  SimTime delay() {
+    if (rng_.chance(0.01)) return 10 * static_cast<SimTime>(rng_.below(200));
+    return 10 * static_cast<SimTime>(rng_.below(5));
+  }
+
+  void start_stream(SimTime now, std::size_t length) {
+    Stream stream{reserve(length), {}};
+    SimTime t = now;
+    for (std::size_t i = 0; i < length; ++i) {
+      t += 10 * static_cast<SimTime>(rng_.below(4));
+      stream.times.push_back(t);
+    }
+    streams_.push_back(std::move(stream));
+    const auto index = static_cast<std::int64_t>(streams_.size() - 1);
+    schedule_reserved(streams_.back().times[0], streams_.back().base,
+                      Role{index, 0});
+  }
+
+  /// New work: a streamed reserved block, a pre-scheduled monotone run
+  /// long enough for the FIFO lane to pass its reclaim floor, and a few
+  /// plain events.
+  void seed_roots() {
+    const SimTime now = queue_.now();
+    start_stream(now, 6000);
+    for (int i = 1; i < 5000; ++i) schedule(now + 2 * i);
+    // The run's last event is later than anything pending, so it sits in
+    // the FIFO lane; the first run's last event outgrows both lanes when
+    // it fires, reallocating the lane its own entry came from.
+    schedule(now + 2 * 5000,
+             Role{.outgrow = std::exchange(first_run_, false)});
+    for (int i = 0; i < 8; ++i) schedule(now + delay());
+  }
+
+  void drop() {
+    EXPECT_EQ(queue_.drop_pending(), pending_.size());
+    pending_.clear();
+    dropped_now_ = true;
+    ++drops_;
+  }
+
+  void fire(const Probe& probe, SimTime now) {
+    if (probe.tag != tag_of(probe.id) || pending_.empty() ||
+        *pending_.begin() != keys_[probe.id] ||
+        std::get<0>(keys_[probe.id]) != now || queue_.now() != now) {
+      ADD_FAILURE() << "event " << probe.id << " fired out of order at "
+                    << now;
+      failed_ = true;
+      queue_.drop_pending();
+      return;
+    }
+    pending_.erase(pending_.begin());
+    const Role role = roles_[probe.id];
+    if (role.stream >= 0) {
+      ++reserved_fired_;
+      const Stream& stream = streams_[static_cast<std::size_t>(role.stream)];
+      const std::size_t next = role.element + 1;
+      if (next < stream.times.size()) {
+        schedule_reserved(stream.times[next], stream.base + next,
+                          Role{role.stream, next});
+      }
+    }
+    // 0.7 children per event on average, so the in-flight population
+    // stays bounded and each stream keeps simulated time moving.
+    const double roll = rng_.uniform();
+    const int children = roll < 0.5 ? 0 : roll < 0.8 ? 1 : 2;
+    for (int c = 0; c < children; ++c) schedule(now + delay());
+    if (rng_.chance(0.002)) {
+      // A scattered block: reserved ordinals used out of order and at
+      // random times, so older ordinals land behind newer lane entries.
+      const std::uint64_t base = reserve(8);
+      std::vector<std::uint64_t> order = {0, 1, 2, 3, 4, 5, 6, 7};
+      for (std::size_t i = order.size() - 1; i > 0; --i) {
+        std::swap(order[i], order[rng_.below(i + 1)]);
+      }
+      for (const std::uint64_t k : order) {
+        schedule_reserved(now + delay(), base + k, Role{});
+      }
+    }
+    if (role.outgrow || rng_.chance(0.0002)) {
+      // A burst: a monotone run past the FIFO lane's back and as many
+      // out-of-order events for the heap. Once per run it is sized to
+      // outgrow both lanes mid-call (nothing is consumed during a call, so
+      // capacity + 1 appends must reallocate even after a reclaim).
+      ++bursts_;
+      const std::size_t heap_before = EventQueueTestPeer::heap_capacity(queue_);
+      const std::size_t fifo_before = EventQueueTestPeer::fifo_capacity(queue_);
+      const std::size_t count =
+          role.outgrow ? std::max(heap_before, fifo_before) + 1 : 300;
+      // Past every pending event and every heap-bound one below.
+      SimTime far = now + 5000;
+      if (!pending_.empty()) {
+        far = std::max(far, std::get<0>(*pending_.rbegin()));
+      }
+      for (std::size_t i = 0; i < count; ++i) {
+        schedule(far + 1 + static_cast<SimTime>(i));
+        schedule(now + 10 * static_cast<SimTime>(rng_.below(500)));
+      }
+      if (EventQueueTestPeer::heap_capacity(queue_) > heap_before &&
+          EventQueueTestPeer::fifo_capacity(queue_) > fifo_before) {
+        ++bursts_growing_both_;
+      }
+    }
+    if (queue_.fired() == inner_drop_at_) drop();  // from inside a callback
+    // The capture is read again after the lanes may have moved.
+    EXPECT_EQ(probe.tag, tag_of(probe.id));
+  }
+
+  Rng rng_;
+  EventQueue queue_;
+  std::set<Key> pending_;
+  std::vector<Key> keys_;  ///< indexed by id
+  std::vector<Role> roles_;
+  std::vector<Stream> streams_;
+  std::uint64_t next_seq_ = 0;
+  std::uint64_t reserved_fired_ = 0;
+  std::uint64_t drops_ = 0;
+  std::uint64_t bursts_ = 0;
+  std::uint64_t bursts_growing_both_ = 0;
+  std::size_t longest_reclaim_ = 0;
+  std::size_t longest_heap_ = 0;
+  std::uint64_t inner_drop_at_ = 0;
+  bool first_run_ = true;
+  bool dropped_now_ = false;
+  bool failed_ = false;
+};
+
+TEST(EventQueueTest, RandomMixMatchesReferenceOrder) {
+  for (const std::uint64_t seed : {11u, 12u, 13u}) {
+    ReferenceMix mix(seed);
+    mix.run(150'000);
+    if (::testing::Test::HasFailure()) return;
+    // The mix reached every path it exists to cover.
+    EXPECT_GE(mix.longest_reclaim(), 4096u) << seed;
+    EXPECT_GE(mix.longest_heap(), 100u) << seed;
+    EXPECT_EQ(mix.drops(), 3u) << seed;
+    EXPECT_GE(mix.bursts(), 10u) << seed;
+    EXPECT_GE(mix.bursts_growing_both(), 1u) << seed;
+    EXPECT_GE(mix.reserved_fired(), 2000u) << seed;
+  }
 }
 
 }  // namespace

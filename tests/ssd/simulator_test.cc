@@ -96,9 +96,11 @@ TEST_F(SimulatorTest, RunsEverySchemeToCompletion) {
 
 TEST_F(SimulatorTest, SegmentKernelHoldsInFlightWorkNotTheTrace) {
   // run_segment streams its arrivals: the kernel holds the in-flight
-  // completions plus one arrival, so its slab high-water mark stays at
-  // in-flight scale however long the segment is. Scheduling the whole
-  // segment up front needed one event record per request.
+  // completions plus one arrival, so its lanes stay at the scale of the
+  // FIFO lane's 4,096-entry reclaim floor (at most 4x it, with vector
+  // growth) plus the in-flight work, however long the segment is.
+  // Scheduling the whole segment up front needed one lane entry per
+  // request.
   auto sim = test::build_simulator(small_config(Scheme::kLdpcInSsd),
                                    *normal_, *reduced_);
   sim->prefill(4000);
@@ -111,7 +113,7 @@ TEST_F(SimulatorTest, SegmentKernelHoldsInFlightWorkNotTheTrace) {
   params.requests = 100'000;
   sim->run_segment(trace::generate(params, 7));
   EXPECT_EQ(sim->results().all_response.count(), 100'000u);
-  EXPECT_LT(sim->events().slab_slots(), 256u);
+  EXPECT_LT(sim->events().lane_capacity(), 4 * 4096u);
 }
 
 TEST_F(SimulatorTest, BaselineSlowerThanProgressive) {
