@@ -16,14 +16,12 @@
 //   ablation_crash [requests] [crash_points] [--jobs N]
 //                  [--report-out PATH]   # per-point JSONL recovery report
 //
-// Output is deterministic and independent of --jobs (CI diffs the two).
+// Output is deterministic and independent of --jobs.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <atomic>
 #include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -123,32 +121,15 @@ int main(int argc, char** argv) {
 
   // Fan the (variant, salt) grid across jobs: every cell owns its
   // simulator, results land in index order, so output never depends on
-  // the job count (CI diffs --jobs 1 against --jobs 8).
-  const std::size_t total = variants.size() * crash_points;
-  std::vector<flex::ssd::CrashVerdict> verdicts(total);
-  {
-    std::atomic<std::size_t> next{0};
-    auto worker = [&] {
-      for (std::size_t i = next.fetch_add(1); i < total;
-           i = next.fetch_add(1)) {
-        const std::size_t v = i / crash_points;
-        const std::uint64_t salt = i % crash_points;
-        verdicts[i] = flex::ssd::run_crash_point(
-            config_for(variants[v]), trace, salt, prefill_pages,
-            harness.normal_model(), harness.reduced_model());
-      }
-    };
-    std::size_t threads = jobs <= 0
-                              ? std::thread::hardware_concurrency()
-                              : static_cast<std::size_t>(jobs);
-    if (threads == 0) threads = 1;
-    threads = std::min(threads, total);
-    std::vector<std::thread> pool;
-    pool.reserve(threads - 1);
-    for (std::size_t t = 1; t < threads; ++t) pool.emplace_back(worker);
-    worker();
-    for (auto& thread : pool) thread.join();
-  }
+  // the job count.
+  const auto verdicts = flex::bench::run_indexed(
+      variants.size() * crash_points,
+      [&](std::size_t i) {
+        return flex::ssd::run_crash_point(
+            config_for(variants[i / crash_points]), trace, i % crash_points,
+            prefill_pages, harness.normal_model(), harness.reduced_model());
+      },
+      jobs);
 
   std::uint64_t violations = 0;
   TablePrinter table({"variant", "mid-trace", "acked", "durable",

@@ -23,14 +23,11 @@
 // host wall-clock goes to BENCH_integrity.json only, along with the
 // machine-checkable verdict block CI asserts on.
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <functional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -249,38 +246,6 @@ Row run_array(const ExperimentHarness& harness, const Variant& v,
   return row;
 }
 
-/// run_indexed's work-stealing fan-out, typed to Row (the shared helper
-/// is typed to SsdResults). Results land in index order, so output is
-/// identical to a serial sweep.
-std::vector<Row> run_rows(std::size_t count,
-                          const std::function<Row(std::size_t)>& runner,
-                          int jobs) {
-  if (jobs == 0) {
-    jobs = static_cast<int>(std::thread::hardware_concurrency());
-    if (jobs <= 0) jobs = 1;
-  }
-  std::vector<Row> results(count);
-  if (jobs <= 1 || count <= 1) {
-    for (std::size_t i = 0; i < count; ++i) results[i] = runner(i);
-    return results;
-  }
-  std::atomic<std::size_t> next{0};
-  auto worker = [&] {
-    for (std::size_t i = next.fetch_add(1); i < count;
-         i = next.fetch_add(1)) {
-      results[i] = runner(i);
-    }
-  };
-  std::vector<std::thread> pool;
-  const auto threads =
-      std::min<std::size_t>(static_cast<std::size_t>(jobs), count);
-  pool.reserve(threads - 1);
-  for (std::size_t t = 1; t < threads; ++t) pool.emplace_back(worker);
-  worker();
-  for (auto& thread : pool) thread.join();
-  return results;
-}
-
 void write_json(const std::string& path, std::uint64_t requests, int jobs,
                 const std::vector<Variant>& variants,
                 const std::vector<Row>& rows, bool verdict_ok) {
@@ -353,7 +318,7 @@ int main(int argc, char** argv) {
        .rate = 1e-3},
   };
 
-  const std::vector<Row> rows = run_rows(
+  const std::vector<Row> rows = flex::bench::run_indexed(
       variants.size(),
       [&](std::size_t i) {
         return variants[i].array ? run_array(harness, variants[i], requests)

@@ -21,14 +21,11 @@
 // machine state) and must be byte-identical across --jobs values; host
 // wall-clock per run goes to BENCH_array.json only.
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <functional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -157,38 +154,6 @@ ArrayResults run_row(const ExperimentHarness& harness, const Variant& v,
   results.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-  return results;
-}
-
-/// run_indexed's work-stealing fan-out, for ArrayResults rows (the shared
-/// helper is typed to SsdResults). Results land in index order, so output
-/// is identical to a serial sweep.
-std::vector<ArrayResults> run_rows(
-    std::size_t count,
-    const std::function<ArrayResults(std::size_t)>& runner, int jobs) {
-  if (jobs == 0) {
-    jobs = static_cast<int>(std::thread::hardware_concurrency());
-    if (jobs <= 0) jobs = 1;
-  }
-  std::vector<ArrayResults> results(count);
-  if (jobs <= 1 || count <= 1) {
-    for (std::size_t i = 0; i < count; ++i) results[i] = runner(i);
-    return results;
-  }
-  std::atomic<std::size_t> next{0};
-  auto worker = [&] {
-    for (std::size_t i = next.fetch_add(1); i < count;
-         i = next.fetch_add(1)) {
-      results[i] = runner(i);
-    }
-  };
-  std::vector<std::thread> pool;
-  const auto threads =
-      std::min<std::size_t>(static_cast<std::size_t>(jobs), count);
-  pool.reserve(threads - 1);
-  for (std::size_t t = 1; t < threads; ++t) pool.emplace_back(worker);
-  worker();
-  for (auto& thread : pool) thread.join();
   return results;
 }
 
@@ -357,7 +322,7 @@ int main(int argc, char** argv) {
     variants.push_back(std::move(v));
   }
 
-  const auto all = run_rows(
+  const auto all = flex::bench::run_indexed(
       variants.size(),
       [&](std::size_t i) {
         return run_row(harness, variants[i], warmup, requests);

@@ -1,6 +1,5 @@
 #include "bench_common.h"
 
-#include <atomic>
 #include <charconv>
 #include <chrono>
 #include <cstdio>
@@ -11,7 +10,6 @@
 #include <memory>
 #include <optional>
 #include <set>
-#include <thread>
 #include <utility>
 
 #include "common/rng.h"
@@ -211,38 +209,6 @@ ssd::SsdResults ExperimentHarness::run_open_loop(
   sim.run_open_loop(source, measure_requests);
   ssd::SsdResults results = sim.results();
   results.wall_seconds = timer.seconds();
-  return results;
-}
-
-std::vector<ssd::SsdResults> run_indexed(
-    std::size_t count,
-    const std::function<ssd::SsdResults(std::size_t)>& runner, int jobs) {
-  if (jobs == 0) {
-    jobs = static_cast<int>(std::thread::hardware_concurrency());
-    if (jobs <= 0) jobs = 1;
-  }
-  std::vector<ssd::SsdResults> results(count);
-  if (jobs <= 1 || count <= 1) {
-    for (std::size_t i = 0; i < count; ++i) results[i] = runner(i);
-    return results;
-  }
-  // Work stealing over a shared index: cells are independent (each owns
-  // its simulator; the shared BerModels are const), so any assignment of
-  // cells to threads yields the same per-index results.
-  std::atomic<std::size_t> next{0};
-  auto worker = [&] {
-    for (std::size_t i = next.fetch_add(1); i < count;
-         i = next.fetch_add(1)) {
-      results[i] = runner(i);
-    }
-  };
-  std::vector<std::thread> pool;
-  const auto threads =
-      std::min<std::size_t>(static_cast<std::size_t>(jobs), count);
-  pool.reserve(threads - 1);
-  for (std::size_t t = 1; t < threads; ++t) pool.emplace_back(worker);
-  worker();
-  for (auto& thread : pool) thread.join();
   return results;
 }
 

@@ -1,5 +1,5 @@
 // Hot-path microbench for the discrete-event kernel and the end-to-end
-// simulator: the perf-regression tripwire behind the CI `perf-smoke` job.
+// simulator: the perf-regression tripwire in the CI `contract` job.
 //
 // Reports three numbers (stdout table + BENCH_micro_kernel.json):
 //   * events/sec — raw EventQueue schedule+fire throughput for a
@@ -20,7 +20,7 @@
 //     including FTL, scheduler, BER cache and telemetry-off read path.
 //
 // Wall-clock throughput is machine-dependent; the committed
-// BENCH_micro_kernel.json is the reference point the CI perf-smoke job
+// BENCH_micro_kernel.json is the reference point the CI contract job
 // compares against with a generous (25%) regression margin. Simulated
 // *results* remain byte-identical regardless — this bench guards speed,
 // not correctness.

@@ -1,4 +1,4 @@
-// Chip geometry and operation timing (paper Table 6), plus address helpers.
+// Chip geometry and operation timing (paper Table 6).
 #pragma once
 
 #include <cstdint>
@@ -32,17 +32,5 @@ struct NandSpec {
     return total_pages() * page_size_bytes;
   }
 };
-
-/// Physical page address decomposed from a flat page index.
-struct PageAddress {
-  std::uint32_t chip = 0;
-  std::uint32_t block = 0;   // block within chip
-  std::uint32_t page = 0;    // page within block
-
-  bool operator==(const PageAddress&) const = default;
-};
-
-PageAddress decompose(const NandSpec& spec, std::uint64_t flat_page);
-std::uint64_t flatten(const NandSpec& spec, const PageAddress& addr);
 
 }  // namespace flex::nand

@@ -17,43 +17,5 @@ TEST(GeometryTest, Table6Defaults) {
   EXPECT_EQ(spec.total_bytes(), 256ULL << 30);
 }
 
-class FlattenRoundTrip : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(FlattenRoundTrip, DecomposeThenFlatten) {
-  const NandSpec spec;
-  const std::uint64_t flat = GetParam();
-  const PageAddress addr = decompose(spec, flat);
-  EXPECT_EQ(flatten(spec, addr), flat);
-  EXPECT_LT(addr.chip, spec.chips);
-  EXPECT_LT(addr.block, spec.blocks_per_chip);
-  EXPECT_LT(addr.page, spec.pages_per_block);
-}
-
-// Total pages: 64 chips x 4096 blocks x 64 pages = 16'777'216.
-INSTANTIATE_TEST_SUITE_P(Corners, FlattenRoundTrip,
-                         ::testing::Values(0ULL, 1ULL, 63ULL, 64ULL,
-                                           262'143ULL, 262'144ULL,
-                                           16'777'215ULL));
-
-TEST(GeometryTest, SequentialPagesShareBlocks) {
-  const NandSpec spec;
-  const PageAddress a = decompose(spec, 100);
-  const PageAddress b = decompose(spec, 101);
-  EXPECT_EQ(a.chip, b.chip);
-  EXPECT_EQ(a.block, b.block);
-  EXPECT_EQ(a.page + 1, b.page);
-}
-
-TEST(GeometryDeathTest, OutOfRangeFlat) {
-  const NandSpec spec;
-  EXPECT_DEATH((void)decompose(spec, spec.total_pages()), "precondition");
-}
-
-TEST(GeometryDeathTest, OutOfRangeAddress) {
-  const NandSpec spec;
-  EXPECT_DEATH((void)flatten(spec, {.chip = spec.chips, .block = 0, .page = 0}),
-               "precondition");
-}
-
 }  // namespace
 }  // namespace flex::nand
