@@ -179,7 +179,7 @@ Row run_array(const ExperimentHarness& harness, const Variant& v,
     const std::uint64_t h = mix64(i ^ 0x1E67'D1C0ULL);
     trace.push_back({.arrival = static_cast<flex::SimTime>(i * kGap),
                      .is_write = (h % 10) == 0,
-                     .lpn = mix64(h) % footprint,
+                     .lpn = static_cast<std::uint32_t>(mix64(h) % footprint),
                      .pages = 1});
   }
   array.run_segment(trace);
@@ -228,7 +228,7 @@ Row run_array(const ExperimentHarness& harness, const Variant& v,
                               (hpn * 2 + static_cast<std::uint64_t>(copy)) *
                               kGap),
                .is_write = false,
-               .lpn = hpn,
+               .lpn = static_cast<std::uint32_t>(hpn),
                .pages = 1});
         }
       }

@@ -27,6 +27,11 @@ std::uint64_t mix(std::uint64_t x) {
 PageMappingFtl::PageMappingFtl(FtlConfig config)
     : config_(config),
       payload_(config.integrity_seed, config.integrity_payload_words) {
+  // map_ holds every ppn in 32 bits with kUnmappedPpn as the sentinel, and
+  // OOB records every lpn with kInvalidLpn (equal to it): logical pages
+  // never exceed total pages, so this one bound covers both.
+  static_assert(kInvalidLpn == kUnmappedPpn);
+  FLEX_EXPECTS(config_.spec.total_pages() < kUnmappedPpn);
   FLEX_EXPECTS(config_.over_provisioning > 0.0 &&
                config_.over_provisioning < 1.0);
   FLEX_EXPECTS(config_.reduced_capacity_factor > 0.0 &&
@@ -55,12 +60,8 @@ PageMappingFtl::PageMappingFtl(FtlConfig config)
     free_push(static_cast<std::uint32_t>(i));
   }
 
-  logical_pages_ = static_cast<std::uint64_t>(
-      std::floor(static_cast<double>(config_.spec.total_pages()) *
-                 (1.0 - config_.over_provisioning)));
-  // OOB records store the lpn as u32 with kInvalidLpn as the sentinel.
-  FLEX_EXPECTS(logical_pages_ < kInvalidLpn);
-  map_.assign(logical_pages_, kInvalid);
+  logical_pages_ = logical_pages_of(config_);
+  map_.assign(logical_pages_, kUnmappedPpn);
   gc_buckets_.resize(config_.spec.pages_per_block + 1);
   gc_bucket_pos_.assign(total_blocks, 0);
   // The medium: factory-fresh OOB areas and summary pages carrying the
@@ -73,6 +74,12 @@ PageMappingFtl::PageMappingFtl(FtlConfig config)
     seals_.assign(config_.spec.total_pages(), 0);
   }
   version_.assign(logical_pages_, 0);
+}
+
+std::uint64_t PageMappingFtl::logical_pages_of(const FtlConfig& config) {
+  return static_cast<std::uint64_t>(
+      std::floor(static_cast<double>(config.spec.total_pages()) *
+                 (1.0 - config.over_provisioning)));
 }
 
 void PageMappingFtl::clear_block_pages(std::uint32_t block_id) {
@@ -108,7 +115,7 @@ std::uint32_t PageMappingFtl::usable_pages(const BlockMeta& block) const {
 
 std::optional<PageInfo> PageMappingFtl::lookup(std::uint64_t lpn) const {
   FLEX_EXPECTS(lpn < logical_pages_);
-  const std::uint64_t ppn = map_[lpn];
+  const std::uint64_t ppn = mapped_ppn(lpn);
   if (ppn == kInvalid) return std::nullopt;
   const BlockMeta& block = blocks_[block_of(ppn)];
   FLEX_ASSERT(page_lpn(ppn) == lpn);
@@ -128,7 +135,7 @@ std::uint64_t PageMappingFtl::block_read_count(std::uint64_t ppn) const {
 }
 
 void PageMappingFtl::invalidate(std::uint64_t lpn) {
-  const std::uint64_t ppn = map_[lpn];
+  const std::uint64_t ppn = mapped_ppn(lpn);
   if (ppn == kInvalid) return;
   const std::uint32_t block_id = block_of(ppn);
   BlockMeta& block = blocks_[block_id];
@@ -151,7 +158,7 @@ void PageMappingFtl::invalidate(std::uint64_t lpn) {
     new_bucket.push_back(block_id);
   }
   --block.valid_count;
-  map_[lpn] = kInvalid;
+  set_mapping(lpn, kInvalid);
 }
 
 std::uint32_t PageMappingFtl::allocate_block(PageMode mode) {
@@ -202,7 +209,7 @@ std::uint64_t PageMappingFtl::append(std::uint64_t lpn, PageMode mode,
     const std::uint64_t ppn = make_ppn(frontier, page_id);
     set_page_valid(ppn);
     ++block.valid_count;
-    map_[lpn] = ppn;
+    set_mapping(lpn, ppn);
     // The OOB record lands in the same page program as the data — atomic
     // with it, which is what makes last-epoch-wins recovery sound.
     OobRecord& oob = oob_[ppn];
@@ -320,7 +327,7 @@ void PageMappingFtl::relocate_valid_pages(std::uint32_t block_id, SimTime now,
     // clock restarts at `now`; only the logical identity is preserved.
     clear_page_valid(base + p);
     --victim.valid_count;
-    map_[lpn] = kInvalid;
+    set_mapping(lpn, kInvalid);
     append(lpn, victim.mode, now, programs, /*relocation=*/true);
     ++*page_moves;
   }
@@ -441,7 +448,7 @@ WriteResult PageMappingFtl::write(std::uint64_t lpn, PageMode mode,
 WriteResult PageMappingFtl::migrate(std::uint64_t lpn, PageMode mode,
                                     SimTime now) {
   FLEX_EXPECTS(lpn < logical_pages_);
-  FLEX_EXPECTS(map_[lpn] != kInvalid);
+  FLEX_EXPECTS(mapped_ppn(lpn) != kInvalid);
   WriteResult result;
   result.page_programs = 0;
   ++stats_.mode_migrations;
@@ -458,8 +465,9 @@ WriteResult PageMappingFtl::migrate(std::uint64_t lpn, PageMode mode,
 WriteResult PageMappingFtl::repair(std::uint64_t lpn, SimTime now) {
   FLEX_EXPECTS(config_.integrity);
   FLEX_EXPECTS(lpn < logical_pages_);
-  FLEX_EXPECTS(map_[lpn] != kInvalid);
-  const PageMode mode = blocks_[block_of(map_[lpn])].mode;
+  const std::uint64_t ppn = mapped_ppn(lpn);
+  FLEX_EXPECTS(ppn != kInvalid);
+  const PageMode mode = blocks_[block_of(ppn)].mode;
   WriteResult result;
   result.page_programs = 0;
   ++stats_.repair_writes;
@@ -477,7 +485,7 @@ WriteResult PageMappingFtl::repair(std::uint64_t lpn, SimTime now) {
 SealVerdict PageMappingFtl::verify_page(std::uint64_t lpn, std::uint64_t ppn,
                                         std::uint64_t block_reads) const {
   FLEX_EXPECTS(config_.integrity);
-  FLEX_ASSERT(map_[lpn] == ppn);
+  FLEX_ASSERT(mapped_ppn(lpn) == ppn);
   const OobRecord& oob = oob_[ppn];
   SealVerdict verdict;
   if (oob.seal == SealState::kNone) {
@@ -518,8 +526,9 @@ SealVerdict PageMappingFtl::verify_page(std::uint64_t lpn, std::uint64_t ppn,
 DataAudit PageMappingFtl::audit_data(std::uint64_t lpn,
                                      std::uint64_t version) const {
   FLEX_EXPECTS(config_.integrity);
-  FLEX_EXPECTS(lpn < logical_pages_ && map_[lpn] != kInvalid);
-  const std::uint64_t ppn = map_[lpn];
+  FLEX_EXPECTS(lpn < logical_pages_);
+  const std::uint64_t ppn = mapped_ppn(lpn);
+  FLEX_EXPECTS(ppn != kInvalid);
   const OobRecord& oob = oob_[ppn];
   const bool sealed = oob.seal != SealState::kNone;
   const std::uint64_t payload_version = stored_version(oob);
@@ -534,7 +543,7 @@ MountReport PageMappingFtl::Mount(const MountOptions& options) {
   MountReport report;
   // Power loss wiped the volatile structures; mounting a live FTL discards
   // them the same way, which is what makes Mount idempotent.
-  map_.assign(logical_pages_, kInvalid);
+  map_.assign(logical_pages_, kUnmappedPpn);
   version_.assign(logical_pages_, 0);
   free_head_ = 0;
   free_count_ = 0;
@@ -567,8 +576,8 @@ MountReport PageMappingFtl::Mount(const MountOptions& options) {
   // relocated before retirement (a newer copy exists elsewhere) or sits
   // behind a failed erase and cannot be trusted — but skipping their
   // epochs could make post-mount epochs regress below pre-crash ones.
+  // The cleared map_ holds each lpn's winning ppn so far.
   std::vector<std::uint64_t> win_epoch(logical_pages_, 0);
-  std::vector<std::uint64_t> win_ppn(logical_pages_, kInvalid);
   std::uint64_t live_records = 0;
   for (std::uint32_t id = 0; id < blocks_.size(); ++id) {
     BlockMeta& block = blocks_[id];
@@ -584,7 +593,7 @@ MountReport PageMappingFtl::Mount(const MountOptions& options) {
       FLEX_ASSERT(oob.lpn < logical_pages_);
       if (oob.epoch > win_epoch[oob.lpn]) {
         win_epoch[oob.lpn] = oob.epoch;
-        win_ppn[oob.lpn] = base + p;
+        set_mapping(oob.lpn, base + p);
       }
       ++live_records;
     }
@@ -592,10 +601,9 @@ MountReport PageMappingFtl::Mount(const MountOptions& options) {
 
   // Install the winners (ascending lpn: reduced_lpns comes out sorted).
   for (std::uint64_t lpn = 0; lpn < logical_pages_; ++lpn) {
-    const std::uint64_t ppn = win_ppn[lpn];
+    const std::uint64_t ppn = mapped_ppn(lpn);
     if (ppn == kInvalid) continue;
     const OobRecord& oob = oob_[ppn];
-    map_[lpn] = ppn;
     version_[lpn] = oob.version;
     BlockMeta& block = blocks_[block_of(ppn)];
     set_page_valid(ppn);
@@ -640,7 +648,7 @@ Status PageMappingFtl::check_consistency() const {
     return Status::Internal(std::move(message));
   };
   for (std::uint64_t lpn = 0; lpn < logical_pages_; ++lpn) {
-    const std::uint64_t ppn = map_[lpn];
+    const std::uint64_t ppn = mapped_ppn(lpn);
     if (ppn == kInvalid) continue;
     const std::uint32_t block_id = block_of(ppn);
     const BlockMeta& block = blocks_[block_id];
@@ -672,7 +680,7 @@ Status PageMappingFtl::check_consistency() const {
       if (lpn == kInvalid) continue;
       ++valid_seen;
       ++mapped_pages;
-      if (lpn >= logical_pages_ || map_[lpn] != make_ppn(id, p)) {
+      if (lpn >= logical_pages_ || mapped_ppn(lpn) != make_ppn(id, p)) {
         return fail("valid page in block " + std::to_string(id) +
                     " is not the mapped copy of lpn " + std::to_string(lpn));
       }
@@ -696,7 +704,7 @@ Status PageMappingFtl::check_consistency() const {
   }
   std::uint64_t mapped_lpns = 0;
   for (std::uint64_t lpn = 0; lpn < logical_pages_; ++lpn) {
-    if (map_[lpn] != kInvalid) ++mapped_lpns;
+    if (mapped_ppn(lpn) != kInvalid) ++mapped_lpns;
   }
   if (mapped_lpns != mapped_pages) {
     return fail("mapped lpn count disagrees with valid page count");

@@ -213,6 +213,9 @@ class PageMappingFtl {
   ~PageMappingFtl();
 
   std::uint64_t logical_pages() const { return logical_pages_; }
+  /// The logical capacity an FTL built from `config` exposes: the raw
+  /// pages less over-provisioning.
+  static std::uint64_t logical_pages_of(const FtlConfig& config);
   std::uint64_t physical_blocks() const { return blocks_.size(); }
 
   /// Looks up a logical page; nullopt if never written.
@@ -310,10 +313,11 @@ class PageMappingFtl {
   /// invariant the crash harness checks after every mount).
   std::vector<std::uint64_t> double_mapped_lpns() const;
 
-  /// The raw L2P table (lpn -> ppn, kInvalidPpn when unmapped) for
-  /// byte-identity comparisons across mounts.
-  const std::vector<std::uint64_t>& l2p_dump() const { return map_; }
-  static constexpr std::uint64_t kInvalidPpn = ~0ULL;
+  /// The raw L2P table (lpn -> ppn, kUnmappedPpn when unmapped) for
+  /// byte-identity comparisons across mounts. Entries are 32 bits: the
+  /// constructor bounds every ppn below kUnmappedPpn.
+  const std::vector<std::uint32_t>& l2p_dump() const { return map_; }
+  static constexpr std::uint32_t kUnmappedPpn = ~0U;
 
   /// Host-write generation of `lpn` (bumped per write(), preserved by
   /// migrations/relocations, recovered from OOB by Mount). The durability
@@ -406,6 +410,7 @@ class PageMappingFtl {
   };
 
   static constexpr std::uint64_t kInvalid = ~0ULL;
+  static_assert(static_cast<std::uint32_t>(kInvalid) == kUnmappedPpn);
   static constexpr std::uint32_t kInvalidLpn = ~0U;  ///< unprogrammed OOB
 
   std::uint32_t usable_pages(const BlockMeta& block) const;
@@ -474,11 +479,22 @@ class PageMappingFtl {
   std::uint64_t page_lpn(std::uint64_t ppn) const {
     return page_valid(ppn) ? oob_[ppn].lpn : kInvalid;
   }
+  // The only two touches of map_'s 32-bit entries: everything else sees a
+  // u64 ppn, with kInvalid for an unmapped lpn. Every real ppn fits (the
+  // constructor bounds total_pages below kUnmappedPpn), and kInvalid
+  // narrows to kUnmappedPpn.
+  std::uint64_t mapped_ppn(std::uint64_t lpn) const {
+    const std::uint32_t entry = map_[lpn];
+    return entry == kUnmappedPpn ? kInvalid : entry;
+  }
+  void set_mapping(std::uint64_t lpn, std::uint64_t ppn) {
+    map_[lpn] = static_cast<std::uint32_t>(ppn);
+  }
 
   FtlConfig config_;
   std::uint64_t logical_pages_;
   std::vector<BlockMeta> blocks_;
-  std::vector<std::uint64_t> map_;   // lpn -> ppn (kInvalid when unmapped)
+  std::vector<std::uint32_t> map_;   // lpn -> ppn (kUnmappedPpn if none)
   std::vector<std::uint64_t> valid_;  // validity bitmap by ppn
   /// log2(pages_per_block) when it is a power of two (the common
   /// geometry), else kNoShift: block_of()/make_ppn() then fall back to

@@ -180,6 +180,14 @@ Status ArrayConfig::Validate() const {
       }
     }
   }
+  // Host requests carry the volume lpn in 32 bits (trace::Request).
+  const std::uint64_t drive_pages =
+      ftl::PageMappingFtl::logical_pages_of(drive.ftl);
+  if (drive_pages > trace::kLpnSpace / (drives / replication_factor)) {
+    return Status::OutOfRange(
+        "array volume capacity (drive logical pages * drives / "
+        "replication_factor) must be <= 2^32 pages");
+  }
   return Status::Ok();
 }
 
@@ -407,7 +415,7 @@ SimTime ArraySimulator::deliver_completion(const HostCommand& cmd,
 Duration ArraySimulator::dispatch(const HostCommand& cmd, SimTime now) {
   const trace::Request req{.arrival = now,
                            .is_write = cmd.is_write,
-                           .lpn = cmd.lpn,
+                           .lpn = static_cast<std::uint32_t>(cmd.lpn),
                            .pages = cmd.pages,
                            .tenant = cmd.tenant,
                            .priority = cmd.priority,
@@ -451,7 +459,7 @@ Duration ArraySimulator::recover_corrupt_pages(
       const trace::Request retry{
           .arrival = now,
           .is_write = false,
-          .lpn = dlpn,
+          .lpn = static_cast<std::uint32_t>(dlpn),
           .pages = 1,
           .tenant = cmd.tenant,
           .priority = cmd.priority,

@@ -37,7 +37,7 @@ CrashVerdict run_crash_point(SsdConfig config,
   // the FTL, so Mount() cannot "recover" it into agreement by accident.
   const std::vector<std::uint32_t> retired_before =
       sim.ftl().retired_block_ids();
-  const std::vector<std::uint64_t> ledger = sim.durable_versions();
+  const std::vector<std::uint32_t> ledger = sim.durable_versions();
 
   verdict.report = sim.mount();
   verdict.stale_records = verdict.report.stale_records;

@@ -37,6 +37,11 @@ std::string scheme_name(Scheme scheme) {
 }
 
 Status SsdConfig::Validate() const {
+  if (ftl.spec.total_pages() >= ftl::PageMappingFtl::kUnmappedPpn) {
+    return Status::OutOfRange(
+        "ftl.spec.total_pages() must be < 2^32 - 1: the L2P map stores "
+        "ppns in 32 bits");
+  }
   if (!(ftl.over_provisioning > 0.0 && ftl.over_provisioning < 1.0)) {
     return Status::OutOfRange("ftl.over_provisioning must be in (0, 1)");
   }
@@ -527,7 +532,7 @@ SsdSimulator::PageService SsdSimulator::service_read_page(std::uint64_t lpn,
 }
 
 void SsdSimulator::mark_durable(std::uint64_t lpn) {
-  durable_version_[lpn] = ftl_.data_version(lpn);
+  durable_version_[lpn] = static_cast<std::uint32_t>(ftl_.data_version(lpn));
 }
 
 void SsdSimulator::flush_victim(std::uint64_t lpn, SimTime now) {

@@ -528,7 +528,7 @@ class SsdSimulator : private QosSink, private ArrivalSink {
   /// write to `lpn` that was *programmed to NAND*; 0 if never durable.
   /// The crash harness checks it against the mounted FTL: every entry
   /// here must survive a crash+mount.
-  const std::vector<std::uint64_t>& durable_versions() const {
+  const std::vector<std::uint32_t>& durable_versions() const {
     return durable_version_;
   }
 
@@ -679,8 +679,9 @@ class SsdSimulator : private QosSink, private ArrivalSink {
   /// across reads so the tracing path stops allocating per request.
   std::vector<ReadAttempt> attempts_scratch_;
   ftl::FtlStats prefill_stats_;
-  /// Per-LPN durable version ledger (see durable_versions()).
-  std::vector<std::uint64_t> durable_version_;
+  /// Per-LPN durable version ledger (see durable_versions()); u32 like
+  /// the FTL's own version_.
+  std::vector<std::uint32_t> durable_version_;
   bool crashed_ = false;
   std::uint64_t crash_ordinal_ = 0;
   /// config_.integrity.enabled, hoisted for the read hot path.

@@ -21,7 +21,7 @@ TraceSummary summarize(const std::vector<Request>& trace) {
       s.read_pages += req.pages;
     }
     if (req.pages > 0) {
-      s.max_lpn = std::max(s.max_lpn, req.lpn + req.pages - 1);
+      s.max_lpn = std::max(s.max_lpn, std::uint64_t{req.lpn} + req.pages - 1);
     }
   }
   return s;
@@ -75,11 +75,22 @@ std::vector<Request> read_csv(std::istream& in) {
     } else {
       throw std::runtime_error("trace: bad op field: " + line);
     }
-    req.lpn = parse_u64(fields[2], "lpn");
-    req.pages = static_cast<std::uint32_t>(parse_u64(fields[3], "pages"));
-    if (req.pages == 0) {
+    // Request keeps lpn and pages in 32 bits: reject what they cannot
+    // hold instead of truncating it to some other extent.
+    const std::uint64_t lpn = parse_u64(fields[2], "lpn");
+    const std::uint64_t pages = parse_u64(fields[3], "pages");
+    if (lpn >= kLpnSpace || pages >= kLpnSpace) {
+      throw std::runtime_error("trace: lpn or pages exceeds 32 bits: " + line);
+    }
+    if (pages == 0) {
       throw std::runtime_error("trace: zero-length request: " + line);
     }
+    if (lpn + pages > kLpnSpace) {
+      throw std::runtime_error("trace: request runs past lpn 2^32 - 1: " +
+                               line);
+    }
+    req.lpn = static_cast<std::uint32_t>(lpn);
+    req.pages = static_cast<std::uint32_t>(pages);
     trace.push_back(req);
   }
   return trace;

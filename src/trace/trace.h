@@ -18,7 +18,7 @@ namespace flex::trace {
 struct Request {
   SimTime arrival = 0;        ///< ns since trace start
   bool is_write = false;
-  std::uint64_t lpn = 0;      ///< first logical page
+  std::uint32_t lpn = 0;      ///< first logical page
   std::uint32_t pages = 1;    ///< request length in pages
   std::uint16_t tenant = 0;   ///< QoS tenant index (0 = default tenant)
   std::uint8_t priority = 0;  ///< 0 = normal; higher tightens deadlines
@@ -29,6 +29,14 @@ struct Request {
 
   bool operator==(const Request&) const = default;
 };
+// A trace holds one Request per host command, so its size sets the trace's
+// memory: the fields above, in this order, pack to 24 bytes.
+static_assert(sizeof(Request) == 24, "trace::Request must stay packed");
+
+/// Distinct lpns a Request can name (lpn is 32 bits). Every request's run
+/// [lpn, lpn + pages) ends at or below it; trace sources bound their
+/// footprints by it.
+inline constexpr std::uint64_t kLpnSpace = std::uint64_t{1} << 32;
 
 /// Pull-based request stream: the open-loop workload engine implements this
 /// so the simulator can draw arrivals one at a time instead of replaying a

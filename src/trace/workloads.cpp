@@ -129,6 +129,7 @@ std::uint64_t coprime_multiplier(std::uint64_t footprint,
 std::vector<Request> generate(const WorkloadParams& params,
                               std::uint64_t seed) {
   FLEX_EXPECTS(params.footprint_pages >= 1024);
+  FLEX_EXPECTS(params.footprint_pages <= kLpnSpace);
   FLEX_EXPECTS(params.read_fraction >= 0.0 && params.read_fraction <= 1.0);
   FLEX_EXPECTS(params.mean_request_pages >= 1.0);
   FLEX_EXPECTS(params.iops > 0.0);
@@ -171,21 +172,22 @@ std::vector<Request> generate(const WorkloadParams& params,
     req.pages = pages;
 
     std::uint64_t& last_end = req.is_write ? last_write_end : last_read_end;
+    std::uint64_t lpn = 0;
     if (i > 0 && rng.chance(params.sequential_fraction)) {
-      req.lpn = last_end % params.footprint_pages;
+      lpn = last_end % params.footprint_pages;
     } else if (!req.is_write ||
                (write_span == 0 || rng.chance(params.read_write_overlap))) {
-      req.lpn = permute(read_zipf.sample(rng), read_mult, 0, read_span);
+      lpn = permute(read_zipf.sample(rng), read_mult, 0, read_span);
     } else {
-      req.lpn =
-          read_span + permute(write_zipf.sample(rng), write_mult, 0,
-                              write_span);
+      lpn = read_span + permute(write_zipf.sample(rng), write_mult, 0,
+                                write_span);
     }
     // Clamp runs that would spill past the footprint.
-    if (req.lpn + req.pages > params.footprint_pages) {
-      req.lpn = params.footprint_pages - req.pages;
+    if (lpn + req.pages > params.footprint_pages) {
+      lpn = params.footprint_pages - req.pages;
     }
-    last_end = req.lpn + req.pages;
+    req.lpn = static_cast<std::uint32_t>(lpn);
+    last_end = lpn + req.pages;
     out.push_back(req);
   }
   return out;

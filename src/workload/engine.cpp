@@ -67,6 +67,12 @@ Status EngineConfig::Validate() const {
       return Status::InvalidArgument(
           who + "footprint_pages must cover max_request_pages");
     }
+    // trace::Request carries the lpn in 32 bits.
+    if (t.footprint_pages > trace::kLpnSpace ||
+        t.footprint_offset > trace::kLpnSpace - t.footprint_pages) {
+      return Status::OutOfRange(
+          who + "footprint_offset + footprint_pages must be <= 2^32");
+    }
     if (!(t.qos_weight > 0.0)) {
       return Status::InvalidArgument(who + "qos_weight must be > 0");
     }
@@ -136,13 +142,15 @@ std::optional<trace::Request> WorkloadEngine::next() {
     ++pages;
   }
   req.pages = pages;
-  req.lpn = spec.footprint_offset +
-            permute(state.zipf.sample(rng_), state.mult,
-                    spec.footprint_pages);
+  std::uint64_t lpn =
+      spec.footprint_offset +
+      permute(state.zipf.sample(rng_), state.mult, spec.footprint_pages);
   // Clamp runs that would spill past the tenant's footprint slice.
-  if (req.lpn + req.pages > spec.footprint_offset + spec.footprint_pages) {
-    req.lpn = spec.footprint_offset + spec.footprint_pages - req.pages;
+  if (lpn + req.pages > spec.footprint_offset + spec.footprint_pages) {
+    lpn = spec.footprint_offset + spec.footprint_pages - req.pages;
   }
+  // Validate() bounds every slice's end by trace::kLpnSpace.
+  req.lpn = static_cast<std::uint32_t>(lpn);
   req.tenant = static_cast<std::uint16_t>(tenant);
   req.priority = spec.priority;
   req.requester = spec.requester;

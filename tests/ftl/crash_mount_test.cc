@@ -46,7 +46,7 @@ TEST(CrashMountTest, MountRecoversEveryMapping) {
   for (std::uint64_t lpn = 0; lpn < 100; ++lpn) {
     ftl.write(lpn, PageMode::kNormal, 1000 + static_cast<SimTime>(lpn));
   }
-  const std::vector<std::uint64_t> before = ftl.l2p_dump();
+  const std::vector<std::uint32_t> before = ftl.l2p_dump();
   const MountReport report = ftl.Mount();
   EXPECT_EQ(report.mappings_recovered, 100u);
   EXPECT_EQ(report.stale_records, 0u);
@@ -94,7 +94,7 @@ TEST(CrashMountTest, MountIsIdempotent) {
               i);
   }
   const MountReport first = ftl.Mount();
-  const std::vector<std::uint64_t> l2p_first = ftl.l2p_dump();
+  const std::vector<std::uint32_t> l2p_first = ftl.l2p_dump();
   const FtlStats stats_first = ftl.stats();
   const MountReport second = ftl.Mount();
   EXPECT_EQ(second.pages_scanned, first.pages_scanned);

@@ -123,7 +123,7 @@ TEST(PageMappingTest, WriteTimesSurviveGcRefreshAndMount) {
   PageMappingFtl ftl(tiny_config());
   Rng rng(2015);
   std::vector<SimTime> expected(ftl.logical_pages(), 0);
-  std::vector<std::uint64_t> before = ftl.l2p_dump();
+  std::vector<std::uint32_t> before = ftl.l2p_dump();
   std::uint64_t refreshes = 0;
   for (SimTime now = 1; now <= 6'000; ++now) {
     const std::uint64_t lpn = rng.below(ftl.logical_pages());
@@ -142,7 +142,7 @@ TEST(PageMappingTest, WriteTimesSurviveGcRefreshAndMount) {
       ftl.write(target,
                 rng.chance(0.2) ? PageMode::kReduced : PageMode::kNormal, now);
     }
-    const std::vector<std::uint64_t>& after = ftl.l2p_dump();
+    const std::vector<std::uint32_t>& after = ftl.l2p_dump();
     for (std::uint64_t l = 0; l < after.size(); ++l) {
       if (after[l] != before[l]) expected[l] = now;
     }
@@ -160,7 +160,7 @@ TEST(PageMappingTest, WriteTimesSurviveGcRefreshAndMount) {
     }
   };
   expect_write_times("live");
-  const std::vector<std::uint64_t> live_map = ftl.l2p_dump();
+  const std::vector<std::uint32_t> live_map = ftl.l2p_dump();
   ftl.Mount();
   EXPECT_EQ(ftl.l2p_dump(), live_map);
   expect_write_times("mounted");
@@ -236,6 +236,43 @@ TEST(PageMappingTest, InitialPeCyclesApplied) {
   EXPECT_EQ(ftl.min_erase_count(), 6000u);
 }
 
+// l2p_dump() is the raw 32-bit table: kUnmappedPpn for an lpn with no
+// copy, the ppn of its live copy otherwise. A superseded copy's ppn
+// disappears from the table when the overwrite invalidates it.
+TEST(PageMappingTest, L2pDumpShowsUnmappedSentinel) {
+  PageMappingFtl ftl(tiny_config());
+  const std::vector<std::uint32_t>& l2p = ftl.l2p_dump();
+  ASSERT_EQ(l2p.size(), ftl.logical_pages());
+  for (const std::uint32_t entry : l2p) {
+    ASSERT_EQ(entry, PageMappingFtl::kUnmappedPpn);
+  }
+  const WriteResult first = ftl.write(7, PageMode::kNormal, 1);
+  EXPECT_EQ(l2p[7], first.ppn);
+  EXPECT_EQ(l2p[6], PageMappingFtl::kUnmappedPpn);
+  EXPECT_EQ(l2p[8], PageMappingFtl::kUnmappedPpn);
+
+  const WriteResult second = ftl.write(7, PageMode::kNormal, 2);
+  ASSERT_NE(first.ppn, second.ppn);
+  EXPECT_EQ(l2p[7], second.ppn);
+  for (const std::uint32_t entry : l2p) EXPECT_NE(entry, first.ppn);
+
+  // Through GC churn and a mount, every entry still agrees with lookup().
+  Rng rng(7);
+  for (int i = 0; i < 4000; ++i) {
+    ftl.write(rng.below(200), PageMode::kNormal, i);
+  }
+  (void)ftl.Mount();
+  for (std::uint64_t lpn = 0; lpn < ftl.logical_pages(); ++lpn) {
+    const auto info = ftl.lookup(lpn);
+    if (info.has_value()) {
+      EXPECT_EQ(ftl.l2p_dump()[lpn], info->ppn) << lpn;
+    } else {
+      EXPECT_EQ(ftl.l2p_dump()[lpn], PageMappingFtl::kUnmappedPpn) << lpn;
+    }
+  }
+  EXPECT_TRUE(ftl.check_consistency().ok());
+}
+
 TEST(PageMappingDeathTest, MigrateRequiresMappedPage) {
   PageMappingFtl ftl(tiny_config());
   EXPECT_DEATH((void)ftl.migrate(3, PageMode::kReduced, 0), "precondition");
@@ -245,6 +282,21 @@ TEST(PageMappingDeathTest, LpnRangeChecked) {
   PageMappingFtl ftl(tiny_config());
   EXPECT_DEATH((void)ftl.write(ftl.logical_pages(), PageMode::kNormal, 0),
                "precondition");
+}
+
+// map_ stores ppns in 32 bits with kUnmappedPpn as the sentinel, so a
+// geometry of 2^32 pages is refused by the constructor's first check,
+// before it sizes any per-page or per-block table (here those would be
+// hundreds of GiB).
+TEST(PageMappingDeathTest, GeometryBeyondU32PpnsRefusedUpFront) {
+  FtlConfig cfg = tiny_config();
+  cfg.spec.pages_per_block = 1024;
+  cfg.spec.blocks_per_chip = 65536;
+  cfg.spec.chips = 64;
+  ASSERT_GE(cfg.spec.total_pages(), std::uint64_t{1} << 32);
+  EXPECT_DEATH(PageMappingFtl{cfg},
+               "precondition violated: config_\\.spec\\.total_pages\\(\\) "
+               "< kUnmappedPpn");
 }
 
 }  // namespace

@@ -333,6 +333,31 @@ TEST_F(ArrayTest, ValidateRejectsInconsistentConfigs) {
   EXPECT_FALSE(status_of(cfg).ok());  // override count != drives
 }
 
+// Host lpns ride trace::Request's 32-bit lpn, and each drive's L2P map
+// keeps ppns in 32 bits: both capacities are refused past those bounds.
+TEST_F(ArrayTest, ValidateBoundsVolumeToU32Lpns) {
+  ArrayConfig cfg = zero_cost_array(ssd::Scheme::kLdpcInSsd);
+  // 2^31 raw pages per drive, 1.5 * 2^30 logical at 25% over-provisioning.
+  cfg.drive.ftl.spec.pages_per_block = 1024;
+  cfg.drive.ftl.spec.blocks_per_chip = 65536;
+  cfg.drive.ftl.spec.chips = 32;
+  cfg.drive.ftl.over_provisioning = 0.25;
+  cfg.drives = 2;
+  EXPECT_TRUE(cfg.Validate().ok());  // 3 * 2^30 volume pages
+
+  cfg.drives = 4;
+  EXPECT_EQ(cfg.Validate().code(), StatusCode::kOutOfRange);  // 6 * 2^30
+
+  cfg.replication_factor = 2;
+  EXPECT_TRUE(cfg.Validate().ok());  // two mirrored groups: 3 * 2^30
+
+  cfg = zero_cost_array(ssd::Scheme::kLdpcInSsd);
+  cfg.drive.ftl.spec.pages_per_block = 1024;
+  cfg.drive.ftl.spec.blocks_per_chip = 65536;
+  cfg.drive.ftl.spec.chips = 64;  // 2^32 raw pages on one drive
+  EXPECT_EQ(cfg.Validate().code(), StatusCode::kOutOfRange);
+}
+
 TEST_F(ArrayTest, ResetMeasurementsScopesTheWindow) {
   ArrayConfig cfg = zero_cost_array(ssd::Scheme::kLdpcInSsd);
   cfg.drives = 2;

@@ -115,7 +115,8 @@ class ReadRepairTest : public ::testing::Test {
       const std::uint64_t h = mix64(i ^ 0x1E67'D1C0ULL);
       trace.push_back({.arrival = base + static_cast<SimTime>(i * kGap),
                        .is_write = (h % 10) == 0,
-                       .lpn = mix64(h) % footprint,
+                       .lpn = static_cast<std::uint32_t>(mix64(h) %
+                                                         footprint),
                        .pages = 1});
     }
     return trace;
@@ -132,7 +133,7 @@ class ReadRepairTest : public ::testing::Test {
         scrub.push_back(
             {.arrival = base + static_cast<SimTime>((hpn * 2 + copy) * kGap),
              .is_write = false,
-             .lpn = hpn,
+             .lpn = static_cast<std::uint32_t>(hpn),
              .pages = 1});
       }
     }
@@ -216,7 +217,7 @@ TEST_F(ReadRepairTest, CorruptReplicaIsRepairedFromItsMirror) {
       for (std::uint64_t copy = 0; copy < 2; ++copy) {
         reads.push_back({.arrival = base + static_cast<SimTime>(copy * kGap),
                          .is_write = false,
-                         .lpn = hpn,
+                         .lpn = static_cast<std::uint32_t>(hpn),
                          .pages = 1});
       }
       base += 1'000'000'000LL;

@@ -260,7 +260,7 @@ TEST_F(CrashConsistencyTest, MountIsIdempotentIncludingMetrics) {
   sim->attach_telemetry(&telemetry);
   sim->mount();
   const std::string metrics_first = telemetry.metrics.snapshot().to_jsonl();
-  const std::vector<std::uint64_t> l2p_first = sim->ftl().l2p_dump();
+  const std::vector<std::uint32_t> l2p_first = sim->ftl().l2p_dump();
 
   sim->power_loss();
   telemetry.metrics.zero();  // crash accounted; compare the mounts alone

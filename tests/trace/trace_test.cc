@@ -36,10 +36,24 @@ TEST(TraceTest, LowercaseOpsAccepted) {
 
 TEST(TraceTest, MalformedLinesThrow) {
   for (const char* bad : {"1,R,5\n", "x,R,5,1\n", "1,Q,5,1\n", "1,R,5,0\n",
-                          "1,R,five,1\n", "1,R,5,1,extra\n"}) {
+                          "1,R,five,1\n", "1,R,5,1,extra\n",
+                          // lpn and pages are 32 bits: a value they cannot
+                          // hold throws instead of wrapping to another extent.
+                          "1,R,4294967296,1\n",   // lpn 2^32
+                          "1,R,5,4294967297\n",   // pages 2^32 + 1 (was 1)
+                          "1,W,4294967295,2\n"}) {  // run past 2^32 - 1
     std::stringstream in(bad);
     EXPECT_THROW((void)read_csv(in), std::runtime_error) << bad;
   }
+}
+
+TEST(TraceTest, RunEndingAtLpnSpaceIsAccepted) {
+  std::stringstream in("1,W,4294967294,2\n");  // last page 2^32 - 1
+  const auto parsed = read_csv(in);
+  ASSERT_EQ(parsed.size(), 1u);
+  EXPECT_EQ(parsed[0].lpn, 4294967294u);
+  EXPECT_EQ(parsed[0].pages, 2u);
+  EXPECT_EQ(summarize(parsed).max_lpn, 4294967295u);
 }
 
 TEST(TraceTest, SummarizeCounts) {

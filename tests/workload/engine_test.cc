@@ -219,5 +219,27 @@ TEST(WorkloadEngineTest, ValidateRejectsBadConfigs) {
   EXPECT_FALSE(bad.Validate().ok());
 }
 
+// trace::Request carries the lpn in 32 bits, so every tenant slice must
+// end at or below 2^32.
+TEST(WorkloadEngineTest, ValidateBoundsFootprintsToU32Lpns) {
+  constexpr std::uint64_t kSpace = trace::kLpnSpace;
+  EngineConfig config = four_tenant_config();
+  TenantSpec& t = config.tenants[0];
+  t.footprint_offset = kSpace - t.footprint_pages;  // last lpn 2^32 - 1
+  EXPECT_TRUE(config.Validate().ok());
+
+  t.footprint_offset += 1;
+  EXPECT_EQ(config.Validate().code(), StatusCode::kOutOfRange);
+
+  t.footprint_offset = 0;
+  t.footprint_pages = kSpace + 1;
+  EXPECT_EQ(config.Validate().code(), StatusCode::kOutOfRange);
+
+  // An offset so large that offset + pages wraps u64 is still refused.
+  t.footprint_pages = 1 << 16;
+  t.footprint_offset = ~std::uint64_t{0};
+  EXPECT_EQ(config.Validate().code(), StatusCode::kOutOfRange);
+}
+
 }  // namespace
 }  // namespace flex::workload
