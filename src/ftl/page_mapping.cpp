@@ -212,13 +212,12 @@ std::uint64_t PageMappingFtl::append(std::uint64_t lpn, PageMode mode,
     set_mapping(lpn, ppn);
     // The OOB record lands in the same page program as the data — atomic
     // with it, which is what makes last-epoch-wins recovery sound.
+    FLEX_ASSERT(epoch_ < OobRecord::kEpochMask);
     OobRecord& oob = oob_[ppn];
-    oob = OobRecord{.epoch = ++epoch_,
-                    .write_time = now,
+    oob = OobRecord{.write_time = now,
                     .lpn = static_cast<std::uint32_t>(lpn),
                     .version = version_[lpn],
-                    .mode = block.mode,
-                    .programmed = true};
+                    .tag = OobRecord::make_tag(++epoch_, block.mode)};
     if (config_.integrity) {
       // Seal the payload (claim == truth on a healthy program), then let
       // the silent-data fault kinds break it. Identity: a page slot is
@@ -231,12 +230,12 @@ std::uint64_t PageMappingFtl::append(std::uint64_t lpn, PageMode mode,
         ++stats_.misdirected_writes;
       } else {
         seals_[ppn] = payload_.crc(lpn, oob.version);
-        oob.seal = SealState::kIntact;
+        oob.set_seal(SealState::kIntact);
         if (relocation && oob.version > 0 && injector_ != nullptr &&
             injector_->torn_relocation(ppn, block.erase_count)) {
           // Relocation DMA raced a host overwrite: the previous
           // generation's bytes land under the fresh seal.
-          oob.seal = SealState::kTorn;
+          oob.set_seal(SealState::kTorn);
           ++stats_.torn_relocations;
         }
       }
@@ -488,7 +487,7 @@ SealVerdict PageMappingFtl::verify_page(std::uint64_t lpn, std::uint64_t ppn,
   FLEX_ASSERT(mapped_ppn(lpn) == ppn);
   const OobRecord& oob = oob_[ppn];
   SealVerdict verdict;
-  if (oob.seal == SealState::kNone) {
+  if (oob.seal() == SealState::kNone) {
     // Expected a sealed page, found none (misdirected write): whatever
     // bytes are here, they are not ours and carry no matching seal.
     verdict.flagged = true;
@@ -530,7 +529,7 @@ DataAudit PageMappingFtl::audit_data(std::uint64_t lpn,
   const std::uint64_t ppn = mapped_ppn(lpn);
   FLEX_EXPECTS(ppn != kInvalid);
   const OobRecord& oob = oob_[ppn];
-  const bool sealed = oob.seal != SealState::kNone;
+  const bool sealed = oob.seal() != SealState::kNone;
   const std::uint64_t payload_version = stored_version(oob);
   DataAudit audit;
   audit.seal_ok = sealed && oob.lpn == lpn && oob.version == version &&
@@ -576,23 +575,23 @@ MountReport PageMappingFtl::Mount(const MountOptions& options) {
   // relocated before retirement (a newer copy exists elsewhere) or sits
   // behind a failed erase and cannot be trusted — but skipping their
   // epochs could make post-mount epochs regress below pre-crash ones.
-  // The cleared map_ holds each lpn's winning ppn so far.
-  std::vector<std::uint64_t> win_epoch(logical_pages_, 0);
+  // The cleared map_ holds each lpn's winning ppn so far, and that
+  // winner's own OOB record its epoch (epochs are unique).
   std::uint64_t live_records = 0;
   for (std::uint32_t id = 0; id < blocks_.size(); ++id) {
     BlockMeta& block = blocks_[id];
     const std::uint64_t base = make_ppn(id, 0);
     for (std::uint32_t p = 0; p < config_.spec.pages_per_block; ++p) {
       const OobRecord& oob = oob_[base + p];
-      if (!oob.programmed) break;
+      if (!oob.programmed()) break;
       ++report.pages_scanned;
-      epoch_ = std::max(epoch_, oob.epoch);
+      epoch_ = std::max(epoch_, oob.epoch());
       if (block.retired) continue;
       block.next_page = p + 1;
-      block.mode = oob.mode;
+      block.mode = oob.mode();
       FLEX_ASSERT(oob.lpn < logical_pages_);
-      if (oob.epoch > win_epoch[oob.lpn]) {
-        win_epoch[oob.lpn] = oob.epoch;
+      const std::uint64_t winner = mapped_ppn(oob.lpn);
+      if (winner == kInvalid || oob.epoch() > oob_[winner].epoch()) {
         set_mapping(oob.lpn, base + p);
       }
       ++live_records;
@@ -609,7 +608,7 @@ MountReport PageMappingFtl::Mount(const MountOptions& options) {
     set_page_valid(ppn);
     ++block.valid_count;
     ++report.mappings_recovered;
-    if (oob.mode == PageMode::kReduced) report.reduced_lpns.push_back(lpn);
+    if (oob.mode() == PageMode::kReduced) report.reduced_lpns.push_back(lpn);
   }
   report.stale_records = live_records - report.mappings_recovered;
 

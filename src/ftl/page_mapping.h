@@ -344,7 +344,7 @@ class PageMappingFtl {
   // Volatile per-page state is one validity bit per ppn (valid_); a valid
   // page's lpn and write time are read from its OOB record, which the same
   // program wrote. A lookup touches the bitmap (resident: 1 bit per page)
-  // and one 32-byte OOB line.
+  // and the first 12 bytes of one 24-byte OOB record.
   struct BlockMeta {
     PageMode mode = PageMode::kNormal;
     bool open = false;             ///< is a write frontier
@@ -365,8 +365,11 @@ class PageMappingFtl {
   /// The durable per-page spare area, programmed atomically with the data
   /// (real NAND writes data + OOB in one page program). Survives power
   /// loss; only a successful erase clears it. Everything Mount() needs to
-  /// rebuild the L2P map is here, packed to 32 bytes (lpn and version fit
-  /// u32: the constructor bounds logical_pages_, write() the version).
+  /// rebuild the L2P map is here, packed to 24 bytes: lpn and version fit
+  /// u32 (the constructor bounds logical_pages_, write() the version), and
+  /// one u64 tag carries the epoch (bits 0-55), the mode (bit 56) and the
+  /// seal state (bits 57-58). Epoch 0 means never programmed; append()
+  /// asserts the epoch stays below 2^56.
   ///
   /// The integrity seal rides the same record. Its *claim* is what the
   /// controller sealed for the data it intended to write: the identity
@@ -374,7 +377,7 @@ class PageMappingFtl {
   /// is the page's seals_ word. Its *truth* is the identity of the bytes
   /// the page actually holds (the generator regenerates any page from its
   /// identity, so it stands in for the full page body): (lpn, version)
-  /// when `seal` is kIntact, (lpn, version - 1) when kTorn. A healthy
+  /// when `seal()` is kIntact, (lpn, version - 1) when kTorn. A healthy
   /// program has claim == truth; the silent-data fault kinds break
   /// exactly that: a misdirected write leaves the slot unsealed (kNone —
   /// data and seal landed on some other page while success was reported
@@ -383,22 +386,42 @@ class PageMappingFtl {
   /// (lpn, version, epoch, mode): controller metadata updates travel a
   /// separate journaled path, so mapping-integrity invariants stay intact
   /// while the data rots.
-  struct alignas(32) OobRecord {
-    std::uint64_t epoch = 0;    ///< global program ordinal (1-based)
+  struct OobRecord {
+    static constexpr std::uint64_t kEpochMask = (1ULL << 56) - 1;
+    static constexpr unsigned kModeShift = 56;
+    static constexpr unsigned kSealShift = 57;
+    static constexpr std::uint64_t kSealMask = 3ULL << kSealShift;
+
     SimTime write_time = 0;
     std::uint32_t lpn = kInvalidLpn;
     std::uint32_t version = 0;  ///< host-write generation of the lpn
-    PageMode mode = PageMode::kNormal;
-    bool programmed = false;
-    SealState seal = SealState::kNone;
+    std::uint64_t tag = 0;      ///< epoch | mode << 56 | seal << 57
+
+    static std::uint64_t make_tag(std::uint64_t epoch, PageMode mode) {
+      return epoch | static_cast<std::uint64_t>(mode) << kModeShift;
+    }
+    /// Global program ordinal (1-based; 0 = never programmed).
+    std::uint64_t epoch() const { return tag & kEpochMask; }
+    bool programmed() const { return epoch() != 0; }
+    PageMode mode() const {
+      return static_cast<PageMode>(tag >> kModeShift & 1);
+    }
+    SealState seal() const {
+      return static_cast<SealState>((tag & kSealMask) >> kSealShift);
+    }
+    void set_seal(SealState seal) {
+      tag = (tag & ~kSealMask) |
+            static_cast<std::uint64_t>(seal) << kSealShift;
+    }
   };
-  static_assert(sizeof(OobRecord) == 32, "OOB record must stay packed");
-  // Aligned to its size, no record straddles two 64-byte cache lines.
-  static_assert(alignof(OobRecord) == 32, "OOB record must stay aligned");
+  // At a 24-byte stride, bytes 0-11 (what lookup() reads) straddle two
+  // cache lines in one record of eight; DESIGN.md §2.6 measures that
+  // trade against the 8 bytes per page saved.
+  static_assert(sizeof(OobRecord) == 24, "OOB record must stay packed");
 
   /// Generation of the bytes a sealed page actually stores.
   static std::uint64_t stored_version(const OobRecord& oob) {
-    return oob.version - (oob.seal == SealState::kTorn ? 1u : 0u);
+    return oob.version - (oob.seal() == SealState::kTorn ? 1u : 0u);
   }
 
   /// The durable per-block summary page, rewritten on erase / retirement

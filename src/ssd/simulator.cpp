@@ -379,17 +379,21 @@ void SsdSimulator::prefill(std::uint64_t pages) {
   const ftl::PageMode mode = policy_->prefill_mode();
   const double log_min = std::log(config_.min_prefill_age);
   const double log_max = std::log(config_.max_prefill_age);
-  FLEX_EXPECTS(config_.prefill_extent_pages >= 1);
-  Hours age = config_.max_prefill_age;
-  // Only the static age model reads the prefill birth times back.
+  const std::uint64_t extent = config_.prefill_extent_pages;
+  FLEX_EXPECTS(extent >= 1);
+  // Only the static age model reads the prefill birth times back, one per
+  // extent (the last one may be partial).
   const bool static_ages = config_.age_model == AgeModel::kStaticPerLba;
-  static_birth_.assign(static_ages ? pages : 0, 0);
+  static_birth_pages_ = static_ages ? pages : 0;
+  static_birth_.assign(
+      static_ages ? pages / extent + (pages % extent != 0 ? 1 : 0) : 0, 0);
+  SimTime birth = 0;
   for (std::uint64_t lpn = 0; lpn < pages; ++lpn) {
-    if (lpn % config_.prefill_extent_pages == 0) {
-      age = std::exp(rng_.uniform(log_min, log_max));
+    if (lpn % extent == 0) {
+      const Hours age = std::exp(rng_.uniform(log_min, log_max));
+      birth = static_cast<SimTime>(-age * 3600.0 * 1e9);
+      if (static_ages) static_birth_[lpn / extent] = birth;
     }
-    const auto birth = static_cast<SimTime>(-age * 3600.0 * 1e9);
-    if (static_ages) static_birth_[lpn] = birth;
     ftl_.write(lpn, mode, birth);
     // Prefilled data is on NAND by definition: durable as written.
     mark_durable(lpn);
@@ -435,10 +439,11 @@ SsdSimulator::ResolvedRead SsdSimulator::resolve_read(std::uint64_t lpn,
   if (buffer_.contains(lpn)) return {.source = ReadSource::kBuffer, .ctx = {}};
   const auto info = ftl_.lookup(lpn);
   if (!info.has_value()) return {.source = ReadSource::kUnmapped, .ctx = {}};
+  // Bounded by the prefilled pages, not the per-extent table's size: a
+  // page past the prefill ages from its own write time.
   const SimTime birth =
-      config_.age_model == AgeModel::kStaticPerLba &&
-              lpn < static_birth_.size()
-          ? static_birth_[lpn]
+      lpn < static_birth_pages_
+          ? static_birth_[lpn / config_.prefill_extent_pages]
           : info->write_time;
   const Hours age = static_cast<double>(now - birth) / (3600.0 * 1e9);
   const auto assessment = channel_.assess(

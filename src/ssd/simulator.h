@@ -670,9 +670,14 @@ class SsdSimulator : private QosSink, private ArrivalSink {
   /// order: the policy captures the pointer).
   std::unique_ptr<faults::FaultInjector> injector_;
   std::unique_ptr<ReadPolicy> policy_;
-  /// Per-LBA data birth time for AgeModel::kStaticPerLba (prefill only;
-  /// empty under every other age model).
+  /// Data birth time per prefill extent for AgeModel::kStaticPerLba:
+  /// entry e holds the birth of LPNs from e * prefill_extent_pages up to
+  /// the next extent or static_birth_pages_ (empty under every other age
+  /// model).
   std::vector<SimTime> static_birth_;
+  /// Prefilled pages static_birth_ covers (0 unless kStaticPerLba): the
+  /// bound of a static-age lookup, since the last extent may be partial.
+  std::uint64_t static_birth_pages_ = 0;
   Rng rng_;
   SsdResults results_;
   /// Pooled per-read attempt scratch for latency-breakdown tracing; reused

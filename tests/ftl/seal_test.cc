@@ -172,5 +172,82 @@ TEST(SealTest, VerdictsUnchangedAcrossMount) {
   EXPECT_TRUE(snapshot() == before);
 }
 
+TEST(SealTest, PackedOobFieldsSurviveMount) {
+  // Each OOB record packs epoch, mode and seal state into one word. Mix
+  // both modes with misdirected and torn programs on chosen writes, then
+  // check that a mount reads back the same mapping, the same reduced-state
+  // membership and the same verdict for every page.
+  faults::FaultConfig misdirect_cfg;
+  misdirect_cfg.misdirected_write_rate = 1.0;
+  const faults::FaultInjector misdirect(misdirect_cfg, 0xC0FFEE);
+  faults::FaultConfig torn_cfg;
+  torn_cfg.torn_relocation_rate = 1.0;
+  const faults::FaultInjector torn(torn_cfg, 0xC0FFEE);
+  PageMappingFtl ftl(sealed_config());
+  Rng rng(23);
+  const std::uint64_t span = ftl.logical_pages();
+  for (int i = 0; i < 2000; ++i) {
+    const std::uint64_t lpn = rng.below(span);
+    const PageMode mode = i % 3 == 0 ? PageMode::kReduced : PageMode::kNormal;
+    if (i % 5 == 0 && ftl.lookup(lpn).has_value()) {
+      // Every ninth migration (and any GC it triggers) is torn.
+      ftl.attach_fault_injector(i % 9 == 0 ? &torn : nullptr);
+      ftl.migrate(lpn, mode, i);
+    } else {
+      ftl.attach_fault_injector(i % 13 == 0 ? &misdirect : nullptr);
+      ftl.write(lpn, mode, i);
+    }
+  }
+  ftl.attach_fault_injector(nullptr);
+  ASSERT_GT(ftl.stats().gc_page_moves, 0u);
+  ASSERT_GT(ftl.stats().misdirected_writes, 0u);
+  ASSERT_GT(ftl.stats().torn_relocations, 0u);
+
+  struct PageState {
+    std::uint64_t lpn, version;
+    bool flagged, persistent, delivered_bad, seal_ok, payload_ok;
+    bool operator==(const PageState&) const = default;
+  };
+  const auto medium = [&] {
+    std::vector<PageState> out;
+    for (std::uint64_t lpn = 0; lpn < span; ++lpn) {
+      if (!ftl.lookup(lpn).has_value()) continue;
+      const SealVerdict verdict = verify(ftl, lpn);
+      const DataAudit audit = ftl.audit_data(lpn, ftl.data_version(lpn));
+      out.push_back({lpn, ftl.data_version(lpn), verdict.flagged,
+                     verdict.persistent, verdict.delivered_bad,
+                     audit.seal_ok, audit.payload_ok});
+    }
+    return out;
+  };
+  std::vector<std::uint64_t> reduced;
+  for (std::uint64_t lpn = 0; lpn < span; ++lpn) {
+    const auto info = ftl.lookup(lpn);
+    if (info.has_value() && info->mode == PageMode::kReduced) {
+      reduced.push_back(lpn);
+    }
+  }
+  const std::vector<PageState> before = medium();
+  const std::vector<std::uint32_t> l2p = ftl.l2p_dump();
+  const std::uint64_t epoch = ftl.write_epoch();
+  std::uint64_t flagged = 0;
+  std::uint64_t clean = 0;
+  for (const PageState& page : before) {
+    flagged += page.flagged;
+    clean += page.seal_ok && page.payload_ok;
+  }
+  ASSERT_FALSE(reduced.empty());
+  ASSERT_LT(reduced.size(), before.size());
+  ASSERT_GT(flagged, 0u);
+  ASSERT_GT(clean, 0u);
+
+  const MountReport report = ftl.Mount();
+  EXPECT_TRUE(ftl.check_consistency().ok());
+  EXPECT_EQ(report.reduced_lpns, reduced);
+  EXPECT_EQ(ftl.l2p_dump(), l2p);
+  EXPECT_EQ(ftl.write_epoch(), epoch);
+  EXPECT_TRUE(medium() == before);
+}
+
 }  // namespace
 }  // namespace flex::ftl

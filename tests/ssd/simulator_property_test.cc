@@ -1,6 +1,8 @@
 // Cross-cutting simulator properties: determinism, scheme-invariant
 // accounting, and the age-model semantics.
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -150,6 +152,96 @@ TEST_F(SimulatorProperty, StaticAgeIgnoresRewrites) {
   // Physical ages: rewritten pages read hard; static: they stay soft.
   EXPECT_GT(physical.sensing_level_reads[0], fixed.sensing_level_reads[0]);
   EXPECT_GT(fixed.read_response.mean(), physical.read_response.mean());
+}
+
+// Static ages are stored once per prefill extent. These runs pin what the
+// per-LPN table this replaced produced, for an extent of one page, one that
+// does not divide the prefill (2500 = 357 * 7 + 1) and one larger than it.
+// The trace's reads span lpns [0, 2800): they find prefilled pages, some
+// overwritten (which keep their static age), and pages past the prefill
+// that the trace wrote (which age from their write time) or never did.
+struct StaticAgePin {
+  std::uint64_t extent;
+  std::uint64_t reads;
+  std::uint64_t unmapped_reads;
+  std::uint64_t buffer_hits;
+  std::uint64_t nand_writes;
+  std::vector<std::uint64_t> sensing_level_reads;
+  double read_mean;
+  double all_mean;
+};
+
+TEST_F(SimulatorProperty, StaticAgesPerExtentMatchPerPageAges) {
+  const std::vector<StaticAgePin> pins = {
+      {1, 10446, 558, 1922, 6733, {8076, 1084, 898, 0, 2381, 0, 569},
+       0.0004423532262109909, 0.00030957278673333303},
+      {7, 10446, 558, 1922, 6702, {8118, 978, 818, 0, 2493, 0, 601},
+       0.00042942149176718376, 0.00030056712686666681},
+      {5000, 10446, 558, 1922, 6766, {7297, 0, 0, 0, 5711, 0, 0},
+       0.0004784901868657846, 0.00033473856613333347},
+  };
+  const auto trace = trace_for(0.7);
+  for (const StaticAgePin& pin : pins) {
+    SCOPED_TRACE("prefill_extent_pages " + std::to_string(pin.extent));
+    auto cfg = config(Scheme::kFlexLevel);
+    cfg.age_model = AgeModel::kStaticPerLba;
+    cfg.prefill_extent_pages = pin.extent;
+    auto sim = test::build_simulator(cfg, *normal_, *reduced_);
+    sim->prefill(2500);
+    const SsdResults r = sim->run(trace);
+    EXPECT_EQ(r.read_response.count(), pin.reads);
+    EXPECT_EQ(r.unmapped_reads, pin.unmapped_reads);
+    EXPECT_EQ(r.buffer_hits, pin.buffer_hits);
+    EXPECT_EQ(r.ftl.nand_writes, pin.nand_writes);
+    EXPECT_EQ(r.sensing_level_reads, pin.sensing_level_reads);
+    EXPECT_DOUBLE_EQ(r.read_response.mean(), pin.read_mean);
+    EXPECT_DOUBLE_EQ(r.all_response.mean(), pin.all_mean);
+  }
+}
+
+TEST_F(SimulatorProperty, StaticAgeEndsAtTheLastPrefilledPage) {
+  // Every static age is at least a week, which needs soft sensing at
+  // 6000 P/E; a page written at time 0 and read milliseconds later needs
+  // none. Rewrite the last prefilled page and the first page past the
+  // prefill, push both out of the write buffer, then read each: the
+  // first keeps its static age, the second ages from its write.
+  constexpr std::uint64_t kPrefill = 2500;
+  for (const std::uint64_t extent : {1ULL, 7ULL, 5000ULL}) {
+    SCOPED_TRACE("prefill_extent_pages " + std::to_string(extent));
+    auto cfg = config(Scheme::kLdpcInSsd);
+    cfg.age_model = AgeModel::kStaticPerLba;
+    cfg.prefill_extent_pages = extent;
+    cfg.min_prefill_age = kWeek;
+    cfg.max_prefill_age = kMonth;
+    auto sim = test::build_simulator(cfg, *normal_, *reduced_);
+    sim->prefill(kPrefill);
+    std::vector<trace::Request> writes;
+    for (const std::uint64_t lpn : {kPrefill - 1, kPrefill}) {
+      writes.push_back({.arrival = 0,
+                        .is_write = true,
+                        .lpn = static_cast<std::uint32_t>(lpn)});
+    }
+    // Twice the buffer's capacity of other pages evicts both to NAND.
+    for (std::uint32_t lpn = 0; lpn < 2 * cfg.write_buffer_pages; ++lpn) {
+      writes.push_back({.arrival = 1000, .is_write = true, .lpn = lpn});
+    }
+    sim->run_segment(writes);
+    SimTime at = 10'000'000;  // 10 ms, long after the writes drained
+    const auto hard_read = [&](std::uint64_t lpn) {
+      sim->reset_measurements();
+      sim->run_segment({{.arrival = at,
+                         .is_write = false,
+                         .lpn = static_cast<std::uint32_t>(lpn)}});
+      at += 10'000'000;
+      const SsdResults& r = sim->results();
+      EXPECT_EQ(r.read_response.count(), 1u);
+      EXPECT_EQ(r.buffer_hits, 0u);
+      EXPECT_EQ(r.unmapped_reads, 0u);
+      return r.sensing_level_reads.at(0) == 1;
+    };
+    EXPECT_FALSE(hard_read(kPrefill - 1)) << "last prefilled page";
+    EXPECT_TRUE(hard_read(kPrefill)) << "first page past the prefill";
+  }
 }
 
 TEST_F(SimulatorProperty, HintNeverChangesSensingRequirements) {
