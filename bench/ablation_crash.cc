@@ -58,10 +58,10 @@ int main(int argc, char** argv) {
   using flex::TablePrinter;
   const std::string report_out = parse_report_out(&argc, argv);
   const int jobs = flex::bench::parse_jobs(&argc, argv);
-  std::uint64_t requests = 6000;
-  std::uint64_t crash_points = 32;
-  if (argc > 1) requests = std::strtoull(argv[1], nullptr, 10);
-  if (argc > 2) crash_points = std::strtoull(argv[2], nullptr, 10);
+  const std::uint64_t requests =
+      flex::bench::positional_count(argc, argv, 1, "requests", 6000);
+  const std::uint64_t crash_points =
+      flex::bench::positional_count(argc, argv, 2, "crash points", 32);
 
   std::printf(
       "=== Crash-consistency sweep (web-1, P/E 6000, %llu requests, "

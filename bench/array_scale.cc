@@ -271,8 +271,8 @@ int main(int argc, char** argv) {
   const flex::bench::OutputOptions outputs =
       flex::bench::parse_outputs(&argc, argv);
   const int jobs = flex::bench::parse_jobs(&argc, argv);
-  std::uint64_t requests = 40'000;
-  if (argc > 1) requests = std::strtoull(argv[1], nullptr, 10);
+  const std::uint64_t requests =
+      flex::bench::positional_count(argc, argv, 1, "requests", 40'000);
   const std::uint64_t warmup = requests / 3;
 
   std::printf(

@@ -448,17 +448,37 @@ void write_bench_json(const std::string& path, const std::string& bench,
   out << "\n]}\n";
 }
 
-std::optional<int> parse_jobs_value(const char* text) {
+std::optional<std::uint64_t> parse_count_value(const char* text,
+                                               std::uint64_t max) {
   // from_chars into an unsigned type takes digits only: no sign, space or
   // base prefix.
   const char* const end = text + std::strlen(text);
-  unsigned value = 0;
+  std::uint64_t value = 0;
   const auto [stop, error] = std::from_chars(text, end, value);
-  if (error != std::errc() || stop != end ||
-      value > static_cast<unsigned>(std::numeric_limits<int>::max())) {
-    return std::nullopt;
+  if (error != std::errc() || stop != end || value > max) return std::nullopt;
+  return value;
+}
+
+std::optional<int> parse_jobs_value(const char* text) {
+  const std::optional<std::uint64_t> value =
+      parse_count_value(text, std::numeric_limits<int>::max());
+  if (!value.has_value()) return std::nullopt;
+  return static_cast<int>(*value);
+}
+
+std::uint64_t positional_count(int argc, char** argv, int index,
+                               const char* name, std::uint64_t fallback,
+                               std::uint64_t max) {
+  if (index >= argc) return fallback;
+  const std::optional<std::uint64_t> value = parse_count_value(argv[index], max);
+  if (!value.has_value()) {
+    std::fprintf(stderr,
+                 "usage error: positional argument %d (%s) expects a count "
+                 "(decimal digits only), got \"%s\"\n",
+                 index, name, argv[index]);
+    std::exit(2);
   }
-  return static_cast<int>(value);
+  return *value;
 }
 
 namespace {

@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -156,9 +157,25 @@ std::vector<ssd::SsdResults> run_cells(const ExperimentHarness& harness,
 /// error and exits with status 2.
 int parse_jobs(int* argc, char** argv);
 
-/// Parses a job count: decimal digits only, at most INT_MAX. Returns
-/// nullopt for anything else (empty, signs, spaces, trailing text).
+/// Parses a job count: parse_count_value() capped at INT_MAX.
 std::optional<int> parse_jobs_value(const char* text);
+
+/// Parses a count: decimal digits only, at most `max`. Returns nullopt for
+/// anything else (empty, signs, spaces, trailing text, overflow). The one
+/// rule behind every numeric bench argument.
+std::optional<std::uint64_t> parse_count_value(
+    const char* text,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
+
+/// Positional argument `index` of an argv already compacted by
+/// parse_outputs()/parse_jobs(), as a count; `fallback` when it is absent.
+/// A value parse_count_value() rejects (`--help`, `-5`, `20k`) prints a
+/// usage error naming `name` and exits with status 2, instead of parsing
+/// as 0 and running the default experiment.
+std::uint64_t positional_count(
+    int argc, char** argv, int index, const char* name,
+    std::uint64_t fallback,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
 
 /// Telemetry/export destinations for a bench run (empty string = off).
 struct OutputOptions {

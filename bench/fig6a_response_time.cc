@@ -96,8 +96,8 @@ int main(int argc, char** argv) {
       flex::bench::parse_outputs(&argc, argv);
   const int jobs = flex::bench::parse_jobs(&argc, argv);
   // Optional request-count override for quick runs.
-  std::uint64_t requests = 0;
-  if (argc > 1) requests = std::strtoull(argv[1], nullptr, 10);
+  const std::uint64_t requests =
+      flex::bench::positional_count(argc, argv, 1, "requests", 0);
 
   {
     const flex::nand::NandSpec spec;

@@ -20,8 +20,8 @@ int main(int argc, char** argv) {
   const flex::bench::OutputOptions outputs =
       flex::bench::parse_outputs(&argc, argv);
   const int jobs = flex::bench::parse_jobs(&argc, argv);
-  std::uint64_t requests = 0;
-  if (argc > 1) requests = std::strtoull(argv[1], nullptr, 10);
+  const std::uint64_t requests =
+      flex::bench::positional_count(argc, argv, 1, "requests", 0);
 
   std::printf("=== Fig. 6(b): response time vs LDPC-in-SSD across P/E ===\n\n");
   flex::bench::ExperimentHarness harness;

@@ -28,6 +28,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <new>
 #include <string>
 
@@ -158,10 +159,10 @@ int main(int argc, char** argv) {
   flex::bench::OutputOptions outputs = flex::bench::parse_outputs(&argc, argv);
   flex::bench::parse_jobs(&argc, argv);  // accepted for CLI uniformity
   // Positional overrides: [arrivals-per-round [rounds]].
-  std::uint64_t arrivals = 200000;
-  int rounds = 5;
-  if (argc > 1) arrivals = std::strtoull(argv[1], nullptr, 10);
-  if (argc > 2) rounds = static_cast<int>(std::strtol(argv[2], nullptr, 10));
+  const std::uint64_t arrivals =
+      flex::bench::positional_count(argc, argv, 1, "arrivals", 200000);
+  const int rounds = static_cast<int>(flex::bench::positional_count(
+      argc, argv, 2, "rounds", 5, std::numeric_limits<int>::max()));
 
   const bool counting = counting_allocator_live();
   std::printf("micro_kernel: hot-path throughput "

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <fstream>
 #include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "common/rng.h"
@@ -70,7 +71,12 @@ int main(int argc, char** argv) {
                    source.c_str());
       return 1;
     }
-    requests = trace::read_csv(file);
+    try {
+      requests = trace::read_csv(file);
+    } catch (const std::runtime_error& error) {
+      std::fprintf(stderr, "%s: %s\n", source.c_str(), error.what());
+      return 1;
+    }
     footprint = trace::summarize(requests).max_lpn + 1;
     if (request_cap > 0 && requests.size() > request_cap) {
       requests.resize(request_cap);

@@ -548,7 +548,9 @@ void ArraySimulator::finalize(std::uint64_t slot) {
 }
 
 void ArraySimulator::run_segment(const std::vector<trace::Request>& requests) {
-  feed_.start(requests);
+  FLEX_EXPECTS(trace::sorted_by_arrival(requests));
+  trace::VectorSource source(requests);
+  feed_.start(source, 0);
   kernel_->run_all();
   collect_results();
 }

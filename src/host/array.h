@@ -174,7 +174,9 @@ class ArraySimulator : private QueuePairSet::Transport,
   /// replica of each touched group page), aged per the drive config.
   void prefill(std::uint64_t host_pages);
 
-  /// Runs a trace segment against the array; results accumulate.
+  /// Runs a trace segment against the array; results accumulate. As in
+  /// SsdSimulator::run_segment, the segment must be sorted by arrival and
+  /// an arrival before the clock is clamped to it.
   void run_segment(const std::vector<trace::Request>& requests);
 
   /// Open-loop run from a RequestSource (see SsdSimulator::run_open_loop).

@@ -6,34 +6,6 @@
 
 namespace flex::ssd {
 
-void ArrivalFeed::start(const std::vector<trace::Request>& requests) {
-  segment_ = requests.data();
-  segment_size_ = requests.size();
-  segment_base_ = kernel_.reserve_ordinals(segment_size_);
-  streaming_ = std::is_sorted(
-      requests.begin(), requests.end(),
-      [](const trace::Request& a, const trace::Request& b) {
-        return a.arrival < b.arrival;
-      });
-  if (segment_size_ == 0) return;
-  if (streaming_) {
-    schedule_segment(0);
-    return;
-  }
-  for (std::size_t i = 0; i < segment_size_; ++i) schedule_segment(i);
-}
-
-void ArrivalFeed::schedule_segment(std::size_t index) {
-  kernel_.schedule_at_ordinal(
-      segment_[index].arrival, segment_base_ + index,
-      [this, index](SimTime now) {
-        if (streaming_ && index + 1 < segment_size_) {
-          schedule_segment(index + 1);
-        }
-        sink_.on_arrival(segment_[index], now);
-      });
-}
-
 void ArrivalFeed::start(trace::RequestSource& source,
                         std::uint64_t max_requests) {
   source_ = &source;

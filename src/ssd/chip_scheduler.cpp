@@ -150,19 +150,6 @@ std::uint64_t ChipScheduler::submit_qos(std::size_t chip, SimTime now,
   return entry.seq;
 }
 
-Duration ChipScheduler::qos_backlog(std::size_t chip, SimTime now) const {
-  if (!qos_enabled_) return 0;
-  FLEX_EXPECTS(chip < chips());
-  Duration backlog = 0;
-  if (qos_busy_[chip] && free_at_[chip] > now) {
-    backlog += free_at_[chip] - now;
-  }
-  for (const QosPending& entry : qos_queue_[chip]) {
-    backlog += entry.cmd.total();
-  }
-  return backlog;
-}
-
 void ChipScheduler::qos_start_service(std::size_t chip, SimTime start,
                                       const QosPending& entry) {
   qos_busy_[chip] = 1;

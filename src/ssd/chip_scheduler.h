@@ -180,13 +180,6 @@ class ChipScheduler {
                               std::uint64_t erases,
                               const LatencyModel& latency);
 
-  /// Total outstanding service time on `chip` at `now` (QoS mode): the
-  /// active command's remaining occupancy plus the summed occupancy of
-  /// every queued command. Under kFifo this is exactly the wait a command
-  /// enqueued at `now` will see before starting service — the predictor
-  /// behind latency-SLO admission control. 0 when QoS mode is off.
-  Duration qos_backlog(std::size_t chip, SimTime now) const;
-
   /// Highest total number of commands queued-but-not-in-service across
   /// all chips since the last reset_stats() — the bounded-queue-memory
   /// witness for the overload tests.

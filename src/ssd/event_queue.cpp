@@ -5,10 +5,10 @@
 namespace flex::ssd {
 
 void EventQueue::push(const Entry& entry) {
+  FLEX_EXPECTS(entry.when >= now_);
   // Monotone schedules (a feed's pending arrival, pre-scheduled streams,
-  // end-of-trace completions) take the FIFO lane. The full (when, seq)
-  // key decides: a reserved ordinal can be smaller than the lane's last
-  // one at the same `when`. Everything else goes through the heap.
+  // end-of-trace completions) take the FIFO lane; everything else goes
+  // through the heap.
   if (fifo_.empty() || before(fifo_.back(), entry)) {
     if (fifo_head_ >= kFifoReclaimMin &&
         8 * (fifo_.size() - fifo_head_) <= fifo_head_) {

@@ -4,7 +4,7 @@
 // that carry their callable inline:
 //  * a sorted FIFO lane for the common monotone case — an event whose
 //    (when, seq) key sorts after the lane's last entry is appended, so
-//    streams scheduled in nondecreasing order (a trace pre-scheduled by a
+//    streams scheduled in nondecreasing order (a stream pre-scheduled by a
 //    caller, the one pending arrival of an ArrivalFeed, end-of-trace
 //    completions) need no heap at all, just an append and a head cursor;
 //  * a 4-ary min-heap for everything scheduled out of order (chip
@@ -20,16 +20,17 @@
 // Ordering contract (the tie-break rule): every event carries a 64-bit
 // ordinal (`seq`) from a monotonically increasing counter that never
 // repeats and never resets (not even across power loss — see
-// drop_pending()). schedule() takes the next ordinal. reserve_ordinals(n)
-// takes n consecutive ordinals at once, and schedule_at_ordinal() later
-// stamps an event with one of them: a caller streaming a known sequence
-// (ArrivalFeed) gives each element the ordinal it would have had if the
-// whole sequence had been scheduled at reservation time, without keeping
-// it pending. Events are fired in lexicographic (when, seq) order, so
-// events scheduled for the same simulated instant fire in ordinal order.
-// The ordinal is part of the lane entry, not a fallback comparator detail:
-// any future heap implementation must preserve (when, seq) as the total
-// order or byte-identical replay breaks.
+// drop_pending()); schedule() takes the next one. Events are fired in
+// lexicographic (when, seq) order, so events scheduled for the same
+// simulated instant fire in scheduling order. The ordinal is part of the
+// lane entry, not a fallback comparator detail: any future heap
+// implementation must preserve (when, seq) as the total order or
+// byte-identical replay breaks.
+//
+// Clock contract: an event is scheduled at or after the clock
+// (`when >= now()`, a checked precondition), so the clock never steps
+// back. Callers with a time that may lie in the past clamp it to `now()`
+// first, as ArrivalFeed does for every arrival.
 //
 // A scheduled event cannot be withdrawn: schedule() returns no handle, and
 // only drop_pending() (power loss) discards pending events, all at once.
@@ -71,32 +72,13 @@ class EventQueue {
   EventQueue& operator=(const EventQueue&) = delete;
   ~EventQueue();
 
-  /// Schedules `fn` at `when`. Events at the same `when` fire in
-  /// scheduling order (ordinals never tie). The callable is copied into
-  /// the lane entry; it receives the simulated time the event fires at.
+  /// Schedules `fn` at `when`, which must not lie before now(). Events at
+  /// the same `when` fire in scheduling order (ordinals never tie). The
+  /// callable is copied into the lane entry; it receives the simulated
+  /// time the event fires at.
   template <class Fn>
   void schedule(SimTime when, Fn fn) {
     push(make_entry(when, next_seq_++, fn));
-  }
-
-  /// Takes `count` consecutive ordinals without scheduling anything and
-  /// returns the first. The counter moves exactly as if `count` events
-  /// had been scheduled now.
-  std::uint64_t reserve_ordinals(std::uint64_t count) {
-    const std::uint64_t first = next_seq_;
-    next_seq_ += count;
-    return first;
-  }
-
-  /// Schedules `fn` at `when` under `ordinal`, which must come from an
-  /// earlier reserve_ordinals() call and be used at most once. The event
-  /// gets the (when, seq) key it would have had if scheduled when the
-  /// ordinal was reserved, so it fires in the same place as long as it is
-  /// scheduled before any event ordered after it fires.
-  template <class Fn>
-  void schedule_at_ordinal(SimTime when, std::uint64_t ordinal, Fn fn) {
-    FLEX_EXPECTS(ordinal < next_seq_);
-    push(make_entry(when, ordinal, fn));
   }
 
   /// Pops and runs the earliest event; returns false when none is pending.

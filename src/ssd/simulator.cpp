@@ -190,7 +190,7 @@ Status SsdConfig::Validate() const {
   } else if (qos.tenants != 1 || !qos.tenant_weights.empty() ||
              qos.admission_max_outstanding != 0 ||
              qos.write_admission_dirty_watermark != 0 ||
-             qos.gc_throttle_queue_depth != 0 || qos.slo_read_admission) {
+             qos.gc_throttle_queue_depth != 0) {
     return Status::InvalidArgument(
         "qos knobs are set but qos.enabled is false: the legacy path "
         "ignores them silently — enable QoS mode or clear the knobs");
@@ -278,19 +278,6 @@ SsdSimulator::SsdSimulator(SsdConfig config,
          .gc_throttle_queue_depth = config_.qos.gc_throttle_queue_depth},
         this);
     qos_outstanding_.assign(tenant_count_, 0);
-    if (config_.qos.slo_read_admission) {
-      // Conservative worst-case page service: the full progressive ladder
-      // walk to the deepest step (an upper bound on every scheme's read
-      // cost), plus the deepest-sensing recovery re-read when fault
-      // injection can trigger one.
-      const int deepest = channel_.ladder().steps().back().extra_levels;
-      slo_service_estimate_ = config_.latency.read_latency(
-          {.required_levels = deepest}, channel_.ladder());
-      if (injector_ != nullptr) {
-        slo_service_estimate_ += config_.latency.read_fixed(deepest);
-      }
-      slo_extra_.assign(config_.ftl.spec.chips, 0);
-    }
   }
   clear_results();
 }
@@ -788,15 +775,6 @@ void SsdSimulator::service_request_qos(const trace::Request& request,
     ++results_.admission_rejected;
     return;
   }
-  if (!request.is_write && config_.qos.slo_read_admission &&
-      !slo_admit_read(request, now)) {
-    // Predicted deadline miss: rejected before any slot or FTL mutation,
-    // like the queue-depth cap above.
-    ++results_.tenant[tenant].admission_rejected;
-    ++results_.admission_rejected;
-    ++results_.slo_rejected;
-    return;
-  }
   std::uint64_t slot;
   if (!qos_free_slots_.empty()) {
     slot = qos_free_slots_.back();
@@ -828,38 +806,6 @@ void SsdSimulator::service_request_qos(const trace::Request& request,
   // Drop the issue guard; a request whose pages all resolved
   // synchronously (buffer hits, buffered writes) finalizes here.
   if (--qos_requests_[slot].outstanding == 0) finalize_qos(slot);
-}
-
-bool SsdSimulator::slo_admit_read(const trace::Request& request,
-                                  SimTime now) {
-  // The same priority tightening the dispatcher applies when it assigns
-  // the queued command's deadline (chip_scheduler submit_qos).
-  const Duration budget =
-      config_.qos.read_deadline / (1 + request.priority);
-  if (config_.latency.buffer_latency > budget) return false;
-  const std::uint64_t logical = ftl_.logical_pages();
-  bool admit = true;
-  for (std::uint32_t i = 0; i < request.pages; ++i) {
-    const std::uint64_t lpn = (request.lpn + i) % logical;
-    // Buffer hits and unmapped reads are DRAM-served: no chip backlog.
-    if (buffer_.contains(lpn)) continue;
-    const auto info = ftl_.lookup(lpn);
-    if (!info.has_value()) continue;
-    const std::size_t chip = scheduler_.chip_of(info->ppn);
-    const Duration predicted = scheduler_.qos_backlog(chip, now) +
-                               slo_extra_[chip] + slo_service_estimate_;
-    if (predicted > budget) {
-      admit = false;
-      break;
-    }
-    if (slo_extra_[chip] == 0) {
-      slo_touched_.push_back(static_cast<std::uint32_t>(chip));
-    }
-    slo_extra_[chip] += slo_service_estimate_;
-  }
-  for (const std::uint32_t chip : slo_touched_) slo_extra_[chip] = 0;
-  slo_touched_.clear();
-  return admit;
 }
 
 void SsdSimulator::issue_read_page_qos(std::uint64_t lpn, std::uint64_t slot,
@@ -989,11 +935,13 @@ void SsdSimulator::run_segment(const std::vector<trace::Request>& requests) {
   // A crashed simulator refuses work until mount(): requests against a
   // powered-off drive would silently vanish.
   FLEX_EXPECTS(!external_kernel_);
+  FLEX_EXPECTS(trace::sorted_by_arrival(requests));
   if (crashed_) return;
-  // Arrivals stream through the deterministic kernel one at a time, under
-  // ordinals reserved in trace order: equal-time events keep the order
-  // pre-scheduling the whole segment would give them.
-  feed_.start(requests);
+  // A segment is an open-loop source over the vector: arrivals stream one
+  // at a time, and one stamped before the clock (a segment that starts
+  // behind the previous one's completions) is clamped to it.
+  trace::VectorSource source(requests);
+  feed_.start(source, 0);
   drain_events();
   collect_results();
 }

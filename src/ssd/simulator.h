@@ -10,7 +10,7 @@
 //                      sequence-number tie-breaking: identical seeds give
 //                      bit-identical results);
 //   * ArrivalFeed    — streams trace arrivals into the kernel, one pending
-//                      at a time, in the order pre-scheduling would give;
+//                      at a time, clamped so the clock never steps back;
 //   * ChipScheduler  — per-chip command queues with channel/die/controller
 //                      occupancy split and queue-depth accounting;
 //   * ReadPolicy     — the scheme's read path (fixed worst-case,
@@ -142,16 +142,6 @@ struct QosConfig {
   /// instead of buffering — back-pressure instead of unbounded dirtying.
   /// 0 = off. Must be <= write_buffer_pages.
   std::uint64_t write_admission_dirty_watermark = 0;
-  /// Latency-SLO admission: reject a read when its *predicted* completion
-  /// would miss the tenant's deadline budget — current chip backlog plus a
-  /// conservative worst-case service estimate, evaluated per page before
-  /// any slot or FTL mutation. The budget is read_deadline tightened by
-  /// priority exactly as the dispatcher tightens it (deadline / (1 +
-  /// priority)), so admission and scheduling agree on what "on time"
-  /// means. Under kFifo the predictor is exact (wait == backlog at
-  /// enqueue), making "admitted implies met deadline" a checkable
-  /// property; under kDeadline it is a conservative heuristic.
-  bool slo_read_admission = false;
 };
 
 /// End-to-end data integrity. Off by default — the FTL then moves pure
@@ -328,8 +318,8 @@ struct SsdResults {
   std::vector<TenantStats> tenant;
   /// Requests rejected by admission control (sum over tenants).
   std::uint64_t admission_rejected = 0;
-  /// Subset of admission_rejected due to predicted-deadline-miss SLO
-  /// admission (qos.slo_read_admission).
+  /// Always 0: no admission path rejects on a predicted deadline miss.
+  /// Kept because external result digests read it.
   std::uint64_t slo_rejected = 0;
   /// QoS-mode gauges for the bounded-queue-memory invariant: high-water
   /// marks of in-flight request slots and of queued-but-not-in-service
@@ -414,8 +404,11 @@ class SsdSimulator : private QosSink, private ArrivalSink {
   /// [min_prefill_age, max_prefill_age].
   void prefill(std::uint64_t pages);
 
-  /// Runs a trace segment; results accumulate across calls (and are
-  /// readable without a copy via results()).
+  /// Runs a trace segment, which must be sorted by arrival; results
+  /// accumulate across calls (and are readable without a copy via
+  /// results()). The segment is fed like an open-loop source: an arrival
+  /// before the clock (a segment that starts behind the previous one's
+  /// completions) is clamped to it.
   void run_segment(const std::vector<trace::Request>& requests);
 
   /// run_segment plus a copy of the accumulated results, for callers that
@@ -580,9 +573,6 @@ class SsdSimulator : private QosSink, private ArrivalSink {
 
   Duration service_request(const trace::Request& request, SimTime now);
   void service_request_qos(const trace::Request& request, SimTime now);
-  /// SLO admission predicate (qos.slo_read_admission): true when every
-  /// page of this read is predicted to meet its deadline budget.
-  bool slo_admit_read(const trace::Request& request, SimTime now);
   void issue_read_page_qos(std::uint64_t lpn, std::uint64_t slot,
                            std::uint8_t priority, SimTime now);
   void issue_write_page_qos(std::uint64_t lpn, std::uint64_t slot,
@@ -701,14 +691,6 @@ class SsdSimulator : private QosSink, private ArrivalSink {
   /// high-water gauge.
   bool qos_mode_ = false;
   std::uint32_t tenant_count_ = 1;
-  /// SLO admission (qos.slo_read_admission): conservative worst-case
-  /// per-page service estimate (full progressive ladder walk, plus the
-  /// recovery re-read when fault injection is armed), and per-chip scratch
-  /// accumulating the estimates of pages admitted earlier in the *same*
-  /// request (slo_touched_ lists the dirtied entries for O(pages) reset).
-  Duration slo_service_estimate_ = 0;
-  std::vector<Duration> slo_extra_;
-  std::vector<std::uint32_t> slo_touched_;
   std::vector<QosRequest> qos_requests_;
   std::vector<std::uint64_t> qos_free_slots_;
   std::vector<std::uint64_t> qos_outstanding_;

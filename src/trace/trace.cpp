@@ -27,6 +27,13 @@ TraceSummary summarize(const std::vector<Request>& trace) {
   return s;
 }
 
+bool sorted_by_arrival(const std::vector<Request>& trace) {
+  return std::is_sorted(trace.begin(), trace.end(),
+                        [](const Request& a, const Request& b) {
+                          return a.arrival < b.arrival;
+                        });
+}
+
 void write_csv(std::ostream& out, const std::vector<Request>& trace) {
   for (const auto& req : trace) {
     out << req.arrival / kMicrosecond << ',' << (req.is_write ? 'W' : 'R')
@@ -88,6 +95,10 @@ std::vector<Request> read_csv(std::istream& in) {
     if (lpn + pages > kLpnSpace) {
       throw std::runtime_error("trace: request runs past lpn 2^32 - 1: " +
                                line);
+    }
+    if (!trace.empty() && req.arrival < trace.back().arrival) {
+      throw std::runtime_error(
+          "trace: timestamp earlier than the previous request's: " + line);
     }
     req.lpn = static_cast<std::uint32_t>(lpn);
     req.pages = static_cast<std::uint32_t>(pages);

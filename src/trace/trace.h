@@ -5,6 +5,7 @@
 // sector-to-page alignment.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <optional>
@@ -48,6 +49,25 @@ class RequestSource {
   virtual std::optional<Request> next() = 0;
 };
 
+/// A RequestSource over a borrowed trace, which must outlive the source and
+/// every use of it: the simulators feed run_segment() segments through one.
+class VectorSource : public RequestSource {
+ public:
+  explicit VectorSource(const std::vector<Request>& requests)
+      : requests_(requests) {}
+  std::optional<Request> next() override {
+    if (next_ == requests_.size()) return std::nullopt;
+    return requests_[next_++];
+  }
+
+ private:
+  const std::vector<Request>& requests_;
+  std::size_t next_ = 0;
+};
+
+/// True when arrivals never decrease along `trace` (equal ones may tie).
+bool sorted_by_arrival(const std::vector<Request>& trace);
+
 /// Summary statistics of a trace (used by tests and the workload report).
 struct TraceSummary {
   std::uint64_t requests = 0;
@@ -65,7 +85,9 @@ struct TraceSummary {
 TraceSummary summarize(const std::vector<Request>& trace);
 
 void write_csv(std::ostream& out, const std::vector<Request>& trace);
-/// Throws std::runtime_error on malformed lines.
+/// Throws std::runtime_error on malformed lines and on a timestamp earlier
+/// than the previous request's: a trace is replayed in arrival order and
+/// is not sorted here.
 std::vector<Request> read_csv(std::istream& in);
 
 }  // namespace flex::trace

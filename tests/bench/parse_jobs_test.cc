@@ -1,8 +1,11 @@
-// The --jobs / FLEX_BENCH_JOBS parser. Parse-only: nothing here starts a
-// worker thread, whatever count a case asks for.
+// The --jobs / FLEX_BENCH_JOBS parser and the positional count arguments.
+// Parse-only: nothing here starts a worker thread, whatever count a case
+// asks for.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -19,6 +22,10 @@ class Args {
     argc_ = static_cast<int>(argv_.size());
   }
   int parse() { return parse_jobs(&argc_, argv_.data()); }
+  std::uint64_t positional(int index, std::uint64_t fallback) {
+    return positional_count(argc_, argv_.data(), index, "requests",
+                            fallback);
+  }
   std::vector<std::string> remaining() const {
     return {argv_.begin(), argv_.begin() + argc_};
   }
@@ -97,6 +104,40 @@ TEST_F(ParseJobsTest, MalformedValuesAreUsageErrors) {
         parse({"bench"});
       },
       usage, "FLEX_BENCH_JOBS expects a job count.*\"many\"");
+}
+
+TEST(ParseCountValueTest, AcceptsDecimalDigitsUpToTheCap) {
+  EXPECT_EQ(parse_count_value("0"), 0u);
+  EXPECT_EQ(parse_count_value("20000"), 20000u);
+  EXPECT_EQ(parse_count_value("18446744073709551615"),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(parse_count_value("5", 5), 5u);
+  EXPECT_FALSE(parse_count_value("6", 5).has_value());
+}
+
+TEST(ParseCountValueTest, RejectsWhatParseJobsValueRejects) {
+  for (const char* text : {"", "--help", "garbage", "20k", "-5", "+2", " 3",
+                           "3 ", "1.5", "0x10", "18446744073709551616"}) {
+    EXPECT_FALSE(parse_count_value(text).has_value()) << '"' << text << '"';
+    EXPECT_FALSE(parse_jobs_value(text).has_value()) << '"' << text << '"';
+  }
+}
+
+TEST(PositionalCountTest, AbsentArgumentKeepsTheDefault) {
+  Args none({"bench"});
+  EXPECT_EQ(none.positional(1, 6000), 6000u);
+  Args one({"bench", "500"});
+  EXPECT_EQ(one.positional(1, 6000), 500u);
+  EXPECT_EQ(one.positional(2, 32), 32u);
+  Args zero({"bench", "0"});
+  EXPECT_EQ(zero.positional(1, 6000), 0u);
+}
+
+TEST(PositionalCountDeathTest, MalformedValueIsAUsageError) {
+  // `--help` used to parse as 0 and run the full default experiment.
+  EXPECT_EXIT(Args({"bench", "--help"}).positional(1, 0),
+              ::testing::ExitedWithCode(2),
+              "positional argument 1 \\(requests\\).*\"--help\"");
 }
 
 }  // namespace

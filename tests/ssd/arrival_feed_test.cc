@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <optional>
-#include <utility>
 #include <vector>
 
 namespace flex::ssd {
@@ -34,20 +32,6 @@ class RecordingSink : public ArrivalSink {
   const EventQueue& kernel_;
 };
 
-class VectorSource : public trace::RequestSource {
- public:
-  explicit VectorSource(std::vector<trace::Request> requests)
-      : requests_(std::move(requests)) {}
-  std::optional<trace::Request> next() override {
-    if (next_ == requests_.size()) return std::nullopt;
-    return requests_[next_++];
-  }
-
- private:
-  std::vector<trace::Request> requests_;
-  std::size_t next_ = 0;
-};
-
 TEST(ArrivalFeedTest, SortedSegmentKeepsOneArrivalPending) {
   constexpr std::uint64_t kRequests = 100'000;
   EventQueue kernel;
@@ -57,9 +41,8 @@ TEST(ArrivalFeedTest, SortedSegmentKeepsOneArrivalPending) {
   for (std::uint64_t i = 0; i < kRequests; ++i) {
     requests.push_back(at(static_cast<SimTime>(i / 3), i));
   }
-  feed.start(requests);
-  // Every ordinal is reserved up front, as if all of them were scheduled.
-  EXPECT_EQ(kernel.reserve_ordinals(0), kRequests);
+  trace::VectorSource source(requests);
+  feed.start(source, 0);
   EXPECT_EQ(kernel.pending(), 1u);
   kernel.run_all();
   std::vector<std::uint64_t> lpns;
@@ -76,40 +59,28 @@ TEST(ArrivalFeedTest, SortedSegmentKeepsOneArrivalPending) {
   EXPECT_LE(kernel.lane_capacity(), 2 * 4096u);
 }
 
-TEST(ArrivalFeedTest, UnsortedSegmentFiresInArrivalThenTraceOrder) {
-  // Pre-scheduling fires an out-of-order segment by (arrival, trace
-  // index); the feed must too, so it cannot stream it.
-  EventQueue kernel;
-  RecordingSink sink(kernel);
-  ArrivalFeed feed(kernel, sink);
-  const std::vector<trace::Request> requests = {at(30, 0), at(10, 1),
-                                                at(20, 2), at(10, 3)};
-  feed.start(requests);
-  kernel.run_all();
-  EXPECT_EQ(sink.lpns, (std::vector<std::uint64_t>{1, 3, 2, 0}));
-  EXPECT_EQ(sink.times, (std::vector<SimTime>{10, 10, 20, 30}));
-}
-
-TEST(ArrivalFeedTest, SegmentArrivalBeforeClockIsNotClamped) {
-  // A segment keeps the arrival times it was given, even ones before the
-  // kernel clock (the clock then steps back), exactly as a pre-scheduled
-  // segment would.
+TEST(ArrivalFeedTest, SegmentArrivalBeforeClockIsClamped) {
+  // A segment is an open-loop source: an arrival stamped before the kernel
+  // clock fires at the clock, which never steps back.
   EventQueue kernel;
   RecordingSink sink(kernel);
   ArrivalFeed feed(kernel, sink);
   kernel.schedule(100, [](SimTime) {});
   kernel.run_all();
   const std::vector<trace::Request> requests = {at(40, 0), at(150, 1)};
-  feed.start(requests);
+  trace::VectorSource source(requests);
+  feed.start(source, 0);
   kernel.run_all();
-  EXPECT_EQ(sink.times, (std::vector<SimTime>{40, 150}));
+  EXPECT_EQ(sink.times, (std::vector<SimTime>{100, 150}));
 }
 
 TEST(ArrivalFeedTest, OpenLoopClampsToClockAndStopsAtLimit) {
   EventQueue kernel;
   RecordingSink sink(kernel);
   ArrivalFeed feed(kernel, sink);
-  VectorSource source({at(100, 0), at(50, 1), at(200, 2), at(300, 3)});
+  const std::vector<trace::Request> requests = {at(100, 0), at(50, 1),
+                                                at(200, 2), at(300, 3)};
+  trace::VectorSource source(requests);
   feed.start(source, /*max_requests=*/3);
   kernel.run_all();
   EXPECT_EQ(sink.lpns, (std::vector<std::uint64_t>{0, 1, 2}));

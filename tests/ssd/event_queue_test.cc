@@ -4,13 +4,13 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <set>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "telemetry/telemetry.h"
 
 namespace flex::ssd {
 
@@ -163,126 +163,15 @@ TEST(EventQueueTest, PendingCountsBothLanes) {
   EXPECT_TRUE(queue.empty());
 }
 
-// An arrival stream plus the completions its handlers schedule, replayed
-// either pre-scheduled (every arrival scheduled up front) or streamed
-// (arrival i+1 scheduled when arrival i fires, under a reserved ordinal).
-// Arrivals and completion delays sit on a coarse 10 ns grid, so
-// completions often land in the same ns as an arrival.
-class ArrivalReplay {
- public:
-  explicit ArrivalReplay(std::uint64_t seed) : seed_(seed) {
-    Rng rng(seed);
-    SimTime t = 0;
-    for (int i = 0; i < 3000; ++i) {
-      t += 10 * static_cast<SimTime>(rng.below(4));
-      arrivals_.push_back(t);
-    }
-  }
-
-  std::vector<std::uint64_t> run(bool streamed) {
-    queue_ = std::make_unique<EventQueue>();
-    log_.clear();
-    // Something pending before the stream, as in a second trace segment.
-    queue_->schedule(15, [this](SimTime) { log_.push_back(~0ull); });
-    if (streamed) {
-      base_ = queue_->reserve_ordinals(arrivals_.size());
-      schedule_arrival(0);
-    } else {
-      for (std::size_t i = 0; i < arrivals_.size(); ++i) {
-        queue_->schedule(arrivals_[i], [this, i](SimTime now) {
-          on_arrival(i, now);
-        });
-      }
-    }
-    queue_->run_all();
-    return std::move(log_);
-  }
-
- private:
-  // Streamed: arrival i schedules arrival i + 1 when it fires.
-  void schedule_arrival(std::size_t i) {
-    queue_->schedule_at_ordinal(arrivals_[i], base_ + i,
-                                [this, i](SimTime now) {
-                                  if (i + 1 < arrivals_.size()) {
-                                    schedule_arrival(i + 1);
-                                  }
-                                  on_arrival(i, now);
-                                });
-  }
-
-  // Each arrival schedules 0-2 completions 0-40 ns out (a pure function of
-  // the seed and the arrival index); an odd-tagged completion chains one
-  // more.
-  void on_arrival(std::size_t i, SimTime now) {
-    log_.push_back(i);
-    Rng rng(seed_ * 1'000'003 + i);
-    const std::uint64_t count = rng.below(3);
-    for (std::uint64_t c = 0; c < count; ++c) {
-      const SimTime delay = 10 * static_cast<SimTime>(rng.below(5));
-      const std::uint64_t tag = (i + 1) * 1000 + c;
-      queue_->schedule(now + delay, [this, tag, delay](SimTime at) {
-        log_.push_back(tag);
-        if (tag % 2 == 1) {
-          queue_->schedule(at + delay, [this, tag](SimTime) {
-            log_.push_back(tag + 500);
-          });
-        }
-      });
-    }
-  }
-
-  std::uint64_t seed_;
-  std::vector<SimTime> arrivals_;
-  std::unique_ptr<EventQueue> queue_;
-  std::vector<std::uint64_t> log_;
-  std::uint64_t base_ = 0;
-};
-
-TEST(EventQueueTest, ReservedOrdinalStreamFiresLikePreScheduling) {
-  // Streaming an arrival sequence under ordinals reserved up front must
-  // reproduce the pre-scheduled firing order exactly, ties included: an
-  // arrival in the same ns as a completion fires first because its
-  // ordinal is older, even though it was scheduled later. The FIFO lane
-  // must therefore take the full (when, seq) key into account.
-  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
-    ArrivalReplay replay(seed);
-    const std::vector<std::uint64_t> pre = replay.run(/*streamed=*/false);
-    const std::vector<std::uint64_t> streamed = replay.run(/*streamed=*/true);
-    ASSERT_GT(pre.size(), 3000u) << seed;
-    EXPECT_EQ(pre, streamed) << seed;
-  }
-}
-
-TEST(EventQueueTest, ReservedOrdinalTiesWithLaterScheduledCompletion) {
-  // The minimal tie: a completion at t=20 is appended to the FIFO lane
-  // before the arrival at t=20 is streamed in under an older ordinal. The
-  // arrival must not be appended behind it.
+TEST(EventQueueDeathTest, SchedulingBeforeTheClockAborts) {
+  // The clock never steps back: an event before now() is refused, one at
+  // now() is not.
   EventQueue queue;
-  std::vector<int> order;
-  const std::uint64_t base = queue.reserve_ordinals(2);
-  queue.schedule_at_ordinal(10, base, [&](SimTime now) {
-    queue.schedule(now + 10, [&order](SimTime) { order.push_back(2); });
-    queue.schedule_at_ordinal(20, base + 1,
-                              [&order](SimTime) { order.push_back(1); });
-    order.push_back(0);
-  });
+  queue.schedule(100, [](SimTime) {});
   queue.run_all();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-}
-
-TEST(EventQueueTest, ReserveOrdinalsCountsAsScheduled) {
-  // A reservation moves the ordinal counter (and so the
-  // `event_queue.scheduled` metric) as scheduling that many events would.
-  EventQueue queue;
-  EXPECT_EQ(queue.reserve_ordinals(5), 0u);
-  EXPECT_EQ(queue.reserve_ordinals(0), 5u);
-  std::vector<int> order;
-  queue.schedule(7, [&order](SimTime) { order.push_back(5); });
-  queue.schedule_at_ordinal(7, 4, [&order](SimTime) { order.push_back(4); });
-  queue.schedule_at_ordinal(7, 0, [&order](SimTime) { order.push_back(0); });
-  queue.run_all();
-  EXPECT_EQ(order, (std::vector<int>{0, 4, 5}));
-  EXPECT_EQ(queue.reserve_ordinals(1), 6u);
+  queue.schedule(100, [](SimTime) {});
+  EXPECT_EQ(queue.pending(), 1u);
+  EXPECT_DEATH(queue.schedule(99, [](SimTime) {}), "precondition");
 }
 
 TEST(EventQueueTest, OpenLoopMixStopsGrowingAfterWarmup) {
@@ -328,11 +217,15 @@ TEST(EventQueueTest, OpenLoopMixStopsGrowingAfterWarmup) {
 // independent reference: a std::set of the pending events ordered by
 // (when, seq), with the ordinals counted here, not read from the kernel.
 // The mix covers both lanes and the paths that move entries: deep heap
-// sifts, FIFO prefix reclaims, streamed and scattered reserved ordinals,
-// power-loss drops, and callbacks that grow both lanes while they run.
+// sifts, FIFO prefix reclaims, streams whose elements are scheduled one at
+// a time as their predecessors fire (an ArrivalFeed), power-loss drops, and
+// callbacks that grow both lanes while they run.
 class ReferenceMix {
  public:
-  explicit ReferenceMix(std::uint64_t seed) : rng_(seed) {}
+  explicit ReferenceMix(std::uint64_t seed) : rng_(seed) {
+    queue_.attach_telemetry(&telemetry_);
+  }
+  ~ReferenceMix() { queue_.attach_telemetry(nullptr); }
 
   void run(std::uint64_t events) {
     inner_drop_at_ = events - events / 6;
@@ -358,7 +251,9 @@ class ReferenceMix {
       if (queue_.empty()) seed_roots();  // after a drop inside a callback
     }
     EXPECT_EQ(queue_.pending(), pending_.size());
-    EXPECT_EQ(queue_.reserve_ordinals(0), next_seq_);
+    EXPECT_EQ(telemetry_.metrics.snapshot().counters.at(
+                  "event_queue.scheduled"),
+              next_seq_);
   }
 
   std::size_t longest_reclaim() const { return longest_reclaim_; }
@@ -366,7 +261,7 @@ class ReferenceMix {
   std::uint64_t drops() const { return drops_; }
   std::uint64_t bursts() const { return bursts_; }
   std::uint64_t bursts_growing_both() const { return bursts_growing_both_; }
-  std::uint64_t reserved_fired() const { return reserved_fired_; }
+  std::uint64_t streamed_fired() const { return streamed_fired_; }
 
  private:
   /// A full 24 B capture: the tag is a function of the id, so a capture
@@ -381,10 +276,9 @@ class ReferenceMix {
 
   using Key = std::tuple<SimTime, std::uint64_t, std::uint64_t>;
 
-  /// One reserved block streamed like an ArrivalFeed segment: element i
-  /// schedules element i + 1 when it fires.
+  /// A nondecreasing run of times streamed like an ArrivalFeed segment:
+  /// element i schedules element i + 1 when it fires.
   struct Stream {
-    std::uint64_t base;
     std::vector<SimTime> times;
   };
   /// What an id does when it fires (beyond the random mix).
@@ -398,31 +292,14 @@ class ReferenceMix {
     return (id + 1) * 0x9E3779B97F4A7C15ull ^ 0xD1B54A32D192ED03ull;
   }
 
-  std::uint64_t add(SimTime when, std::uint64_t seq, Role role) {
+  void schedule(SimTime when, Role role) {
     const std::uint64_t id = keys_.size();
-    keys_.push_back({when, seq, id});
+    keys_.push_back({when, next_seq_++, id});
     roles_.push_back(role);
     pending_.insert(keys_.back());
-    return id;
-  }
-
-  void schedule(SimTime when, Role role) {
-    const std::uint64_t id = add(when, next_seq_++, role);
     queue_.schedule(when, Probe{this, id, tag_of(id)});
   }
   void schedule(SimTime when) { schedule(when, Role{}); }
-
-  void schedule_reserved(SimTime when, std::uint64_t ordinal, Role role) {
-    const std::uint64_t id = add(when, ordinal, role);
-    queue_.schedule_at_ordinal(when, ordinal, Probe{this, id, tag_of(id)});
-  }
-
-  std::uint64_t reserve(std::uint64_t count) {
-    const std::uint64_t base = queue_.reserve_ordinals(count);
-    EXPECT_EQ(base, next_seq_);
-    next_seq_ += count;
-    return base;
-  }
 
   /// Delays on a coarse grid, so same-ns ties between lanes are common.
   SimTime delay() {
@@ -431,7 +308,7 @@ class ReferenceMix {
   }
 
   void start_stream(SimTime now, std::size_t length) {
-    Stream stream{reserve(length), {}};
+    Stream stream;
     SimTime t = now;
     for (std::size_t i = 0; i < length; ++i) {
       t += 10 * static_cast<SimTime>(rng_.below(4));
@@ -439,11 +316,10 @@ class ReferenceMix {
     }
     streams_.push_back(std::move(stream));
     const auto index = static_cast<std::int64_t>(streams_.size() - 1);
-    schedule_reserved(streams_.back().times[0], streams_.back().base,
-                      Role{index, 0});
+    schedule(streams_.back().times[0], Role{index, 0});
   }
 
-  /// New work: a streamed reserved block, a pre-scheduled monotone run
+  /// New work: a stream, a pre-scheduled monotone run
   /// long enough for the FIFO lane to pass its reclaim floor, and a few
   /// plain events.
   void seed_roots() {
@@ -478,12 +354,11 @@ class ReferenceMix {
     pending_.erase(pending_.begin());
     const Role role = roles_[probe.id];
     if (role.stream >= 0) {
-      ++reserved_fired_;
+      ++streamed_fired_;
       const Stream& stream = streams_[static_cast<std::size_t>(role.stream)];
       const std::size_t next = role.element + 1;
       if (next < stream.times.size()) {
-        schedule_reserved(stream.times[next], stream.base + next,
-                          Role{role.stream, next});
+        schedule(stream.times[next], Role{role.stream, next});
       }
     }
     // 0.7 children per event on average, so the in-flight population
@@ -491,18 +366,6 @@ class ReferenceMix {
     const double roll = rng_.uniform();
     const int children = roll < 0.5 ? 0 : roll < 0.8 ? 1 : 2;
     for (int c = 0; c < children; ++c) schedule(now + delay());
-    if (rng_.chance(0.002)) {
-      // A scattered block: reserved ordinals used out of order and at
-      // random times, so older ordinals land behind newer lane entries.
-      const std::uint64_t base = reserve(8);
-      std::vector<std::uint64_t> order = {0, 1, 2, 3, 4, 5, 6, 7};
-      for (std::size_t i = order.size() - 1; i > 0; --i) {
-        std::swap(order[i], order[rng_.below(i + 1)]);
-      }
-      for (const std::uint64_t k : order) {
-        schedule_reserved(now + delay(), base + k, Role{});
-      }
-    }
     if (role.outgrow || rng_.chance(0.0002)) {
       // A burst: a monotone run past the FIFO lane's back and as many
       // out-of-order events for the heap. Once per run it is sized to
@@ -533,13 +396,14 @@ class ReferenceMix {
   }
 
   Rng rng_;
+  telemetry::Telemetry telemetry_;
   EventQueue queue_;
   std::set<Key> pending_;
   std::vector<Key> keys_;  ///< indexed by id
   std::vector<Role> roles_;
   std::vector<Stream> streams_;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t reserved_fired_ = 0;
+  std::uint64_t streamed_fired_ = 0;
   std::uint64_t drops_ = 0;
   std::uint64_t bursts_ = 0;
   std::uint64_t bursts_growing_both_ = 0;
@@ -562,7 +426,7 @@ TEST(EventQueueTest, RandomMixMatchesReferenceOrder) {
     EXPECT_EQ(mix.drops(), 3u) << seed;
     EXPECT_GE(mix.bursts(), 10u) << seed;
     EXPECT_GE(mix.bursts_growing_both(), 1u) << seed;
-    EXPECT_GE(mix.reserved_fired(), 2000u) << seed;
+    EXPECT_GE(mix.streamed_fired(), 2000u) << seed;
   }
 }
 

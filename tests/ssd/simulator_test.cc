@@ -116,6 +116,38 @@ TEST_F(SimulatorTest, SegmentKernelHoldsInFlightWorkNotTheTrace) {
   EXPECT_LT(sim->events().lane_capacity(), 4 * 4096u);
 }
 
+TEST_F(SimulatorTest, SegmentStartingBeforeTheClockIsClamped) {
+  // A second segment that starts behind the first one's last event: its
+  // early arrivals are clamped to the clock (the kernel refuses to step
+  // back), and every request of both segments is served once.
+  auto sim = test::build_simulator(small_config(Scheme::kFlexLevel),
+                                   *normal_, *reduced_);
+  sim->prefill(4000);
+  std::vector<trace::Request> requests = small_trace(0.7, 42);
+  requests.resize(2000);
+  sim->run_segment(requests);
+  const SimTime first_end = sim->events().now();
+  ASSERT_GT(first_end, requests.front().arrival);
+  sim->run_segment(requests);
+  EXPECT_EQ(sim->results().all_response.count(), 4000u);
+  EXPECT_GE(sim->events().now(), first_end);
+}
+
+using SimulatorDeathTest = SimulatorTest;
+
+TEST_F(SimulatorDeathTest, UnsortedSegmentIsRefused) {
+  // Arrivals stream in trace order, so a segment must be sorted by
+  // arrival; one that is not is a caller bug, refused before any work.
+  auto sim = test::build_simulator(small_config(Scheme::kLdpcInSsd),
+                                   *normal_, *reduced_);
+  trace::Request late;
+  late.arrival = 30;
+  trace::Request early;
+  early.arrival = 10;
+  const std::vector<trace::Request> unsorted = {late, early};
+  EXPECT_DEATH(sim->run_segment(unsorted), "precondition");
+}
+
 TEST_F(SimulatorTest, BaselineSlowerThanProgressive) {
   auto base = test::build_simulator(small_config(Scheme::kBaseline), *normal_,
                                     *reduced_);

@@ -1,6 +1,8 @@
 #include "trace/trace.h"
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -45,6 +47,24 @@ TEST(TraceTest, MalformedLinesThrow) {
     std::stringstream in(bad);
     EXPECT_THROW((void)read_csv(in), std::runtime_error) << bad;
   }
+}
+
+TEST(TraceTest, OutOfOrderTimestampThrowsAndEqualOnesPass) {
+  // A trace is replayed in arrival order: read_csv refuses a timestamp
+  // earlier than the previous request's instead of sorting silently.
+  std::stringstream unsorted("10,R,1,1\n20,W,2,1\n15,R,3,1\n");
+  try {
+    (void)read_csv(unsorted);
+    ADD_FAILURE() << "an out-of-order timestamp was accepted";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("15,R,3,1"), std::string::npos)
+        << error.what();
+  }
+  std::stringstream ties("10,R,1,1\n10,W,2,1\n");
+  const auto parsed = read_csv(ties);
+  ASSERT_EQ(parsed.size(), 2u);
+  EXPECT_EQ(parsed[1].arrival, 10 * kMicrosecond);
+  EXPECT_TRUE(sorted_by_arrival(parsed));
 }
 
 TEST(TraceTest, RunEndingAtLpnSpaceIsAccepted) {
