@@ -357,28 +357,49 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", array_table.to_string().c_str());
 
-  bool verdict_ok = true;
+  // Each failed check, as "<row>: <check>".
+  std::vector<std::string> failures;
   for (std::size_t i = 0; i < variants.size(); ++i) {
     const Row& r = rows[i];
-    if (r.undetected != 0) verdict_ok = false;
-    if (variants[i].integrity && variants[i].rate > 0.0 && r.mismatch == 0) {
-      verdict_ok = false;  // armed corruption must surface as mismatches
+    const std::string& label = variants[i].label;
+    if (r.undetected != 0) {
+      failures.push_back(label + ": " + std::to_string(r.undetected) +
+                         " reads delivered wrong bytes unflagged "
+                         "(undetected must be 0)");
     }
-    if (variants[i].array && variants[i].integrity &&
-        (r.corrupt_after_scrub != 0 || !r.mirrors_equal)) {
-      verdict_ok = false;
+    if (variants[i].integrity && variants[i].rate > 0.0 && r.mismatch == 0) {
+      failures.push_back(label +
+                         ": armed corruption surfaced no mismatch "
+                         "(mismatch must be > 0)");
+    }
+    if (variants[i].array && variants[i].integrity) {
+      if (r.corrupt_after_scrub != 0) {
+        failures.push_back(label + ": " +
+                           std::to_string(r.corrupt_after_scrub) +
+                           " pages still corrupt after scrub (must be 0)");
+      }
+      if (!r.mirrors_equal) {
+        failures.push_back(label + ": mirrors differ after scrub");
+      }
     }
   }
-  std::printf(
-      "Verdict: %s. Every read that delivered wrong bytes was flagged "
-      "(undetected = 0 on every row); transient post-ECC flips were cured "
-      "by the recovery re-read, persistent medium faults failed over to "
-      "the mirror copy, and the scrub loop restored both mirrors to "
-      "verifying (byte-equal) state. The integrity layer costs no "
-      "simulated latency when clean — seals ride the existing OOB path — "
-      "so the on/off latency columns differ only where corruption forces "
-      "recovery re-reads and failover hops.\n",
-      verdict_ok ? "PASS" : "FAIL");
+  const bool verdict_ok = failures.empty();
+  if (verdict_ok) {
+    std::printf(
+        "Verdict: PASS. Every read that delivered wrong bytes was flagged "
+        "(undetected = 0 on every row); transient post-ECC flips were "
+        "cured by the recovery re-read, persistent medium faults failed "
+        "over to the mirror copy, and the scrub loop restored both mirrors "
+        "to verifying (byte-equal) state. The integrity layer costs no "
+        "simulated latency when clean — seals ride the existing OOB path "
+        "— so the on/off latency columns differ only where corruption "
+        "forces recovery re-reads and failover hops.\n");
+  } else {
+    std::printf("Verdict: FAIL. %zu check(s) failed:\n", failures.size());
+    for (const std::string& failure : failures) {
+      std::printf("  %s\n", failure.c_str());
+    }
+  }
 
   write_json(outputs.bench_out.empty() ? "BENCH_integrity.json"
                                        : outputs.bench_out,

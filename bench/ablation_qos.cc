@@ -2,9 +2,9 @@
 // evaluation is single-tenant closed-loop; this bench exercises the
 // open-loop workload engine and the QoS chip scheduler added on top).
 //
-// Three experiments, each run under both dispatch policies (FIFO control
-// arm vs. EDF-with-weighted-fair deadline scheduling) on the aged
-// P/E-6000 drive:
+// Three experiments, each run under two configurations of the one EDF
+// scheduler (a FIFO control arm vs. EDF-with-weighted-fair deadline
+// scheduling) on the aged P/E-6000 drive:
 //  * an arrival-rate sweep from light load to past saturation, 4 Zipf
 //    tenants with a high-priority latency-sensitive tenant 0 — the
 //    deadline policy's read/write class separation buys back the read
@@ -21,6 +21,7 @@
 // goes to BENCH_qos.json only.
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -70,21 +71,31 @@ int main(int argc, char** argv) {
 
   // The shared tenant population: Zipf(0.9) arrival shares over equal
   // footprint slices; tenant 0 is the latency-sensitive foreground
-  // service (high priority, 4x fair share), the rest are batch.
-  auto population = [](double read_fraction) {
+  // service (high priority, 4x fair share), the rest are batch. The FIFO
+  // arm runs every tenant at priority 0, which the engine only copies
+  // into requests, so both arms see the identical arrival stream.
+  auto population = [](double read_fraction, bool fifo) {
     auto tenants =
         flex::workload::zipf_tenant_population(4, 0.9, kFootprintPages);
     for (auto& tenant : tenants) tenant.read_fraction = read_fraction;
-    tenants[0].priority = 1;
+    tenants[0].priority = fifo ? 0 : 1;
     tenants[0].qos_weight = 4.0;
     return tenants;
   };
-  auto qos_config = [](flex::ssd::QosPolicy policy) {
+  // FIFO is EDF with one budget for every class (the background budget,
+  // so the throttle's expiry is unchanged) and the weighted-fair override
+  // off: a deadline is then arrival + budget, which never decreases with
+  // submission order, so EDF serves the lowest eligible sequence number.
+  auto qos_config = [](bool fifo) {
     flex::ssd::QosConfig qos;
     qos.enabled = true;
-    qos.policy = policy;
     qos.tenants = 4;
     qos.tenant_weights = {4.0, 1.0, 1.0, 1.0};
+    if (fifo) {
+      qos.read_deadline = qos.background_deadline;
+      qos.write_deadline = qos.background_deadline;
+      qos.fair_share_slack = std::numeric_limits<flex::Duration>::max();
+    }
     return qos;
   };
 
@@ -99,17 +110,16 @@ int main(int argc, char** argv) {
                {"sweep 120%", 1.2}};
   const struct {
     const char* name;
-    flex::ssd::QosPolicy policy;
-  } policies[] = {{"fifo", flex::ssd::QosPolicy::kFifo},
-                  {"deadline", flex::ssd::QosPolicy::kDeadline}};
+    bool fifo;
+  } policies[] = {{"fifo", true}, {"deadline", false}};
   for (const auto& point : sweep) {
     for (const auto& policy : policies) {
       Variant v;
       v.label = std::string(point.label) + " " + policy.name;
       v.engine.arrivals.base_iops = kSaturationIops * point.load;
-      v.engine.tenants = population(/*read_fraction=*/0.7);
+      v.engine.tenants = population(/*read_fraction=*/0.7, policy.fifo);
       v.engine.seed = 0xAB1A;  // same stream for both policies at a load
-      v.qos = qos_config(policy.policy);
+      v.qos = qos_config(policy.fifo);
       variants.push_back(std::move(v));
     }
   }
@@ -125,9 +135,9 @@ int main(int argc, char** argv) {
     v.engine.arrivals.burst_rate_multiplier = 6.0;
     v.engine.arrivals.burst_on_fraction = 0.15;
     v.engine.arrivals.burst_mean_on_s = 0.05;
-    v.engine.tenants = population(/*read_fraction=*/0.35);
+    v.engine.tenants = population(/*read_fraction=*/0.35, policy.fifo);
     v.engine.seed = 0x6C57;
-    v.qos = qos_config(policy.policy);
+    v.qos = qos_config(policy.fifo);
     v.qos.admission_max_outstanding = 128;
     v.qos.write_admission_dirty_watermark = 96;
     v.qos.gc_throttle_queue_depth = 6;
@@ -141,9 +151,9 @@ int main(int argc, char** argv) {
     Variant v;
     v.label = std::string("refresh storm ") + policy.name;
     v.engine.arrivals.base_iops = kSaturationIops * 0.7;
-    v.engine.tenants = population(/*read_fraction=*/0.98);
+    v.engine.tenants = population(/*read_fraction=*/0.98, policy.fifo);
     v.engine.seed = 0x5C2B;
-    v.qos = qos_config(policy.policy);
+    v.qos = qos_config(policy.fifo);
     v.qos.gc_throttle_queue_depth = 6;
     v.disturb.enabled = true;
     v.disturb.model.vth_shift_per_read = 1.8e-4;

@@ -1,6 +1,5 @@
 #include "bench_common.h"
 
-#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -446,17 +445,6 @@ void write_bench_json(const std::string& path, const std::string& bench,
     out << "]}";
   }
   out << "\n]}\n";
-}
-
-std::optional<std::uint64_t> parse_count_value(const char* text,
-                                               std::uint64_t max) {
-  // from_chars into an unsigned type takes digits only: no sign, space or
-  // base prefix.
-  const char* const end = text + std::strlen(text);
-  std::uint64_t value = 0;
-  const auto [stop, error] = std::from_chars(text, end, value);
-  if (error != std::errc() || stop != end || value > max) return std::nullopt;
-  return value;
 }
 
 std::optional<int> parse_jobs_value(const char* text) {

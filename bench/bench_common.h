@@ -23,6 +23,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "common/count.h"
 #include "reliability/ber_model.h"
 #include "ssd/simulator.h"
 #include "telemetry/export.h"
@@ -160,12 +161,9 @@ int parse_jobs(int* argc, char** argv);
 /// Parses a job count: parse_count_value() capped at INT_MAX.
 std::optional<int> parse_jobs_value(const char* text);
 
-/// Parses a count: decimal digits only, at most `max`. Returns nullopt for
-/// anything else (empty, signs, spaces, trailing text, overflow). The one
-/// rule behind every numeric bench argument.
-std::optional<std::uint64_t> parse_count_value(
-    const char* text,
-    std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
+/// The digits-only count rule behind every numeric bench argument
+/// (common/count.h).
+using flex::parse_count_value;
 
 /// Positional argument `index` of an argv already compacted by
 /// parse_outputs()/parse_jobs(), as a count; `fallback` when it is absent.

@@ -3,9 +3,10 @@
 //
 // Usage: retention_explorer [pe_cycles...]   (default: 3000 4500 6000)
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <vector>
 
+#include "common/count.h"
 #include "common/rng.h"
 #include "common/table.h"
 #include "flexlevel/nunma.h"
@@ -19,7 +20,19 @@ int main(int argc, char** argv) {
   using namespace flex;
 
   std::vector<int> pe_points;
-  for (int i = 1; i < argc; ++i) pe_points.push_back(std::atoi(argv[i]));
+  for (int i = 1; i < argc; ++i) {
+    const auto pe =
+        parse_count_value(argv[i], std::numeric_limits<int>::max());
+    if (!pe) {
+      std::fprintf(stderr,
+                   "usage: retention_explorer [pe_cycles...]\n"
+                   "pe_cycles expects decimal digits only, at most %d; "
+                   "got \"%s\"\n",
+                   std::numeric_limits<int>::max(), argv[i]);
+      return 2;
+    }
+    pe_points.push_back(static_cast<int>(*pe));
+  }
   if (pe_points.empty()) pe_points = {3000, 4500, 6000};
 
   Rng rng(3);

@@ -8,12 +8,15 @@
 //     pe_cycles: pre-aged wear level (default 6000)
 //     requests : trims the synthetic trace (default: workload preset)
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
 
+#include "common/count.h"
 #include "common/rng.h"
 #include "flexlevel/nunma.h"
 #include "flexlevel/reduce_mapper.h"
@@ -41,14 +44,35 @@ std::optional<ssd::Scheme> parse_scheme(const std::string& name) {
   return std::nullopt;
 }
 
+/// Positional count `index` of argv, `fallback` when absent; a value that
+/// is not decimal digits up to `max` prints usage and exits 2.
+std::uint64_t count_arg(int argc, char** argv, int index, const char* name,
+                        std::uint64_t fallback, std::uint64_t max) {
+  if (index >= argc) return fallback;
+  const std::optional<std::uint64_t> value =
+      parse_count_value(argv[index], max);
+  if (!value) {
+    std::fprintf(stderr,
+                 "usage: trace_replay [workload|csv-path] [scheme] "
+                 "[pe_cycles] [requests]\n"
+                 "%s expects decimal digits only, at most %llu; got "
+                 "\"%s\"\n",
+                 name, static_cast<unsigned long long>(max), argv[index]);
+    std::exit(2);
+  }
+  return *value;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const std::string source = argc > 1 ? argv[1] : "fin-2";
   const std::string scheme_name = argc > 2 ? argv[2] : "flexlevel";
-  const int pe_cycles = argc > 3 ? std::atoi(argv[3]) : 6000;
+  const int pe_cycles = static_cast<int>(count_arg(
+      argc, argv, 3, "pe_cycles", 6000, std::numeric_limits<int>::max()));
   const std::uint64_t request_cap =
-      argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 0;
+      count_arg(argc, argv, 4, "requests", 0,
+                std::numeric_limits<std::uint64_t>::max());
 
   const auto scheme = parse_scheme(scheme_name);
   if (!scheme) {

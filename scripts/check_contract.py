@@ -15,8 +15,11 @@ The manifest holds two kinds of entry:
     and the traced smoke `kernel.events_per_req` (both read from one
     `flexbench_traced --smoke` run in `./contract-out/flexbench-smoke/`)
     and the digest of `flexbench --workload W --seconds 6 --seed 2015`
-    (in `./contract-out/flexbench-<W>/`). flexbench fixes its passes from
-    nominal pass times, not a clock, so these hold on any machine.
+    (in `./contract-out/flexbench-<W>/`). The same run under
+    `flexbench_traced ... --trace` (in `./contract-out/flexbench-<W>-traced/`)
+    must exit 0 with that same digest, since telemetry only observes; it
+    adds rows but no pinned value. flexbench fixes its passes from nominal
+    pass times, not a clock, so these hold on any machine.
 
 Every entry is checked; one line per (entry, output, jobs) shows the
 expected and observed values. On any mismatch the script exits 1 and
@@ -40,6 +43,10 @@ BENCH_DIR = ROOT / "build" / "bench"
 FLEXBENCH_DIR = ROOT / ".bench_build" / "flexbench"
 JOBS = (1, 8)
 FLEXBENCH_SEED = "2015"
+# The 6 s runs per workload: (row and directory suffix, binary, extra
+# arguments). Both must match the one pinned digest_6s.
+SIX_SECOND_RUNS = (("", "flexbench", []),
+                   ("-traced", "flexbench_traced", ["--trace"]))
 MISSING = "missing"
 
 
@@ -129,7 +136,8 @@ def run_digest(path):
 
 
 def check_flexbench(entries, build_dir, out_root):
-    """Runs one traced smoke and one 6 s run per workload; returns rows."""
+    """Runs one traced smoke, and per workload one plain and one traced
+    6 s run; returns rows."""
     smoke_dir = out_root / "flexbench-smoke"
     status = run_in(smoke_dir, [str(build_dir / "flexbench_traced"),
                                 "--smoke"])
@@ -145,13 +153,16 @@ def check_flexbench(entries, build_dir, out_root):
                         events.get(workload, MISSING)))
     for entry in entries:
         workload = entry["workload"]
-        directory = out_root / f"flexbench-{workload}"
-        status = run_in(directory, [str(build_dir / "flexbench"),
-                                    "--workload", workload, "--seconds", "6",
-                                    "--seed", FLEXBENCH_SEED])
-        rows.append(Row(workload, "exit", "-", "0", status))
-        rows.append(Row(workload, "digest_6s", "-", entry["digest_6s"],
-                        run_digest(directory / "stdout")))
+        for suffix, binary, extra in SIX_SECOND_RUNS:
+            directory = out_root / f"flexbench-{workload}{suffix}"
+            status = run_in(directory, [str(build_dir / binary),
+                                        "--workload", workload,
+                                        "--seconds", "6",
+                                        "--seed", FLEXBENCH_SEED] + extra)
+            rows.append(Row(workload, "exit" + suffix, "-", "0", status))
+            rows.append(Row(workload, "digest_6s" + suffix, "-",
+                            entry["digest_6s"],
+                            run_digest(directory / "stdout")))
     return rows
 
 

@@ -87,6 +87,66 @@ class CheckBenchTest(unittest.TestCase):
                           for jobs in check_contract.JOBS})
 
 
+# Stands in for flexbench and flexbench_traced: the smoke prints one
+# traced seed-2015 run; a 6 s run prints digest aaaa, except that a traced
+# one prints TRACED_DIGEST and exits TRACED_EXIT.
+FAKE_FLEXBENCH = """
+import sys
+args = sys.argv[1:]
+if "--smoke" in args:
+    print("run w 2015 traced")
+    print("metric kernel.events_per_req 1.5 count/req")
+    print("digest aaaa")
+    sys.exit(0)
+traced = "--trace" in args
+if not traced or TRACED_EXIT == 0:
+    print("digest " + ("TRACED_DIGEST" if traced else "aaaa"))
+sys.exit(TRACED_EXIT if traced else 0)
+"""
+
+FLEXBENCH_ENTRY = {"workload": "w", "smoke_digest": "aaaa",
+                   "smoke_events_per_req": 1.5, "digest_6s": "aaaa"}
+
+
+class CheckFlexbenchTest(unittest.TestCase):
+    def setUp(self):
+        self.tmp = tempfile.TemporaryDirectory()
+        self.root = Path(self.tmp.name)
+
+    def tearDown(self):
+        self.tmp.cleanup()
+
+    def check(self, traced_digest, traced_exit):
+        build_dir = self.root / "build"
+        build_dir.mkdir()
+        body = (FAKE_FLEXBENCH.replace("TRACED_DIGEST", traced_digest)
+                .replace("TRACED_EXIT", str(traced_exit)))
+        for name in ("flexbench", "flexbench_traced"):
+            script = build_dir / name
+            script.write_text(f"#!{sys.executable}\n{body}")
+            script.chmod(0o755)
+        return check_contract.check_flexbench([FLEXBENCH_ENTRY], build_dir,
+                                              self.root / "out")
+
+    def failures(self, rows):
+        return {r.output for r in rows if not r.ok}
+
+    def test_traced_run_with_the_pinned_digest_passes(self):
+        rows = self.check("aaaa", 0)
+        # smoke exit, smoke digest, events, then exit + digest per 6 s run
+        self.assertEqual(len(rows), 7)
+        self.assertEqual(self.failures(rows), set())
+
+    def test_aborting_traced_run_fails(self):
+        rows = self.check("aaaa", 2)
+        self.assertEqual(self.failures(rows),
+                         {"exit-traced", "digest_6s-traced"})
+
+    def test_traced_digest_that_differs_fails(self):
+        rows = self.check("bbbb", 0)
+        self.assertEqual(self.failures(rows), {"digest_6s-traced"})
+
+
 class ManifestTest(unittest.TestCase):
     def test_smoke_parser_keeps_seed_digests_and_traced_events(self):
         text = "\n".join([

@@ -12,15 +12,17 @@ ChipScheduler::ChipScheduler(std::size_t chips, EventQueue& events)
   FLEX_EXPECTS(chips >= 1);
 }
 
-SimTime ChipScheduler::submit(std::size_t chip, SimTime arrival,
-                              const ChipCommand& cmd, const char* op) {
-  FLEX_EXPECTS(chip < chips());
-  const SimTime start = std::max(arrival, free_at_[chip]);
-  const SimTime completion = start + cmd.total();
-  free_at_[chip] = completion;
-
+void ChipScheduler::admit(std::size_t chip) {
   ChipStats& stats = stats_[chip];
   ++stats.commands;
+  ++in_flight_[chip];
+  stats.max_queue_depth = std::max(stats.max_queue_depth, in_flight_[chip]);
+}
+
+void ChipScheduler::account_start(std::size_t chip, SimTime arrival,
+                                  SimTime start, const ChipCommand& cmd,
+                                  const char* op) {
+  ChipStats& stats = stats_[chip];
   if (start > arrival) {
     ++stats.queued_commands;
     stats.wait_time += start - arrival;
@@ -28,32 +30,43 @@ SimTime ChipScheduler::submit(std::size_t chip, SimTime arrival,
   stats.channel_busy += cmd.channel;
   stats.die_busy += cmd.die;
   stats.controller_busy += cmd.controller;
+  if (telemetry_) observe_start(chip, arrival, start, cmd, op);
+}
 
-  if (telemetry_) {
+void ChipScheduler::observe_start(std::size_t chip, SimTime arrival,
+                                  SimTime start, const ChipCommand& cmd,
+                                  const char* op) {
+  if (start > arrival) {
+    wait_hist_->add(static_cast<double>(start - arrival) / 1000.0);
+  }
+  if (telemetry::SpanRecorder* tracer = telemetry_->tracer()) {
+    const auto tid = static_cast<std::int32_t>(chip);
     if (start > arrival) {
-      wait_hist_->add(static_cast<double>(start - arrival) / 1000.0);
-    }
-    if (telemetry::SpanRecorder* tracer = telemetry_->tracer()) {
-      const auto tid = static_cast<std::int32_t>(chip);
-      if (start > arrival) {
-        tracer->record({.name = "wait",
-                        .cat = "chip",
-                        .pid = telemetry_->pid,
-                        .tid = tid,
-                        .start = arrival,
-                        .dur = start - arrival});
-      }
-      tracer->record({.name = op,
+      tracer->record({.name = "wait",
                       .cat = "chip",
                       .pid = telemetry_->pid,
                       .tid = tid,
-                      .start = start,
-                      .dur = cmd.total()});
+                      .start = arrival,
+                      .dur = start - arrival});
     }
+    tracer->record({.name = op,
+                    .cat = "chip",
+                    .pid = telemetry_->pid,
+                    .tid = tid,
+                    .start = start,
+                    .dur = cmd.total()});
   }
+}
 
-  ++in_flight_[chip];
-  stats.max_queue_depth = std::max(stats.max_queue_depth, in_flight_[chip]);
+SimTime ChipScheduler::submit(std::size_t chip, SimTime arrival,
+                              const ChipCommand& cmd, const char* op) {
+  FLEX_EXPECTS(chip < chips());
+  arrival = std::max(arrival, events_.now());
+  const SimTime start = std::max(arrival, free_at_[chip]);
+  const SimTime completion = start + cmd.total();
+  free_at_[chip] = completion;
+  admit(chip);
+  account_start(chip, arrival, start, cmd, op);
   events_.schedule(completion,
                    [this, chip](SimTime) { --in_flight_[chip]; });
   return completion;
@@ -63,27 +76,42 @@ void ChipScheduler::submit_background(SimTime now,
                                       const ftl::WriteResult& result,
                                       const LatencyModel& latency) {
   // The host program lands on the chip that owns its physical page.
-  submit(chip_of(result.ppn), now, ChipCommand{.die = latency.program()},
-         "program");
-  // GC relocations read the victim page before reprogramming it.
+  submit_train_command(chip_of(result.ppn), now,
+                       ChipCommand{.die = latency.program()}, "program");
   const std::uint64_t moves =
       result.page_programs > 0 ? result.page_programs - 1 : 0;
+  submit_maintenance(now, moves, result.erases, latency);
+}
+
+void ChipScheduler::submit_maintenance(SimTime now, std::uint64_t moves,
+                                       std::uint64_t erases,
+                                       const LatencyModel& latency) {
+  // GC relocations read the victim page before reprogramming it.
   for (std::uint64_t i = 0; i < moves; ++i) {
     next_background_chip_ = (next_background_chip_ + 1) % chips();
-    submit(next_background_chip_, now,
-           ChipCommand{.die = latency.program() +
-                              latency.spec.read_latency},
-           "gc_move");
+    submit_train_command(next_background_chip_, now,
+                         ChipCommand{.die = latency.program() +
+                                            latency.spec.read_latency},
+                         "gc_move");
   }
-  for (std::uint64_t i = 0; i < result.erases; ++i) {
+  for (std::uint64_t i = 0; i < erases; ++i) {
     next_background_chip_ = (next_background_chip_ + 1) % chips();
-    submit(next_background_chip_, now,
-           ChipCommand{.die = latency.erase()}, "erase");
+    submit_train_command(next_background_chip_, now,
+                         ChipCommand{.die = latency.erase()}, "erase");
   }
 }
 
-void ChipScheduler::enable_qos(const QosSchedulerConfig& config,
-                               QosSink* sink) {
+void ChipScheduler::submit_train_command(std::size_t chip, SimTime now,
+                                         const ChipCommand& cmd,
+                                         const char* op) {
+  if (qos_enabled_) {
+    submit_qos(chip, now, cmd, QosClass::kBackground, 0, 0, kNoTag, op);
+  } else {
+    submit(chip, now, cmd, op);
+  }
+}
+
+void ChipScheduler::enable_qos(const QosConfig& config, QosSink* sink) {
   qos_enabled_ = true;
   qos_config_ = config;
   qos_sink_ = sink;
@@ -134,11 +162,7 @@ std::uint64_t ChipScheduler::submit_qos(std::size_t chip, SimTime now,
   entry.klass = klass;
   entry.op = op;
 
-  ChipStats& stats = stats_[chip];
-  ++stats.commands;
-  ++in_flight_[chip];
-  stats.max_queue_depth = std::max(stats.max_queue_depth, in_flight_[chip]);
-
+  admit(chip);
   if (!qos_busy_[chip]) {
     qos_start_service(chip, now, entry);
   } else {
@@ -158,38 +182,7 @@ void ChipScheduler::qos_start_service(std::size_t chip, SimTime start,
   const SimTime completion = start + entry.cmd.total();
   free_at_[chip] = completion;
 
-  ChipStats& stats = stats_[chip];
-  if (start > entry.arrival) {
-    ++stats.queued_commands;
-    stats.wait_time += start - entry.arrival;
-  }
-  stats.channel_busy += entry.cmd.channel;
-  stats.die_busy += entry.cmd.die;
-  stats.controller_busy += entry.cmd.controller;
-
-  if (telemetry_) {
-    if (start > entry.arrival) {
-      wait_hist_->add(static_cast<double>(start - entry.arrival) / 1000.0);
-    }
-    if (telemetry::SpanRecorder* tracer = telemetry_->tracer()) {
-      const auto tid = static_cast<std::int32_t>(chip);
-      if (start > entry.arrival) {
-        tracer->record({.name = "wait",
-                        .cat = "chip",
-                        .pid = telemetry_->pid,
-                        .tid = tid,
-                        .start = entry.arrival,
-                        .dur = start - entry.arrival});
-      }
-      tracer->record({.name = entry.op,
-                      .cat = "chip",
-                      .pid = telemetry_->pid,
-                      .tid = tid,
-                      .start = start,
-                      .dur = entry.cmd.total()});
-    }
-  }
-
+  account_start(chip, entry.arrival, start, entry.cmd, entry.op);
   events_.schedule(completion,
                    [this, chip](SimTime t) { qos_complete(chip, t); });
 }
@@ -217,52 +210,49 @@ std::size_t ChipScheduler::qos_pick_index(std::size_t chip, SimTime now) {
     return true;
   };
 
+  // Weighted-fair override: if some tenant with eligible host work has
+  // fallen more than fair_share_slack of weighted service behind the
+  // most-served such tenant, dispatch from the most-behind tenant. The
+  // override self-limits — serving the lagging tenant raises its virtual
+  // time until the spread closes and EDF order resumes.
+  double min_v = 0.0, max_v = 0.0;
+  std::uint16_t min_tenant = 0;
+  bool have_host = false;
+  for (const QosPending& e : queue) {
+    if (e.klass == QosClass::kBackground || !eligible(e)) continue;
+    const double v = qos_virtual_[e.tenant];
+    if (!have_host || v < min_v || (v == min_v && e.tenant < min_tenant)) {
+      min_v = v;
+      min_tenant = e.tenant;
+    }
+    if (!have_host || v > max_v) max_v = v;
+    have_host = true;
+  }
+  const bool fairness_override =
+      have_host &&
+      max_v - min_v > static_cast<double>(qos_config_.fair_share_slack);
+  if (fairness_override) ++qos_fairness_overrides_;
+
+  // Earliest deadline first, ties by submission order. With equal class
+  // budgets and priority 0 a deadline is arrival + budget, which never
+  // decreases with seq (the clock never steps back), so this picks the
+  // lowest eligible seq: FIFO.
   std::size_t best = queue.size();
-  if (qos_config_.policy == QosPolicy::kFifo) {
-    for (std::size_t i = 0; i < queue.size(); ++i) {
-      if (!eligible(queue[i])) continue;
-      if (best == queue.size() || queue[i].seq < queue[best].seq) best = i;
+  for (std::size_t i = 0; i < queue.size(); ++i) {
+    const QosPending& e = queue[i];
+    if (!eligible(e)) continue;
+    if (fairness_override &&
+        (e.klass == QosClass::kBackground || e.tenant != min_tenant)) {
+      continue;
     }
-  } else {
-    // Weighted-fair override: if some tenant with eligible host work has
-    // fallen more than fair_share_slack of weighted service behind the
-    // most-served such tenant, dispatch from the most-behind tenant. The
-    // override self-limits — serving the lagging tenant raises its
-    // virtual time until the spread closes and EDF order resumes.
-    double min_v = 0.0, max_v = 0.0;
-    std::uint16_t min_tenant = 0;
-    bool have_host = false;
-    for (const QosPending& e : queue) {
-      if (e.klass == QosClass::kBackground || !eligible(e)) continue;
-      const double v = qos_virtual_[e.tenant];
-      if (!have_host || v < min_v ||
-          (v == min_v && e.tenant < min_tenant)) {
-        min_v = v;
-        min_tenant = e.tenant;
-      }
-      if (!have_host || v > max_v) max_v = v;
-      have_host = true;
+    if (best == queue.size()) {
+      best = i;
+      continue;
     }
-    const bool fairness_override =
-        have_host &&
-        max_v - min_v > static_cast<double>(qos_config_.fair_share_slack);
-    if (fairness_override) ++qos_fairness_overrides_;
-    for (std::size_t i = 0; i < queue.size(); ++i) {
-      const QosPending& e = queue[i];
-      if (!eligible(e)) continue;
-      if (fairness_override &&
-          (e.klass == QosClass::kBackground || e.tenant != min_tenant)) {
-        continue;
-      }
-      if (best == queue.size()) {
-        best = i;
-        continue;
-      }
-      const QosPending& b = queue[best];
-      if (e.deadline < b.deadline ||
-          (e.deadline == b.deadline && e.seq < b.seq)) {
-        best = i;
-      }
+    const QosPending& b = queue[best];
+    if (e.deadline < b.deadline ||
+        (e.deadline == b.deadline && e.seq < b.seq)) {
+      best = i;
     }
   }
   if (deferred_any) ++qos_background_deferrals_;
@@ -300,34 +290,6 @@ void ChipScheduler::qos_complete(std::size_t chip, SimTime now) {
                                 .start = start,
                                 .completion = now,
                                 .cmd = done.cmd});
-  }
-}
-
-void ChipScheduler::submit_background_qos(SimTime now,
-                                          const ftl::WriteResult& result,
-                                          const LatencyModel& latency) {
-  submit_qos(chip_of(result.ppn), now, ChipCommand{.die = latency.program()},
-             QosClass::kBackground, 0, 0, kNoTag, "program");
-  const std::uint64_t moves =
-      result.page_programs > 0 ? result.page_programs - 1 : 0;
-  submit_maintenance_qos(now, moves, result.erases, latency);
-}
-
-void ChipScheduler::submit_maintenance_qos(SimTime now, std::uint64_t moves,
-                                           std::uint64_t erases,
-                                           const LatencyModel& latency) {
-  for (std::uint64_t i = 0; i < moves; ++i) {
-    next_background_chip_ = (next_background_chip_ + 1) % chips();
-    submit_qos(next_background_chip_, now,
-               ChipCommand{.die = latency.program() +
-                                  latency.spec.read_latency},
-               QosClass::kBackground, 0, 0, kNoTag, "gc_move");
-  }
-  for (std::uint64_t i = 0; i < erases; ++i) {
-    next_background_chip_ = (next_background_chip_ + 1) % chips();
-    submit_qos(next_background_chip_, now,
-               ChipCommand{.die = latency.erase()}, QosClass::kBackground, 0,
-               0, kNoTag, "erase");
   }
 }
 

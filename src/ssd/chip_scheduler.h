@@ -1,14 +1,15 @@
 // Per-chip NAND command scheduling.
 //
-// Each chip serialises its commands: a command issued while the chip is
-// busy queues behind the in-flight work (FIFO, as in a real per-die command
-// queue). Occupancy is decomposed into channel-transfer time (the bus),
-// die-busy time (array sensing / program / erase) and controller time
-// (LDPC decode) so utilisation can be attributed per resource, and the
-// scheduler keeps per-chip queue-depth and wait accounting that surfaces
-// in SsdResults. Completion events are posted to the simulator's
-// EventQueue, which is where the in-flight gauge (and hence observed queue
-// depth) is maintained.
+// Each chip serialises its commands. The reservation path (submit) books
+// a command behind the chip's in-flight work in issue order; QoS mode
+// (enable_qos) queues commands per chip and dispatches them by one rule,
+// earliest deadline first. Occupancy is decomposed into channel-transfer
+// time (the bus), die-busy time (array sensing / program / erase) and
+// controller time (LDPC decode) so utilisation can be attributed per
+// resource, and the scheduler keeps per-chip queue-depth and wait
+// accounting that surfaces in SsdResults. Completion events are posted to
+// the simulator's EventQueue, which is where the in-flight gauge (and
+// hence observed queue depth) is maintained.
 #pragma once
 
 #include <cstdint>
@@ -58,10 +59,12 @@ struct ChipStats {
   bool operator==(const ChipStats&) const = default;
 };
 
-/// Dispatch policy for QoS mode (see ChipScheduler::enable_qos).
+/// The one QoS dispatch rule. The enum and QosConfig::policy remain only
+/// because external benchmark code assigns them. FIFO is a configuration
+/// of the rule, not a policy: with every class budget equal, every
+/// priority 0 and fair_share_slack at its maximum, EDF dispatches in
+/// submission order (DESIGN.md §2.7).
 enum class QosPolicy {
-  /// Strict arrival order across tenants and classes (the control arm).
-  kFifo,
   /// Earliest-deadline-first with a weighted-fair override: when the
   /// spread of tenant virtual service times exceeds fair_share_slack the
   /// most-behind tenant dispatches next regardless of deadline order.
@@ -73,8 +76,26 @@ enum class QosPolicy {
 /// (buffer flushes, GC trains, refresh scrubs) is throttleable.
 enum class QosClass : std::uint8_t { kRead = 0, kWrite = 1, kBackground = 2 };
 
-struct QosSchedulerConfig {
-  QosPolicy policy = QosPolicy::kFifo;
+/// Multi-tenant QoS mode (SsdConfig::qos). Off by default — the legacy
+/// path (synchronous chip reservation, single implicit tenant) reproduces
+/// every seed figure bit-identically. When enabled, host NAND commands
+/// queue per chip and dispatch by deadline, request latencies become
+/// event-driven (a request completes when its slowest queued command
+/// completes), and per-tenant response stats land in SsdResults::tenant.
+/// FTL state mutations (placement, GC, hotness, disturb counters) stay
+/// synchronous at arrival time, so differently configured schedulers walk
+/// the *identical* drive-state trajectory and differ only in queueing —
+/// which is exactly what makes the QoS ablation a controlled experiment.
+/// The scheduler reads the budgets, weights, slack and throttle; the
+/// simulator reads the rest.
+struct QosConfig {
+  bool enabled = false;
+  /// Always kDeadline (see QosPolicy).
+  QosPolicy policy = QosPolicy::kDeadline;
+  /// Number of tenants; requests carry a tenant index (clamped here).
+  std::uint32_t tenants = 1;
+  /// Fair-share weights, empty (all 1) or exactly `tenants` entries.
+  std::vector<double> tenant_weights;
   /// Per-class deadline budgets: a command queued at `t` with priority `p`
   /// carries the absolute deadline `t + budget / (1 + p)`. Deadlines are
   /// scheduling targets, not guarantees — an overloaded chip serves
@@ -84,17 +105,23 @@ struct QosSchedulerConfig {
   Duration read_deadline = 2 * kMillisecond;
   Duration write_deadline = 10 * kMillisecond;
   Duration background_deadline = 50 * kMillisecond;
-  /// Fair-share weights indexed by tenant; tenants past the end (and an
-  /// empty vector) weigh 1.
-  std::vector<double> tenant_weights;
-  /// kDeadline only: virtual-time spread that triggers the weighted-fair
-  /// override (ns of weighted service).
+  /// Virtual-time spread that triggers the weighted-fair override (ns of
+  /// weighted service); the maximum Duration turns the override off.
   Duration fair_share_slack = 5 * kMillisecond;
   /// Defer eligible background commands while at least this many host
   /// commands wait on the same chip (0 disables throttling). A deferred
   /// command becomes eligible again when its own deadline expires, so
   /// maintenance can be delayed but never starved.
   std::uint64_t gc_throttle_queue_depth = 0;
+  /// Admission control: reject a request outright when its tenant already
+  /// has this many requests in flight (0 = off). Rejection happens before
+  /// any FTL mutation and bounds queue memory under overload.
+  std::uint64_t admission_max_outstanding = 0;
+  /// Write admission: at or above this many dirty buffer pages, host
+  /// writes switch to queued write-through (ack at program completion)
+  /// instead of buffering — back-pressure instead of unbounded dirtying.
+  /// 0 = off. Must be <= write_buffer_pages.
+  std::uint64_t write_admission_dirty_watermark = 0;
 };
 
 /// Completion record delivered to the QosSink when a tagged command
@@ -134,51 +161,51 @@ class ChipScheduler {
   /// instead of serialising behind one write frontier.
   std::size_t chip_of(std::uint64_t ppn) const { return ppn % chips(); }
 
-  /// Issues one command to `chip` no earlier than `arrival`; returns its
-  /// completion time. Commands on one chip serialise in issue order. `op`
-  /// names the command on the chip's trace track when tracing is enabled
-  /// (static-lifetime string; unused otherwise).
+  /// Issues one command to `chip` no earlier than `arrival` (an arrival
+  /// before the kernel's clock is clamped to it, so a completion never
+  /// lands in the past); returns its completion time. Commands on one chip
+  /// serialise in issue order. `op` names the command on the chip's trace
+  /// track when tracing is enabled (static-lifetime string; unused
+  /// otherwise).
   SimTime submit(std::size_t chip, SimTime arrival, const ChipCommand& cmd,
                  const char* op = "cmd");
 
   /// Schedules a flush/GC write result's NAND operations: the host program
-  /// on its own chip, each GC relocation and erase on the next chip
-  /// round-robin, so background trains parallelise instead of stalling the
-  /// whole array.
+  /// on its own chip, then the result's GC relocations and erases as a
+  /// maintenance train (submit_maintenance).
   void submit_background(SimTime now, const ftl::WriteResult& result,
                          const LatencyModel& latency);
+
+  /// Background maintenance without a host program (GC byproducts of a
+  /// write-through host program, refresh-scrub relocation trains): each
+  /// relocation and erase goes to the next chip round-robin, so trains
+  /// parallelise instead of stalling the whole array. In QoS mode every
+  /// train command queues as throttleable background work; otherwise it
+  /// is reserved through submit().
+  void submit_maintenance(SimTime now, std::uint64_t moves,
+                          std::uint64_t erases, const LatencyModel& latency);
 
   /// Earliest time `chip` can start new work.
   SimTime free_at(std::size_t chip) const { return free_at_[chip]; }
 
   /// Switches the scheduler into QoS mode: commands submitted through
-  /// submit_qos()/submit_background_qos() queue per chip and dispatch by
-  /// `config.policy` instead of the legacy immediate-reservation path.
-  /// Legacy submit() keeps working (and stays byte-identical) when QoS
-  /// mode is never enabled. `sink` (may be null) receives completions of
-  /// tagged commands.
-  void enable_qos(const QosSchedulerConfig& config, QosSink* sink);
+  /// submit_qos() and the background trains queue per chip and dispatch
+  /// earliest deadline first, with ties broken by submission order; the
+  /// weighted-fair override and the background throttle of `config`
+  /// apply on top. Legacy submit() keeps working (and stays
+  /// byte-identical) when QoS mode is never enabled. `sink` (may be null)
+  /// receives completions of tagged commands.
+  void enable_qos(const QosConfig& config, QosSink* sink);
   bool qos_enabled() const { return qos_enabled_; }
 
   /// Queues one command on `chip` (QoS mode only). The deadline is
   /// assigned here from the class budget and `priority`; completion of a
   /// tagged command is reported to the sink. Returns the command's
-  /// sequence number (FIFO rank, used by tests).
+  /// sequence number (submission rank, used by tests).
   std::uint64_t submit_qos(std::size_t chip, SimTime now,
                            const ChipCommand& cmd, QosClass klass,
                            std::uint16_t tenant, std::uint8_t priority,
                            std::uint64_t tag, const char* op = "cmd");
-
-  /// QoS-mode analogue of submit_background(): the flush/GC program train
-  /// of one write result, all queued as throttleable background work.
-  void submit_background_qos(SimTime now, const ftl::WriteResult& result,
-                             const LatencyModel& latency);
-
-  /// Background maintenance without a host program: GC byproducts of a
-  /// write-through host program, refresh-scrub relocation trains.
-  void submit_maintenance_qos(SimTime now, std::uint64_t moves,
-                              std::uint64_t erases,
-                              const LatencyModel& latency);
 
   /// Highest total number of commands queued-but-not-in-service across
   /// all chips since the last reset_stats() — the bounded-queue-memory
@@ -226,8 +253,24 @@ class ChipScheduler {
 
   Duration qos_class_budget(QosClass klass) const;
   double qos_tenant_weight(std::uint16_t tenant) const;
-  /// Picks the next queue index to dispatch on `chip` at `now` per the
-  /// configured policy; the queue must be non-empty.
+  /// Counts a command issued to `chip` and the outstanding depth it
+  /// raises (both paths, at issue time).
+  void admit(std::size_t chip);
+  /// Start-of-service accounting of both paths: busy and wait stats, and
+  /// with telemetry attached the wait histogram and the chip track's wait
+  /// and op spans (observe_start). The telemetry half is a separate
+  /// function so that the untraced call stays short: folded into one
+  /// body, a reservation cost ~1.5 ns (7%) more in a submit loop.
+  void account_start(std::size_t chip, SimTime arrival, SimTime start,
+                     const ChipCommand& cmd, const char* op);
+  void observe_start(std::size_t chip, SimTime arrival, SimTime start,
+                     const ChipCommand& cmd, const char* op);
+  /// One train command, routed by mode: queued background work in QoS
+  /// mode, a reservation otherwise.
+  void submit_train_command(std::size_t chip, SimTime now,
+                            const ChipCommand& cmd, const char* op);
+  /// Picks the next queue index to dispatch on `chip` at `now`; the queue
+  /// must be non-empty.
   std::size_t qos_pick_index(std::size_t chip, SimTime now);
   void qos_start_service(std::size_t chip, SimTime start,
                          const QosPending& entry);
@@ -240,7 +283,7 @@ class ChipScheduler {
   std::size_t next_background_chip_ = 0;
 
   bool qos_enabled_ = false;
-  QosSchedulerConfig qos_config_;
+  QosConfig qos_config_;
   QosSink* qos_sink_ = nullptr;
   std::vector<std::vector<QosPending>> qos_queue_;  ///< per chip
   std::vector<char> qos_busy_;                      ///< per chip

@@ -10,7 +10,7 @@ void EventQueue::push(const Entry& entry) {
   // end-of-trace completions) take the FIFO lane; everything else goes
   // through the heap.
   if (fifo_.empty() || before(fifo_.back(), entry)) {
-    if (fifo_head_ >= kFifoReclaimMin &&
+    if (fifo_head_ >= kLaneReclaimMin &&
         8 * (fifo_.size() - fifo_head_) <= fifo_head_) {
       fifo_.erase(fifo_.begin(),
                   fifo_.begin() + static_cast<std::ptrdiff_t>(fifo_head_));

@@ -119,7 +119,7 @@ class EventQueue {
   /// long and at least 8x the unconsumed rest: the memmove then costs at
   /// most one entry per 8 consumed, and the lane never holds more than 9x
   /// its unconsumed entries plus this floor.
-  static constexpr std::size_t kFifoReclaimMin = 4096;
+  static constexpr std::size_t kLaneReclaimMin = 4096;
 
   /// Lane entry. POD by construction: the callable is a trivially
   /// copyable capture blob plus a type-erasing invoke thunk, next to the
@@ -167,7 +167,7 @@ class EventQueue {
   std::vector<Entry> heap_;  ///< 4-ary min-heap on (when, seq)
   /// Sorted FIFO lane: entries appended in nondecreasing (when, seq),
   /// consumed from fifo_head_. The consumed prefix is erased on append
-  /// (storage kept, not shrunk) under the kFifoReclaimMin rule.
+  /// (storage kept, not shrunk) under the kLaneReclaimMin rule.
   std::vector<Entry> fifo_;
   std::size_t fifo_head_ = 0;
   std::uint64_t next_seq_ = 0;

@@ -268,15 +268,7 @@ SsdSimulator::SsdSimulator(SsdConfig config,
   qos_mode_ = config_.qos.enabled;
   tenant_count_ = qos_mode_ ? config_.qos.tenants : 1;
   if (qos_mode_) {
-    scheduler_.enable_qos(
-        {.policy = config_.qos.policy,
-         .read_deadline = config_.qos.read_deadline,
-         .write_deadline = config_.qos.write_deadline,
-         .background_deadline = config_.qos.background_deadline,
-         .tenant_weights = config_.qos.tenant_weights,
-         .fair_share_slack = config_.qos.fair_share_slack,
-         .gc_throttle_queue_depth = config_.qos.gc_throttle_queue_depth},
-        this);
+    scheduler_.enable_qos(config_.qos, this);
     qos_outstanding_.assign(tenant_count_, 0);
   }
   clear_results();
@@ -530,11 +522,7 @@ void SsdSimulator::mark_durable(std::uint64_t lpn) {
 void SsdSimulator::flush_victim(std::uint64_t lpn, SimTime now) {
   const ftl::WriteResult result =
       ftl_.write(lpn, policy_->write_mode(lpn), now);
-  if (qos_mode_) {
-    scheduler_.submit_background_qos(now, result, config_.latency);
-  } else {
-    scheduler_.submit_background(now, result, config_.latency);
-  }
+  scheduler_.submit_background(now, result, config_.latency);
   mark_durable(lpn);
   ++results_.writes_durable;
 }
@@ -829,8 +817,9 @@ void SsdSimulator::issue_read_page_qos(std::uint64_t lpn, std::uint64_t slot,
                                     .controller = cost.controller},
                         QosClass::kRead, st.tenant, priority, slot, "read");
   // FTL state mutations stay synchronous at arrival (identical drive-state
-  // trajectory under every dispatch policy); a refresh scrub triggered by
-  // this read queues its relocation train as throttleable background work.
+  // trajectory under every scheduler configuration); a refresh scrub
+  // triggered by this read queues its relocation train as throttleable
+  // background work.
   const std::uint64_t before_moves = ftl_.stats().refresh_page_moves;
   const std::uint64_t before_runs = ftl_.stats().refresh_runs;
   ftl_.record_read(ctx->ppn);
@@ -838,9 +827,7 @@ void SsdSimulator::issue_read_page_qos(std::uint64_t lpn, std::uint64_t slot,
   const std::uint64_t moves =
       ftl_.stats().refresh_page_moves - before_moves;
   const std::uint64_t erases = ftl_.stats().refresh_runs - before_runs;
-  if (moves + erases > 0) {
-    scheduler_.submit_maintenance_qos(now, moves, erases, config_.latency);
-  }
+  scheduler_.submit_maintenance(now, moves, erases, config_.latency);
 }
 
 void SsdSimulator::issue_write_page_qos(std::uint64_t lpn,
@@ -866,10 +853,8 @@ void SsdSimulator::issue_write_page_qos(std::uint64_t lpn,
                           "program");
     const std::uint64_t moves =
         result.page_programs > 0 ? result.page_programs - 1 : 0;
-    if (moves + result.erases > 0) {
-      scheduler_.submit_maintenance_qos(now, moves, result.erases,
-                                        config_.latency);
-    }
+    scheduler_.submit_maintenance(now, moves, result.erases,
+                                  config_.latency);
     settle_write_through(lpn, now);
     return;
   }

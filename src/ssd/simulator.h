@@ -107,43 +107,6 @@ struct DurabilityConfig {
   std::uint64_t flush_barrier_interval = 1024;
 };
 
-/// Multi-tenant QoS mode. Off by default — the legacy path (synchronous
-/// chip reservation, single implicit tenant) reproduces every seed figure
-/// bit-identically. When enabled, host NAND commands queue per chip and
-/// dispatch by the configured policy (see chip_scheduler.h), request
-/// latencies become event-driven (a request completes when its slowest
-/// queued command completes), and per-tenant response stats land in
-/// SsdResults::tenant. FTL state mutations (placement, GC, hotness,
-/// disturb counters) stay synchronous at arrival time, so FIFO and
-/// deadline policies walk the *identical* drive-state trajectory and
-/// differ only in queueing — which is exactly what makes the policy
-/// ablation a controlled experiment.
-struct QosConfig {
-  bool enabled = false;
-  QosPolicy policy = QosPolicy::kDeadline;
-  /// Number of tenants; requests carry a tenant index (clamped here).
-  std::uint32_t tenants = 1;
-  /// Fair-share weights, empty (all 1) or exactly `tenants` entries.
-  std::vector<double> tenant_weights;
-  /// Per-class deadline budgets (see QosSchedulerConfig).
-  Duration read_deadline = 2 * kMillisecond;
-  Duration write_deadline = 10 * kMillisecond;
-  Duration background_deadline = 50 * kMillisecond;
-  Duration fair_share_slack = 5 * kMillisecond;
-  /// Defer background work while this many host commands wait on the same
-  /// chip (0 = off); deferral ends when the background deadline expires.
-  std::uint64_t gc_throttle_queue_depth = 0;
-  /// Admission control: reject a request outright when its tenant already
-  /// has this many requests in flight (0 = off). Rejection happens before
-  /// any FTL mutation and bounds queue memory under overload.
-  std::uint64_t admission_max_outstanding = 0;
-  /// Write admission: at or above this many dirty buffer pages, host
-  /// writes switch to queued write-through (ack at program completion)
-  /// instead of buffering — back-pressure instead of unbounded dirtying.
-  /// 0 = off. Must be <= write_buffer_pages.
-  std::uint64_t write_admission_dirty_watermark = 0;
-};
-
 /// End-to-end data integrity. Off by default — the FTL then moves pure
 /// metadata and every seed figure is reproduced bit-identically. On,
 /// every page program carries a deterministic synthetic payload identity

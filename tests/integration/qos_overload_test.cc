@@ -5,6 +5,7 @@
 // and a GC+refresh storm on an aged faulty drive with zero durability or
 // disturb violations. Small scaled drive, fixed seeds, deterministic.
 #include <cstdint>
+#include <limits>
 #include <utility>
 
 #include <gtest/gtest.h>
@@ -125,10 +126,13 @@ TEST_F(QosOverloadTest, DeadlineBeatsFifoOnTailLatencyAtHighLoad) {
   // The acceptance property: at >= 80% of saturation the deadline policy
   // must improve the read tail over FIFO. Both arms serve the identical
   // arrival stream...
+  // FIFO is EDF with one budget for every class and the weighted-fair
+  // override off (every tenant of this population runs at priority 0).
   SsdConfig fifo_cfg = config();
-  fifo_cfg.qos.policy = QosPolicy::kFifo;
+  fifo_cfg.qos.read_deadline = fifo_cfg.qos.background_deadline;
+  fifo_cfg.qos.write_deadline = fifo_cfg.qos.background_deadline;
+  fifo_cfg.qos.fair_share_slack = std::numeric_limits<Duration>::max();
   SsdConfig deadline_cfg = config();
-  deadline_cfg.qos.policy = QosPolicy::kDeadline;
   const workload::EngineConfig engine = engine_config(/*iops=*/3'000, 15'000);
   const SsdResults fifo = run_open_loop(std::move(fifo_cfg), engine);
   const SsdResults deadline = run_open_loop(std::move(deadline_cfg), engine);

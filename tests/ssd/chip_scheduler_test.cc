@@ -8,9 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ssd/event_queue.h"
+#include "telemetry/telemetry.h"
 
 namespace flex::ssd {
 namespace {
@@ -129,6 +131,59 @@ TEST_F(ChipSchedulerTest, BackgroundTrainSpreadsRoundRobin) {
   EXPECT_EQ(sched.free_at(1), move);
   EXPECT_EQ(sched.free_at(2), move);
   EXPECT_EQ(sched.free_at(3), latency.erase());
+}
+
+TEST_F(ChipSchedulerTest, TrainsMatchOnBothBackends) {
+  // One GC write result and one refresh train, all issued at t=0, walk the
+  // same round-robin chips in the same order whether they are reserved
+  // (legacy) or queued as background work (QoS mode): the per-chip
+  // command counts, busy time and the order and timing of every chip
+  // span agree.
+  LatencyModel latency;
+  const ftl::WriteResult result{.ppn = 1, .page_programs = 4, .erases = 2};
+  const auto run = [&](bool qos) {
+    EventQueue events;
+    telemetry::Telemetry telemetry;
+    telemetry.trace = true;
+    ChipScheduler sched(3, events);
+    if (qos) sched.enable_qos(QosConfig{}, nullptr);
+    sched.attach_telemetry(&telemetry);
+    sched.submit_background(0, result, latency);
+    sched.submit_maintenance(0, /*moves=*/2, /*erases=*/1, latency);
+    events.run_all();
+    std::vector<std::vector<std::string>> ops(sched.chips());
+    for (const telemetry::Span& span : telemetry.spans.spans()) {
+      ops[static_cast<std::size_t>(span.tid)].push_back(
+          std::string(span.name) + "@" + std::to_string(span.start) + "+" +
+          std::to_string(span.dur));
+    }
+    return std::make_pair(sched.stats(), ops);
+  };
+  const auto [legacy_stats, legacy_ops] = run(false);
+  const auto [qos_stats, qos_ops] = run(true);
+  EXPECT_EQ(legacy_stats, qos_stats);
+  EXPECT_EQ(legacy_ops, qos_ops);
+  // 1 program + 3 + 2 relocations + 2 + 1 erases, chips 1, 2, 0, 1, ...
+  std::uint64_t commands = 0;
+  for (const ChipStats& stats : legacy_stats) commands += stats.commands;
+  EXPECT_EQ(commands, 9u);
+  ASSERT_FALSE(legacy_ops[1].empty());
+  EXPECT_EQ(legacy_ops[1][0].rfind("program@0+", 0), 0u);
+}
+
+TEST_F(ChipSchedulerTest, SubmitBehindTheClockIsClamped) {
+  // A caller may drain the kernel and then submit with an arrival the
+  // clock has passed; the command starts no earlier than now, so its
+  // completion never lands in the past.
+  ChipScheduler sched(2, events_);
+  sched.submit(0, 0, ChipCommand{.die = 100});
+  events_.run_all();
+  ASSERT_EQ(events_.now(), 100);
+  EXPECT_EQ(sched.submit(1, 50, ChipCommand{.die = 10}), 110);
+  EXPECT_EQ(sched.stats()[1].queued_commands, 0u);
+  EXPECT_EQ(sched.stats()[1].wait_time, 0);
+  events_.run_all();
+  EXPECT_EQ(events_.now(), 110);
 }
 
 TEST_F(ChipSchedulerTest, ResetStatsKeepsOccupancy) {

@@ -1,14 +1,17 @@
 // Property tests for the QoS chip-scheduling mode: dispatch-order
-// invariants (FIFO within tenant+priority, deadline class separation,
-// priority tightening), starvation freedom of throttled background work,
-// weighted-fair share bounds under overload, and the bounded-queue
-// accounting the overload tests lean on. Everything runs on the raw
-// ChipScheduler + EventQueue — no simulator, no RNG — so each property
-// is exact, not statistical.
+// invariants (submission order under uniform budgets, FIFO within
+// tenant+priority, deadline class separation, priority tightening),
+// starvation freedom of throttled background work, weighted-fair share
+// bounds under overload, and the bounded-queue accounting the overload
+// tests lean on. Everything runs on the raw ChipScheduler + EventQueue —
+// no simulator, and fixed seeds where arrivals are randomized — so each
+// property is exact, not statistical.
 #include "ssd/chip_scheduler.h"
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <random>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -54,26 +57,116 @@ class QosSchedulerTest : public ::testing::Test {
   RecordingSink sink_;
 };
 
-TEST_F(QosSchedulerTest, FifoDispatchesInArrivalOrderAcrossTenants) {
-  ChipScheduler sched(1, events_);
-  sched.enable_qos({.policy = QosPolicy::kFifo}, &sink_);
-  // Mixed tenants, priorities and classes, all queued at t=0: strict
-  // submission order must survive.
-  for (std::uint64_t i = 0; i < 10; ++i) {
-    sched.submit_qos(0, 0, kRead100us,
-                     i % 2 ? QosClass::kWrite : QosClass::kRead,
-                     static_cast<std::uint16_t>(i % 3),
-                     static_cast<std::uint8_t>(i % 2), /*tag=*/i);
+/// The FIFO configuration of the one EDF rule: every class budget equal
+/// to the background budget and the weighted-fair override off. The
+/// budget is 1 ms here (50 ms in the benches) so that throttled
+/// background commands also expire within a short run.
+QosConfig fifo_config(std::uint64_t throttle_depth) {
+  QosConfig config;
+  config.background_deadline = 1 * kMillisecond;
+  config.read_deadline = config.background_deadline;
+  config.write_deadline = config.background_deadline;
+  config.fair_share_slack = std::numeric_limits<Duration>::max();
+  config.tenant_weights = {3.0, 1.0, 0.5};
+  config.gc_throttle_queue_depth = throttle_depth;
+  return config;
+}
+
+TEST_F(QosSchedulerTest, UniformBudgetEdfDispatchesInSeqOrder) {
+  // With one budget for every class, priority 0 and the fair-share
+  // override off, a deadline is arrival + budget, which never decreases
+  // with seq, so EDF must serve the lowest eligible seq — strict
+  // submission order across classes and tenants, where the GC throttle
+  // is the only thing that may pass over a (background) command.
+  // Randomized arrivals on two chips; every arrival is a whole number of
+  // microseconds and every service time a whole number plus 1 ns, so with
+  // fewer than 1,000 commands per run no completion coincides with an
+  // arrival and "queued at the dispatch instant" is unambiguous.
+  for (const std::uint64_t throttle : {0u, 2u}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      EventQueue events;
+      RecordingSink sink;
+      ChipScheduler sched(2, events);
+      const QosConfig config = fifo_config(throttle);
+      sched.enable_qos(config, &sink);
+
+      struct Submitted {
+        std::size_t chip = 0;
+        QosClass klass = QosClass::kRead;
+        std::uint16_t tenant = 0;
+        ChipCommand cmd;
+      };
+      std::vector<Submitted> submitted;
+      std::mt19937_64 rng(seed);
+      SimTime t = 0;
+      for (std::uint64_t i = 0; i < 400; ++i) {
+        t += static_cast<SimTime>(rng() % 120) * kMicrosecond;
+        Submitted s{.chip = static_cast<std::size_t>(rng() % 2),
+                    .klass = static_cast<QosClass>(rng() % 3),
+                    .tenant = static_cast<std::uint16_t>(rng() % 3),
+                    .cmd = {.die = static_cast<Duration>(20 + rng() % 200) *
+                                       kMicrosecond +
+                                   1}};
+        submitted.push_back(s);
+        events.schedule(t, [&sched, &submitted, i](SimTime now) {
+          const Submitted& e = submitted[i];
+          EXPECT_EQ(sched.submit_qos(e.chip, now, e.cmd, e.klass, e.tenant,
+                                     /*priority=*/0, /*tag=*/i),
+                    i);
+        });
+      }
+      events.run_all();
+      ASSERT_EQ(sink.records.size(), submitted.size());
+
+      std::vector<SimTime> start(submitted.size());
+      std::vector<SimTime> arrival(submitted.size());
+      for (const auto& r : sink.records) {
+        start[r.tag] = r.start;
+        arrival[r.tag] = r.arrival;
+      }
+      std::uint64_t passed_over = 0;
+      for (std::uint64_t r = 0; r < submitted.size(); ++r) {
+        const SimTime at = start[r];
+        // The chip's queue at the dispatch of `r`: its commands that had
+        // arrived and not yet started (`r` itself included).
+        std::uint64_t host_waiting = 0;
+        for (std::uint64_t q = 0; q < submitted.size(); ++q) {
+          if (submitted[q].chip == submitted[r].chip && arrival[q] <= at &&
+              start[q] >= at &&
+              submitted[q].klass != QosClass::kBackground) {
+            ++host_waiting;
+          }
+        }
+        for (std::uint64_t q = 0; q < r; ++q) {
+          if (submitted[q].chip != submitted[r].chip || arrival[q] > at ||
+              start[q] <= at) {
+            continue;
+          }
+          // A lower seq still waiting: only a throttled, un-expired
+          // background command may be passed over.
+          ++passed_over;
+          EXPECT_EQ(submitted[q].klass, QosClass::kBackground)
+              << "seed " << seed << ": " << r << " overtook " << q;
+          EXPECT_GT(throttle, 0u);
+          EXPECT_GE(host_waiting, throttle);
+          EXPECT_LT(at, arrival[q] + config.background_deadline);
+        }
+      }
+      EXPECT_EQ(sched.qos_fairness_overrides(), 0u);
+      if (throttle == 0) {
+        EXPECT_EQ(passed_over, 0u);
+        EXPECT_EQ(sched.qos_background_deferrals(), 0u);
+      } else {
+        EXPECT_GT(passed_over, 0u) << "seed " << seed;
+        EXPECT_GT(sched.qos_background_deferrals(), 0u);
+      }
+    }
   }
-  events_.run_all();
-  std::vector<std::uint64_t> expected(10);
-  for (std::uint64_t i = 0; i < 10; ++i) expected[i] = i;
-  EXPECT_EQ(sink_.tags(), expected);
 }
 
 TEST_F(QosSchedulerTest, DeadlineKeepsFifoWithinTenantAndPriority) {
   ChipScheduler sched(1, events_);
-  sched.enable_qos({.policy = QosPolicy::kDeadline}, &sink_);
+  sched.enable_qos(QosConfig{}, &sink_);
   // One tenant, one priority, one class: every command carries the same
   // deadline offset, so EDF ties break by sequence — FIFO.
   for (std::uint64_t i = 0; i < 20; ++i) {
@@ -88,7 +181,7 @@ TEST_F(QosSchedulerTest, DeadlineKeepsFifoWithinTenantAndPriority) {
 
 TEST_F(QosSchedulerTest, DeadlineReadsOvertakeQueuedWrites) {
   ChipScheduler sched(1, events_);
-  sched.enable_qos({.policy = QosPolicy::kDeadline}, &sink_);
+  sched.enable_qos(QosConfig{}, &sink_);
   // Occupy the chip, then queue writes before reads. The read budget
   // (2 ms) undercuts the write budget (10 ms), so every queued read
   // dispatches ahead of every queued write despite arriving later.
@@ -108,7 +201,7 @@ TEST_F(QosSchedulerTest, DeadlineReadsOvertakeQueuedWrites) {
 
 TEST_F(QosSchedulerTest, HigherPriorityTightensTheDeadline) {
   ChipScheduler sched(1, events_);
-  sched.enable_qos({.policy = QosPolicy::kDeadline}, &sink_);
+  sched.enable_qos(QosConfig{}, &sink_);
   sched.submit_qos(0, 0, kRead100us, QosClass::kBackground, 0, 0,
                    ChipScheduler::kNoTag);  // occupy
   // Same class and arrival; priority 1 halves the budget, so it wins.
@@ -122,8 +215,7 @@ TEST_F(QosSchedulerTest, HigherPriorityTightensTheDeadline) {
 
 TEST_F(QosSchedulerTest, ThrottledBackgroundIsDeferredButNotStarved) {
   ChipScheduler sched(1, events_);
-  QosSchedulerConfig config;
-  config.policy = QosPolicy::kDeadline;
+  QosConfig config;
   config.background_deadline = 1 * kMillisecond;
   config.gc_throttle_queue_depth = 1;
   sched.enable_qos(config, &sink_);
@@ -159,8 +251,7 @@ TEST_F(QosSchedulerTest, ThrottledBackgroundIsDeferredButNotStarved) {
 
 TEST_F(QosSchedulerTest, WeightedFairShareBoundsUnderOverload) {
   ChipScheduler sched(1, events_);
-  QosSchedulerConfig config;
-  config.policy = QosPolicy::kDeadline;
+  QosConfig config;
   config.tenant_weights = {3.0, 1.0};
   config.fair_share_slack = 200 * kMicrosecond;
   sched.enable_qos(config, &sink_);
@@ -192,8 +283,7 @@ TEST_F(QosSchedulerTest, EveryCommandCompletesExactlyOnce) {
   // Conservation under everything at once: two chips, three tenants,
   // mixed classes/priorities, throttling and fairness active.
   ChipScheduler sched(2, events_);
-  QosSchedulerConfig config;
-  config.policy = QosPolicy::kDeadline;
+  QosConfig config;
   config.tenant_weights = {2.0, 1.0, 1.0};
   config.gc_throttle_queue_depth = 2;
   sched.enable_qos(config, &sink_);
@@ -219,7 +309,7 @@ TEST_F(QosSchedulerTest, EveryCommandCompletesExactlyOnce) {
 
 TEST_F(QosSchedulerTest, PendingHighWaterTracksBacklog) {
   ChipScheduler sched(1, events_);
-  sched.enable_qos({.policy = QosPolicy::kFifo}, &sink_);
+  sched.enable_qos(QosConfig{}, &sink_);
   for (std::uint64_t i = 0; i < 8; ++i) {
     sched.submit_qos(0, 0, kRead100us, QosClass::kRead, 0, 0, /*tag=*/i);
   }
@@ -237,7 +327,7 @@ TEST_F(QosSchedulerTest, LegacySubmitUnaffectedByQosMode) {
   EventQueue legacy_events;
   ChipScheduler legacy(2, legacy_events);
   ChipScheduler qos(2, events_);
-  qos.enable_qos({.policy = QosPolicy::kDeadline}, &sink_);
+  qos.enable_qos(QosConfig{}, &sink_);
   for (int i = 0; i < 10; ++i) {
     const auto chip = static_cast<std::size_t>(i % 2);
     const SimTime arrival = i * 40'000;
