@@ -19,7 +19,6 @@
 // Output is deterministic and independent of --jobs.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -30,33 +29,10 @@
 #include "ssd/crash_harness.h"
 #include "trace/workloads.h"
 
-namespace {
-
-/// Extracts `--report-out PATH` (or `--report-out=PATH`) from argv.
-std::string parse_report_out(int* argc, char** argv) {
-  std::string path;
-  int out = 1;
-  for (int i = 1; i < *argc; ++i) {
-    if (std::strcmp(argv[i], "--report-out") == 0 && i + 1 < *argc) {
-      path = argv[++i];
-      continue;
-    }
-    constexpr const char* kFlag = "--report-out=";
-    if (std::strncmp(argv[i], kFlag, std::strlen(kFlag)) == 0) {
-      path = argv[i] + std::strlen(kFlag);
-      continue;
-    }
-    argv[out++] = argv[i];
-  }
-  *argc = out;
-  return path;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using flex::TablePrinter;
-  const std::string report_out = parse_report_out(&argc, argv);
+  std::string report_out;
+  flex::bench::parse_path_flags(&argc, argv, {{"--report-out", &report_out}});
   const int jobs = flex::bench::parse_jobs(&argc, argv);
   const std::uint64_t requests =
       flex::bench::positional_count(argc, argv, 1, "requests", 6000);

@@ -82,20 +82,6 @@ ssd::SsdConfig ExperimentHarness::drive_config(ssd::Scheme scheme,
   return cfg;
 }
 
-ssd::SsdResults ExperimentHarness::run(trace::Workload workload,
-                                       ssd::Scheme scheme, int pe_cycles,
-                                       std::uint64_t requests_override,
-                                       ssd::AgeModel age_model,
-                                       std::uint64_t pool_override_pages)
-    const {
-  ssd::SsdConfig cfg = drive_config(scheme, pe_cycles);
-  cfg.age_model = age_model;
-  if (pool_override_pages > 0) {
-    cfg.access_eval.pool_capacity_pages = pool_override_pages;
-  }
-  return run_with(cfg, workload, requests_override);
-}
-
 ssd::SsdResults ExperimentHarness::run(const CellSpec& cell) const {
   ssd::SsdConfig cfg = drive_config(cell.scheme, cell.pe_cycles);
   cfg.age_model = cell.age_model;
@@ -112,28 +98,10 @@ ssd::SsdResults ExperimentHarness::run(const CellSpec& cell) const {
                   &telemetry);
 }
 
-namespace {
-
-/// Wall-clock stamp shared by the closed- and open-loop harness paths.
-class WallTimer {
- public:
-  double seconds() const {
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - start_)
-        .count();
-  }
-
- private:
-  std::chrono::steady_clock::time_point start_ =
-      std::chrono::steady_clock::now();
-};
-
-}  // namespace
-
 ssd::SsdResults ExperimentHarness::run_with(
     ssd::SsdConfig cfg, trace::Workload workload,
     std::uint64_t requests_override, telemetry::Telemetry* telemetry) const {
-  const WallTimer timer;
+  const auto start = std::chrono::steady_clock::now();
   trace::WorkloadParams params = trace::workload_params(workload);
   if (requests_override > 0) params.requests = requests_override;
   // The drive is scaled to 1/8 of the paper's chip count; scale the arrival
@@ -141,7 +109,36 @@ ssd::SsdResults ExperimentHarness::run_with(
   // full-size drive would see.
   params.iops *= 0.45;
   const auto requests = trace::generate(params, /*seed=*/2015);
+  // Warm up on the first third of the trace (hotness filters, pool,
+  // buffer), then measure steady state on the remainder.
+  trace::VectorSource source(requests);
+  const std::uint64_t warmup = requests.size() / 3;
+  return run_source(std::move(cfg), source, warmup, requests.size() - warmup,
+                    telemetry, start);
+}
 
+ssd::SsdResults ExperimentHarness::run_open_loop(
+    ssd::SsdConfig cfg, const workload::EngineConfig& engine,
+    std::uint64_t warmup_requests, std::uint64_t measure_requests,
+    telemetry::Telemetry* telemetry) const {
+  const auto start = std::chrono::steady_clock::now();
+  if (const Status status = engine.Validate(); !status.ok()) {
+    std::fprintf(stderr, "bench workload rejected: %s\n",
+                 status.to_string().c_str());
+    std::exit(EXIT_FAILURE);
+  }
+  // One continuous arrival stream: the engine's arrival clock carries
+  // straight from the warmup window into the measured one.
+  workload::WorkloadEngine source(engine);
+  return run_source(std::move(cfg), source, warmup_requests,
+                    measure_requests, telemetry, start);
+}
+
+ssd::SsdResults ExperimentHarness::run_source(
+    ssd::SsdConfig cfg, trace::RequestSource& source,
+    std::uint64_t warmup_requests, std::uint64_t measure_requests,
+    telemetry::Telemetry* telemetry,
+    std::chrono::steady_clock::time_point start) const {
   // Builder path: a bad configuration surfaces its Status message and a
   // clean nonzero exit — every bench front-end funnels through here.
   auto built = ssd::SsdSimulator::Builder(*normal_, *reduced_)
@@ -158,56 +155,20 @@ ssd::SsdResults ExperimentHarness::run_with(
   // into over-provisioning headroom, low enough that the resulting GC
   // remains serviceable by the chip array.
   sim.prefill(sim.ftl().logical_pages() * 4 / 5);
-  // Warm up on the first third of the trace (hotness filters, pool,
-  // buffer), then measure steady state on the remainder.
-  const auto split = requests.begin() +
-                     static_cast<std::ptrdiff_t>(requests.size() / 3);
-  sim.run_segment({requests.begin(), split});
+  // The warmup window primes hotness filters, pool and write buffer. Its
+  // backlog drains before measurement, so measured latencies start from a
+  // defined point instead of inheriting warmup queue debt.
+  if (warmup_requests > 0) sim.run_open_loop(source, warmup_requests);
   sim.reset_measurements();
   // Telemetry attaches after warmup (deliberately not via the Builder) so
   // metrics and spans cover exactly the measured window. Observation-only:
   // results are bit-identical with or without it.
   if (telemetry) sim.attach_telemetry(telemetry);
-  sim.run_segment({split, requests.end()});
-  // The one copy of the run: run_segment + results() replaces the old
-  // copy-per-run() (which also copied and discarded the warmup results).
-  ssd::SsdResults results = sim.results();
-  results.wall_seconds = timer.seconds();
-  return results;
-}
-
-ssd::SsdResults ExperimentHarness::run_open_loop(
-    ssd::SsdConfig cfg, const workload::EngineConfig& engine,
-    std::uint64_t warmup_requests, std::uint64_t measure_requests,
-    telemetry::Telemetry* telemetry) const {
-  const WallTimer timer;
-  auto built = ssd::SsdSimulator::Builder(*normal_, *reduced_)
-                   .config(std::move(cfg))
-                   .Build();
-  if (!built.ok()) {
-    std::fprintf(stderr, "bench configuration rejected: %s\n",
-                 built.status().to_string().c_str());
-    std::exit(EXIT_FAILURE);
-  }
-  if (const Status status = engine.Validate(); !status.ok()) {
-    std::fprintf(stderr, "bench workload rejected: %s\n",
-                 status.to_string().c_str());
-    std::exit(EXIT_FAILURE);
-  }
-  workload::WorkloadEngine source(engine);
-  ssd::SsdSimulator& sim = **built;
-  sim.prefill(sim.ftl().logical_pages() * 4 / 5);
-  // One continuous arrival stream: the warmup window primes hotness
-  // filters, pool and write buffer, and the engine's arrival clock carries
-  // straight into the measured window. Any warmup backlog drains before
-  // measurement (as in the closed-loop harness) so measured latencies
-  // start from a defined point instead of inheriting warmup queue debt.
-  if (warmup_requests > 0) sim.run_open_loop(source, warmup_requests);
-  sim.reset_measurements();
-  if (telemetry) sim.attach_telemetry(telemetry);
   sim.run_open_loop(source, measure_requests);
   ssd::SsdResults results = sim.results();
-  results.wall_seconds = timer.seconds();
+  results.wall_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
   return results;
 }
 
@@ -219,33 +180,41 @@ std::vector<ssd::SsdResults> run_cells(const ExperimentHarness& harness,
       [&](std::size_t i) { return harness.run(cells[i]); }, jobs);
 }
 
-OutputOptions parse_outputs(int* argc, char** argv) {
-  OutputOptions options;
-  const struct {
-    const char* flag;
-    std::string* dest;
-  } flags[] = {{"--trace-out", &options.trace_out},
-               {"--metrics-out", &options.metrics_out},
-               {"--bench-out", &options.bench_out}};
+void parse_path_flags(int* argc, char** argv,
+                      std::initializer_list<PathFlag> flags) {
   int out = 1;
   for (int i = 1; i < *argc; ++i) {
     bool consumed = false;
     for (const auto& [flag, dest] : flags) {
-      if (std::strcmp(argv[i], flag) == 0 && i + 1 < *argc) {
-        *dest = argv[++i];
-        consumed = true;
-        break;
-      }
       const std::size_t len = std::strlen(flag);
-      if (std::strncmp(argv[i], flag, len) == 0 && argv[i][len] == '=') {
-        *dest = argv[i] + len + 1;
-        consumed = true;
-        break;
+      const char* value = nullptr;
+      if (std::strcmp(argv[i], flag) == 0) {
+        value = i + 1 < *argc ? argv[++i] : "";
+      } else if (std::strncmp(argv[i], flag, len) == 0 &&
+                 argv[i][len] == '=') {
+        value = argv[i] + len + 1;
       }
+      if (value == nullptr) continue;
+      if (*value == '\0') {
+        std::fprintf(stderr, "usage error: %s expects a path, got \"\"\n",
+                     flag);
+        std::exit(2);
+      }
+      *dest = value;
+      consumed = true;
+      break;
     }
     if (!consumed) argv[out++] = argv[i];
   }
   *argc = out;
+}
+
+OutputOptions parse_outputs(int* argc, char** argv) {
+  OutputOptions options;
+  parse_path_flags(argc, argv,
+                   {{"--trace-out", &options.trace_out},
+                    {"--metrics-out", &options.metrics_out},
+                    {"--bench-out", &options.bench_out}});
   return options;
 }
 

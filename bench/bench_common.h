@@ -14,7 +14,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <initializer_list>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -58,21 +60,17 @@ class ExperimentHarness {
   /// Builds the BER models (one-off Monte-Carlo inside).
   ExperimentHarness();
 
-  /// Runs one workload under one scheme at the given pre-aged P/E count.
-  /// `requests_override` (0 = use the workload default) trims runtime for
-  /// sweeps. `age_model` selects between the paper's static
-  /// per-LBA storage-time axis (its Fig. 6 setting) and physically
-  /// tracked per-page ages. Thread-safe: the shared BerModels are
-  /// immutable and every run owns its simulator.
-  ssd::SsdResults run(trace::Workload workload, ssd::Scheme scheme,
-                      int pe_cycles, std::uint64_t requests_override = 0,
-                      ssd::AgeModel age_model = ssd::AgeModel::kStaticPerLba,
-                      std::uint64_t pool_override_pages = 0) const;
-
+  /// Runs one cell: its workload under its scheme at its pre-aged P/E
+  /// count. `requests_override` (0 = use the workload default) trims
+  /// runtime for sweeps; `age_model` selects between the paper's static
+  /// per-LBA storage-time axis (its Fig. 6 setting) and physically tracked
+  /// per-page ages. Thread-safe: the shared BerModels are immutable and
+  /// every run owns its simulator.
   ssd::SsdResults run(const CellSpec& cell) const;
 
   /// Runs an arbitrary SsdConfig under the harness methodology (scaled
-  /// arrival rate, standing population, preconditioning, warmup pass).
+  /// arrival rate, standing population, preconditioning, a warmup pass on
+  /// the trace's first third).
   /// `telemetry` (optional) is attached for the measured pass only, so
   /// its metrics and spans cover exactly the measurement window.
   ssd::SsdResults run_with(ssd::SsdConfig config, trace::Workload workload,
@@ -101,6 +99,18 @@ class ExperimentHarness {
   static ssd::SsdConfig drive_config(ssd::Scheme scheme, int pe_cycles);
 
  private:
+  /// The one run body behind run_with() and run_open_loop(): Build (or
+  /// exit with the rejection), 80% standing population, `warmup_requests`
+  /// from `source` (none when 0), reset measurements, attach `telemetry`,
+  /// then `measure_requests` more (0 = until the source ends), with the
+  /// wall time stamped since `start`.
+  ssd::SsdResults run_source(ssd::SsdConfig cfg, trace::RequestSource& source,
+                             std::uint64_t warmup_requests,
+                             std::uint64_t measure_requests,
+                             telemetry::Telemetry* telemetry,
+                             std::chrono::steady_clock::time_point start)
+      const;
+
   // unique_ptrs because BerModel is neither copyable nor default-
   // constructible (it owns a one-off Monte-Carlo calibration).
   std::unique_ptr<reliability::BerModel> normal_;
@@ -182,8 +192,22 @@ struct OutputOptions {
   std::string bench_out;    ///< BENCH_*.json override (benches default it)
 };
 
+/// A `--flag PATH` option (also spelled `--flag=PATH`) and the string
+/// its value lands in.
+struct PathFlag {
+  const char* flag;
+  std::string* dest;
+};
+
+/// Extracts every flag of `flags` from argv, compacting it. A flag with
+/// no value (the last argument, or `--flag=`) prints a usage error and
+/// exits with status 2, like a `--jobs` with none, instead of silently
+/// writing no file.
+void parse_path_flags(int* argc, char** argv,
+                      std::initializer_list<PathFlag> flags);
+
 /// Extracts `--trace-out PATH`, `--metrics-out PATH` and `--bench-out
-/// PATH` (also the `--flag=PATH` spellings) from argv, compacting it.
+/// PATH` with parse_path_flags().
 OutputOptions parse_outputs(int* argc, char** argv);
 
 /// "workload/scheme/peNNNN" identity of a cell (trace process names,

@@ -120,8 +120,10 @@ SsdNumbers bench_ssd(const flex::bench::ExperimentHarness& harness,
                      std::uint64_t requests_override) {
   const auto start = std::chrono::steady_clock::now();
   const flex::ssd::SsdResults results =
-      harness.run(flex::trace::Workload::kFin2, flex::ssd::Scheme::kFlexLevel,
-                  /*pe_cycles=*/6000, requests_override);
+      harness.run({.workload = flex::trace::Workload::kFin2,
+                   .scheme = flex::ssd::Scheme::kFlexLevel,
+                   .pe_cycles = 6000,
+                   .requests_override = requests_override});
   const double elapsed = seconds_since(start);
   SsdNumbers out;
   out.requests = results.all_response.count();

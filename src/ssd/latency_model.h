@@ -105,7 +105,7 @@ struct LatencyModel {
   /// deepest step falls short the walk ends there (the caller accounts the
   /// uncorrectable event separately). A non-null `attempts` receives the
   /// per-attempt decomposition of the same walk, appended (never cleared)
-  /// so policy decorators can stack attempts into one caller-pooled
+  /// so the read policy can add its recovery re-read into one caller-pooled
   /// vector: one entry per decode attempt, summing exactly to the
   /// returned cost.
   ReadCost read_cost(const ReadPlan& plan,

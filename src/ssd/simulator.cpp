@@ -250,11 +250,9 @@ SsdSimulator::SsdSimulator(SsdConfig config,
                     ? std::make_unique<faults::FaultInjector>(config_.faults,
                                                               config_.seed)
                     : nullptr),
-      policy_(make_read_policy(config_, config_.latency, channel_.ladder(),
-                               normal_model_,
-                               ftl_.physical_blocks() *
-                                   config_.ftl.spec.pages_per_block,
-                               ftl_, injector_.get())),
+      policy_(config_, config_.latency, channel_.ladder(), normal_model_,
+              ftl_.physical_blocks() * config_.ftl.spec.pages_per_block, ftl_,
+              injector_.get()),
       rng_(config_.seed) {
   ftl_.attach_fault_injector(injector_.get());
   durable_version_.assign(ftl_.logical_pages(), 0);
@@ -287,7 +285,7 @@ void SsdSimulator::reset_measurements() {
   clear_results();
   prefill_stats_ = ftl_.stats();
   scheduler_.reset_stats();
-  policy_->reset_stats();
+  policy_.reset_stats();
   // Slots still in flight across the reset stay counted in the new
   // window's high-water mark.
   qos_slots_high_water_ = qos_requests_.size() - qos_free_slots_.size();
@@ -305,7 +303,7 @@ void SsdSimulator::attach_telemetry(telemetry::Telemetry* telemetry) {
   events_.attach_telemetry(telemetry);
   scheduler_.attach_telemetry(telemetry);
   ftl_.attach_telemetry(telemetry);
-  policy_->attach_telemetry(telemetry);
+  policy_.attach_telemetry(telemetry);
   if (telemetry_) telemetry_->metrics.unbind(this);
   telemetry_ = telemetry;
   if (!telemetry_) {
@@ -355,7 +353,7 @@ void SsdSimulator::attach_telemetry(telemetry::Telemetry* telemetry) {
 
 void SsdSimulator::prefill(std::uint64_t pages) {
   FLEX_EXPECTS(pages <= ftl_.logical_pages());
-  const ftl::PageMode mode = policy_->prefill_mode();
+  const ftl::PageMode mode = policy_.prefill_mode();
   const double log_min = std::log(config_.min_prefill_age);
   const double log_max = std::log(config_.max_prefill_age);
   const std::uint64_t extent = config_.prefill_extent_pages;
@@ -467,7 +465,7 @@ SsdSimulator::PageService SsdSimulator::service_read_page(std::uint64_t lpn,
     attempts_scratch_.clear();
     attempts = &attempts_scratch_;
   }
-  const ReadCost cost = policy_->read_cost(*ctx, attempts);
+  const ReadCost cost = policy_.read_cost(*ctx, attempts);
   const std::size_t chip = scheduler_.chip_of(ctx->ppn);
   const SimTime completion =
       scheduler_.submit(chip, now,
@@ -505,9 +503,9 @@ SsdSimulator::PageService SsdSimulator::service_read_page(std::uint64_t lpn,
     }
   }
   // This read's own pass-voltage stress lands on the block before any
-  // post-read maintenance (RefreshPolicy) inspects the counter.
+  // post-read maintenance (the refresh scrub) inspects the counter.
   ftl_.record_read(ctx->ppn);
-  policy_->on_read_complete(*ctx);
+  policy_.on_read_complete(*ctx);
   return {.response = completion - now,
           .wait = start - now,
           .sense = cost.die,
@@ -521,7 +519,7 @@ void SsdSimulator::mark_durable(std::uint64_t lpn) {
 
 void SsdSimulator::flush_victim(std::uint64_t lpn, SimTime now) {
   const ftl::WriteResult result =
-      ftl_.write(lpn, policy_->write_mode(lpn), now);
+      ftl_.write(lpn, policy_.write_mode(lpn), now);
   scheduler_.submit_background(now, result, config_.latency);
   mark_durable(lpn);
   ++results_.writes_durable;
@@ -558,7 +556,7 @@ Duration SsdSimulator::service_write_page(std::uint64_t lpn, SimTime now) {
     // cached (clean) for reads. The ack carries the program latency — the
     // price of making "acknowledged" mean "durable" per write.
     const ftl::WriteResult result =
-        ftl_.write(lpn, policy_->write_mode(lpn), now);
+        ftl_.write(lpn, policy_.write_mode(lpn), now);
     scheduler_.submit_background(now, result, config_.latency);
     settle_write_through(lpn, now);
     return config_.latency.buffer_latency + config_.latency.program();
@@ -610,7 +608,7 @@ ftl::MountReport SsdSimulator::mount() {
       {.reseed_read_count = config_.read_disturb.refresh_threshold});
   // Replay the recovered ReducedCell membership (and pool budget) through
   // the read policy before any post-mount read consults it.
-  policy_->on_mount(report, now);
+  policy_.on_mount(report, now);
   // Mount cost: one summary read per physical block plus one spare-area
   // read per programmed page. Charged to the mount ledger and a span, not
   // injected into the request timeline — mount happens at power-on,
@@ -744,7 +742,7 @@ void SsdSimulator::observe_read_access(std::uint64_t lpn, SimTime now) {
   // NAND), no uncorrectable/sensing-histogram accounting and no seal
   // verification. Migrations the policy decides here are real FTL work,
   // exactly as they would be had the read landed on this replica.
-  policy_->on_read_complete(read.ctx);
+  policy_.on_read_complete(read.ctx);
 }
 
 std::uint64_t SsdSimulator::block_read_count(std::uint64_t lpn) const {
@@ -809,7 +807,7 @@ void SsdSimulator::issue_read_page_qos(std::uint64_t lpn, std::uint64_t slot,
   // computed at arrival and travels with the queued command; per-attempt
   // child spans are not recorded in QoS mode because the service start is
   // unknown until dispatch (the chip-level "read" span still is).
-  const ReadCost cost = policy_->read_cost(*ctx);
+  const ReadCost cost = policy_.read_cost(*ctx);
   ++st.outstanding;
   scheduler_.submit_qos(scheduler_.chip_of(ctx->ppn), now,
                         ChipCommand{.channel = cost.channel,
@@ -823,7 +821,7 @@ void SsdSimulator::issue_read_page_qos(std::uint64_t lpn, std::uint64_t slot,
   const std::uint64_t before_moves = ftl_.stats().refresh_page_moves;
   const std::uint64_t before_runs = ftl_.stats().refresh_runs;
   ftl_.record_read(ctx->ppn);
-  policy_->on_read_complete(*ctx);
+  policy_.on_read_complete(*ctx);
   const std::uint64_t moves =
       ftl_.stats().refresh_page_moves - before_moves;
   const std::uint64_t erases = ftl_.stats().refresh_runs - before_runs;
@@ -845,7 +843,7 @@ void SsdSimulator::issue_write_page_qos(std::uint64_t lpn,
        buffer_.dirty_pages() >= config_.qos.write_admission_dirty_watermark);
   if (write_through) {
     const ftl::WriteResult result =
-        ftl_.write(lpn, policy_->write_mode(lpn), now);
+        ftl_.write(lpn, policy_.write_mode(lpn), now);
     ++st.outstanding;
     scheduler_.submit_qos(scheduler_.chip_of(result.ppn), now,
                           ChipCommand{.die = config_.latency.program()},
@@ -949,7 +947,7 @@ void SsdSimulator::run_open_loop(trace::RequestSource& source,
 }
 
 void SsdSimulator::collect_results() {
-  const ReadPolicyStats policy_stats = policy_->stats();
+  const ReadPolicyStats policy_stats = policy_.stats();
   results_.migrations_to_reduced = policy_stats.migrations_to_reduced;
   results_.migrations_to_normal = policy_stats.migrations_to_normal;
   results_.refresh_blocks = policy_stats.refresh_blocks;

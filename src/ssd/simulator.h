@@ -13,10 +13,12 @@
 //                      at a time, clamped so the clock never steps back;
 //   * ChipScheduler  — per-chip command queues with channel/die/controller
 //                      occupancy split and queue-depth accounting;
-//   * ReadPolicy     — the scheme's read path (fixed worst-case,
-//                      progressive, progressive-with-hint, FlexLevel with
-//                      AccessEval migrations), chosen once at construction
-//                      so no scheme branch survives in the per-read path;
+//   * ReadPolicy     — the scheme's read path (fixed worst-case or
+//                      progressive, with optional per-page hints, plus
+//                      FlexLevel's AccessEval migrations, the read-disturb
+//                      scrub and the recovery re-read), configured once at
+//                      construction so no scheme branch survives in the
+//                      per-read path;
 //   * FTL + write buffer + BerModels — data placement, wear, and the
 //                      per-read sensing requirement from age and P/E.
 #pragma once
@@ -77,7 +79,7 @@ struct ReadDisturbConfig {
   /// every NAND read's sensing requirement.
   bool enabled = false;
   reliability::ReadDisturbModel::Params model;
-  /// Block read count at which the RefreshPolicy decorator scrubs the
+  /// Block read count at which the read policy's refresh scrubs the
   /// block (relocate valid pages, erase). 0 disables refresh; enabling
   /// refresh without `enabled` scrubs blocks that never pay a latency
   /// penalty, which is legal but pointless.
@@ -114,7 +116,7 @@ struct DurabilityConfig {
 /// and every NAND read-back recomputes the delivered bytes' CRC and
 /// cross-checks it against the seal and the durable-version ledger —
 /// raising an integrity mismatch (distinct from uncorrectable) that the
-/// RecoveryPolicy answers with a deepest-sensing re-read and, at the
+/// read policy's recovery answers with a deepest-sensing re-read and, at the
 /// array layer, replica failover + read-repair. The silent-corruption
 /// fault kinds (faults.silent_corruption_rate / misdirected_write_rate /
 /// torn_relocation_rate) require this to be on: without seals they would
@@ -237,7 +239,7 @@ struct SsdResults {
   std::uint64_t uncorrectable_reads = 0;
   std::uint64_t migrations_to_reduced = 0;
   std::uint64_t migrations_to_normal = 0;
-  /// Read-disturb scrubs in the measured window (RefreshPolicy only).
+  /// Read-disturb scrubs in the measured window (refresh armed only).
   std::uint64_t refresh_blocks = 0;
   std::uint64_t refresh_page_moves = 0;
   /// ReducedCell pool occupancy at the end of the run (FlexLevel only).
@@ -618,11 +620,11 @@ class SsdSimulator : private QosSink, private ArrivalSink {
   /// external kernel is supplied: the host layer feeds it).
   ArrivalFeed feed_;
   ChipScheduler scheduler_;
-  /// Null unless config_.faults.enabled; attached to ftl_ and the read
-  /// policy's recovery decorator. Declared before policy_ (construction
+  /// Null unless config_.faults.enabled; attached to ftl_ and, to arm
+  /// recovery, the read policy. Declared before policy_ (construction
   /// order: the policy captures the pointer).
   std::unique_ptr<faults::FaultInjector> injector_;
-  std::unique_ptr<ReadPolicy> policy_;
+  ReadPolicy policy_;
   /// Data birth time per prefill extent for AgeModel::kStaticPerLba:
   /// entry e holds the birth of LPNs from e * prefill_extent_pages up to
   /// the next extent or static_birth_pages_ (empty under every other age

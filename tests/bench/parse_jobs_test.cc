@@ -1,4 +1,5 @@
-// The --jobs / FLEX_BENCH_JOBS parser and the positional count arguments.
+// The --jobs / FLEX_BENCH_JOBS parser, the output-path flags and the
+// positional count arguments.
 // Parse-only: nothing here starts a worker thread, whatever count a case
 // asks for.
 #include <gtest/gtest.h>
@@ -22,6 +23,12 @@ class Args {
     argc_ = static_cast<int>(argv_.size());
   }
   int parse() { return parse_jobs(&argc_, argv_.data()); }
+  OutputOptions outputs() { return parse_outputs(&argc_, argv_.data()); }
+  std::string report_out() {
+    std::string path;
+    parse_path_flags(&argc_, argv_.data(), {{"--report-out", &path}});
+    return path;
+  }
   std::uint64_t positional(int index, std::uint64_t fallback) {
     return positional_count(argc_, argv_.data(), index, "requests",
                             fallback);
@@ -138,6 +145,33 @@ TEST(PositionalCountDeathTest, MalformedValueIsAUsageError) {
   EXPECT_EXIT(Args({"bench", "--help"}).positional(1, 0),
               ::testing::ExitedWithCode(2),
               "positional argument 1 \\(requests\\).*\"--help\"");
+}
+
+TEST(PathFlagsTest, ExtractsBothSpellingsAndKeepsPositionals) {
+  Args args({"bench", "200", "--metrics-out", "m.jsonl", "--jobs", "2",
+             "--trace-out=t.json"});
+  const OutputOptions options = args.outputs();
+  EXPECT_EQ(options.metrics_out, "m.jsonl");
+  EXPECT_EQ(options.trace_out, "t.json");
+  EXPECT_EQ(options.bench_out, "");
+  EXPECT_EQ(args.remaining(),
+            (std::vector<std::string>{"bench", "200", "--jobs", "2"}));
+
+  Args crash({"bench", "300", "--report-out", "r.jsonl", "2"});
+  EXPECT_EQ(crash.report_out(), "r.jsonl");
+  EXPECT_EQ(crash.remaining(),
+            (std::vector<std::string>{"bench", "300", "2"}));
+}
+
+TEST(PathFlagsDeathTest, FlagWithoutValueIsAUsageError) {
+  // A trailing output flag used to be dropped: exit 0 and no file.
+  const auto usage = ::testing::ExitedWithCode(2);
+  EXPECT_EXIT(Args({"bench", "200", "--metrics-out"}).outputs(), usage,
+              "--metrics-out expects a path, got \"\"");
+  EXPECT_EXIT(Args({"bench", "--bench-out="}).outputs(), usage,
+              "--bench-out expects a path");
+  EXPECT_EXIT(Args({"bench", "300", "2", "--report-out"}).report_out(), usage,
+              "--report-out expects a path");
 }
 
 }  // namespace
