@@ -19,7 +19,7 @@
 // Output is deterministic and independent of --jobs.
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -31,13 +31,11 @@
 
 int main(int argc, char** argv) {
   using flex::TablePrinter;
-  std::string report_out;
-  flex::bench::parse_path_flags(&argc, argv, {{"--report-out", &report_out}});
-  const int jobs = flex::bench::parse_jobs(&argc, argv);
-  const std::uint64_t requests =
-      flex::bench::positional_count(argc, argv, 1, "requests", 6000);
-  const std::uint64_t crash_points =
-      flex::bench::positional_count(argc, argv, 2, "crash points", 32);
+  const flex::bench::Cli cli(argc, argv,
+                             {{"requests", 6000}, {"crash points", 32}},
+                             {"--report-out"});
+  const std::uint64_t requests = cli.count(0);
+  const std::uint64_t crash_points = cli.count(1);
 
   std::printf(
       "=== Crash-consistency sweep (web-1, P/E 6000, %llu requests, "
@@ -105,7 +103,7 @@ int main(int argc, char** argv) {
             config_for(variants[i / crash_points]), trace, i % crash_points,
             prefill_pages, harness.normal_model(), harness.reduced_model());
       },
-      jobs);
+      cli.jobs());
 
   std::uint64_t violations = 0;
   TablePrinter table({"variant", "mid-trace", "acked", "durable",
@@ -166,34 +164,32 @@ int main(int argc, char** argv) {
   std::printf("invariant violations: %llu\n",
               static_cast<unsigned long long>(violations));
 
-  if (!report_out.empty()) {
-    std::ofstream out(report_out);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", report_out.c_str());
-      return EXIT_FAILURE;
-    }
-    for (std::size_t v = 0; v < variants.size(); ++v) {
-      for (std::uint64_t salt = 0; salt < crash_points; ++salt) {
-        const auto& verdict = verdicts[v * crash_points + salt];
-        out << "{\"variant\":\"" << variants[v].label << "\",\"salt\":"
-            << salt << ",\"mid_trace\":"
-            << (verdict.crashed_mid_trace ? "true" : "false")
-            << ",\"crash_ordinal\":" << verdict.crash_ordinal
-            << ",\"acked\":" << verdict.writes_acked
-            << ",\"durable\":" << verdict.writes_durable
-            << ",\"dirty_lost\":" << verdict.dirty_lost
-            << ",\"lost_acknowledged\":" << verdict.lost_acknowledged
-            << ",\"double_mapped\":" << verdict.double_mapped.size()
-            << ",\"retired_ledger_ok\":"
-            << (verdict.retired_ledger_ok ? "true" : "false")
-            << ",\"consistent\":" << (verdict.consistent ? "true" : "false")
-            << ",\"pages_scanned\":" << verdict.report.pages_scanned
-            << ",\"mappings_recovered\":"
-            << verdict.report.mappings_recovered
-            << ",\"stale_records\":" << verdict.stale_records
-            << ",\"mount_time_ns\":" << verdict.mount_time << "}\n";
+  if (const std::string& path = cli.path("--report-out"); !path.empty()) {
+    flex::bench::write_file(path, [&](std::ostream& out) {
+      for (std::size_t v = 0; v < variants.size(); ++v) {
+        for (std::uint64_t salt = 0; salt < crash_points; ++salt) {
+          const auto& verdict = verdicts[v * crash_points + salt];
+          flex::bench::JsonWriter(out, /*rows=*/false)
+              .begin_object()
+              .field("variant", variants[v].label)
+              .field("salt", salt)
+              .field("mid_trace", verdict.crashed_mid_trace)
+              .field("crash_ordinal", verdict.crash_ordinal)
+              .field("acked", verdict.writes_acked)
+              .field("durable", verdict.writes_durable)
+              .field("dirty_lost", verdict.dirty_lost)
+              .field("lost_acknowledged", verdict.lost_acknowledged)
+              .field("double_mapped", verdict.double_mapped.size())
+              .field("retired_ledger_ok", verdict.retired_ledger_ok)
+              .field("consistent", verdict.consistent)
+              .field("pages_scanned", verdict.report.pages_scanned)
+              .field("mappings_recovered", verdict.report.mappings_recovered)
+              .field("stale_records", verdict.stale_records)
+              .field("mount_time_ns", verdict.mount_time)
+              .end();
+        }
       }
-    }
+    });
   }
   return violations == 0 ? 0 : 1;
 }

@@ -22,11 +22,10 @@
 
 int main(int argc, char** argv) {
   using flex::TablePrinter;
-  const flex::bench::OutputOptions outputs =
-      flex::bench::parse_outputs(&argc, argv);
-  const int jobs = flex::bench::parse_jobs(&argc, argv);
-  const std::uint64_t requests =
-      flex::bench::positional_count(argc, argv, 1, "requests", 100'000);
+  const flex::bench::Cli cli(
+      argc, argv, {{"requests", 100'000}},
+      {flex::bench::kTraceOut, flex::bench::kMetricsOut});
+  const std::uint64_t requests = cli.count(0);
 
   std::printf(
       "=== Read-disturb refresh ablation (web-1, P/E 6000, %llu requests) "
@@ -55,27 +54,20 @@ int main(int argc, char** argv) {
       {.label = "refresh @ 200", .disturb = true, .threshold = 200},
   };
 
-  const bool collect =
-      !outputs.trace_out.empty() || !outputs.metrics_out.empty();
-  const auto all = flex::bench::run_indexed(
-      variants.size(),
-      [&](std::size_t i) {
+  std::vector<std::string> labels;
+  for (const Variant& variant : variants) {
+    labels.push_back("web-1/" + variant.label);
+  }
+  const auto all = flex::bench::run_sweep(
+      cli, labels, [&](std::size_t i, flex::telemetry::Telemetry* telemetry) {
         flex::ssd::SsdConfig cfg = flex::bench::ExperimentHarness::
             drive_config(flex::ssd::Scheme::kLdpcInSsd, 6000);
         cfg.read_disturb.enabled = variants[i].disturb;
         cfg.read_disturb.model = stress;
         cfg.read_disturb.refresh_threshold = variants[i].threshold;
-        if (!collect) {
-          return harness.run_with(cfg, flex::trace::Workload::kWeb1,
-                                  requests);
-        }
-        flex::telemetry::Telemetry telemetry;
-        telemetry.pid = static_cast<std::int32_t>(i + 1);
-        telemetry.trace = !outputs.trace_out.empty();
         return harness.run_with(cfg, flex::trace::Workload::kWeb1, requests,
-                                &telemetry);
-      },
-      jobs);
+                                telemetry);
+      });
   const auto& reference = all.front();
 
   TablePrinter table({"variant", "norm mean read", "norm p99 read",
@@ -104,18 +96,5 @@ int main(int argc, char** argv) {
       "relocation reprograms hot pages, so under the physical age model "
       "their retention clock restarts too.\n");
 
-  if (collect) {
-    std::vector<flex::bench::RunLabel> runs;
-    for (std::size_t i = 0; i < variants.size(); ++i) {
-      runs.push_back(
-          {"web-1/" + variants[i].label, static_cast<std::int32_t>(i + 1)});
-    }
-    if (!outputs.trace_out.empty()) {
-      flex::bench::write_trace_file(outputs.trace_out, runs, all);
-    }
-    if (!outputs.metrics_out.empty()) {
-      flex::bench::write_metrics_file(outputs.metrics_out, runs, all);
-    }
-  }
   return 0;
 }

@@ -25,11 +25,10 @@
 
 int main(int argc, char** argv) {
   using flex::TablePrinter;
-  const flex::bench::OutputOptions outputs =
-      flex::bench::parse_outputs(&argc, argv);
-  const int jobs = flex::bench::parse_jobs(&argc, argv);
-  const std::uint64_t requests =
-      flex::bench::positional_count(argc, argv, 1, "requests", 100'000);
+  const flex::bench::Cli cli(
+      argc, argv, {{"requests", 100'000}},
+      {flex::bench::kTraceOut, flex::bench::kMetricsOut});
+  const std::uint64_t requests = cli.count(0);
 
   std::printf(
       "=== Fault-injection ablation (web-1, P/E 6000, %llu requests) ===\n\n",
@@ -77,11 +76,12 @@ int main(int argc, char** argv) {
        .rate = 1e-3},
   };
 
-  const bool collect =
-      !outputs.trace_out.empty() || !outputs.metrics_out.empty();
-  const auto all = flex::bench::run_indexed(
-      variants.size(),
-      [&](std::size_t i) {
+  std::vector<std::string> labels;
+  for (const Variant& variant : variants) {
+    labels.push_back("web-1/" + variant.label);
+  }
+  const auto all = flex::bench::run_sweep(
+      cli, labels, [&](std::size_t i, flex::telemetry::Telemetry* telemetry) {
         flex::ssd::SsdConfig cfg =
             flex::bench::ExperimentHarness::drive_config(variants[i].scheme,
                                                          6000);
@@ -96,17 +96,9 @@ int main(int argc, char** argv) {
           cfg.read_disturb.enabled = true;
           cfg.read_disturb.model.vth_shift_per_read = 1.8e-4;
         }
-        if (!collect) {
-          return harness.run_with(cfg, flex::trace::Workload::kWeb1,
-                                  requests);
-        }
-        flex::telemetry::Telemetry telemetry;
-        telemetry.pid = static_cast<std::int32_t>(i + 1);
-        telemetry.trace = !outputs.trace_out.empty();
         return harness.run_with(cfg, flex::trace::Workload::kWeb1, requests,
-                                &telemetry);
-      },
-      jobs);
+                                telemetry);
+      });
   const auto& reference = all.front();
 
   const auto waf = [](const flex::ssd::SsdResults& r) {
@@ -179,18 +171,5 @@ int main(int argc, char** argv) {
       "overcommitting a smaller drive. Latency gives back a little of the "
       "fast-pool win; nothing is lost.\n");
 
-  if (collect) {
-    std::vector<flex::bench::RunLabel> runs;
-    for (std::size_t i = 0; i < variants.size(); ++i) {
-      runs.push_back(
-          {"web-1/" + variants[i].label, static_cast<std::int32_t>(i + 1)});
-    }
-    if (!outputs.trace_out.empty()) {
-      flex::bench::write_trace_file(outputs.trace_out, runs, all);
-    }
-    if (!outputs.metrics_out.empty()) {
-      flex::bench::write_metrics_file(outputs.metrics_out, runs, all);
-    }
-  }
   return 0;
 }

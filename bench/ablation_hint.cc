@@ -13,11 +13,10 @@
 
 int main(int argc, char** argv) {
   using flex::TablePrinter;
-  const flex::bench::OutputOptions outputs =
-      flex::bench::parse_outputs(&argc, argv);
-  const int jobs = flex::bench::parse_jobs(&argc, argv);
-  const std::uint64_t requests =
-      flex::bench::positional_count(argc, argv, 1, "requests", 0);
+  const flex::bench::Cli cli(
+      argc, argv, {{"requests", 0}},
+      {flex::bench::kTraceOut, flex::bench::kMetricsOut});
+  const std::uint64_t requests = cli.count(0);
 
   std::printf("=== Progressive-sensing retry policy ablation (P/E 6000) ===\n\n");
   flex::bench::ExperimentHarness harness;
@@ -45,22 +44,16 @@ int main(int argc, char** argv) {
     flex_cfg.age_model = flex::ssd::AgeModel::kStaticPerLba;
     variants.push_back({workload, "flexlevel", flex_cfg});
   }
-  const bool collect =
-      !outputs.trace_out.empty() || !outputs.metrics_out.empty();
-  const auto results = flex::bench::run_indexed(
-      variants.size(),
-      [&](std::size_t i) {
-        if (!collect) {
-          return harness.run_with(variants[i].cfg, variants[i].workload,
-                                  requests);
-        }
-        flex::telemetry::Telemetry telemetry;
-        telemetry.pid = static_cast<std::int32_t>(i + 1);
-        telemetry.trace = !outputs.trace_out.empty();
+  std::vector<std::string> labels;
+  for (const Variant& variant : variants) {
+    labels.push_back(flex::trace::workload_name(variant.workload) + "/" +
+                     variant.policy);
+  }
+  const auto results = flex::bench::run_sweep(
+      cli, labels, [&](std::size_t i, flex::telemetry::Telemetry* telemetry) {
         return harness.run_with(variants[i].cfg, variants[i].workload,
-                                requests, &telemetry);
-      },
-      jobs);
+                                requests, telemetry);
+      });
 
   TablePrinter table({"workload", "ladder retry (us)", "with page hint (us)",
                       "hint saving", "FlexLevel (us)"});
@@ -86,19 +79,5 @@ int main(int argc, char** argv) {
       "still pays the soft\nsensing itself; FlexLevel removes the soft "
       "sensing for the data that matters.\n");
 
-  if (collect) {
-    std::vector<flex::bench::RunLabel> runs;
-    for (std::size_t i = 0; i < variants.size(); ++i) {
-      runs.push_back({flex::trace::workload_name(variants[i].workload) +
-                          "/" + variants[i].policy,
-                      static_cast<std::int32_t>(i + 1)});
-    }
-    if (!outputs.trace_out.empty()) {
-      flex::bench::write_trace_file(outputs.trace_out, runs, results);
-    }
-    if (!outputs.metrics_out.empty()) {
-      flex::bench::write_metrics_file(outputs.metrics_out, runs, results);
-    }
-  }
   return 0;
 }

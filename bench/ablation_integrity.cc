@@ -26,14 +26,12 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
 #include "common/table.h"
 #include "host/array.h"
-#include "telemetry/export.h"
 #include "trace/trace.h"
 
 namespace {
@@ -246,55 +244,13 @@ Row run_array(const ExperimentHarness& harness, const Variant& v,
   return row;
 }
 
-void write_json(const std::string& path, std::uint64_t requests, int jobs,
-                const std::vector<Variant>& variants,
-                const std::vector<Row>& rows, bool verdict_ok) {
-  using flex::telemetry::format_double;
-  using flex::telemetry::json_escape;
-  std::ofstream out(path);
-  out << "{\n\"bench\":\"integrity\",\n"
-      << "\"git_sha\":\"" << json_escape(FLEX_GIT_SHA) << "\",\n"
-      << "\"config\":{\"requests_override\":" << requests
-      << ",\"jobs\":" << jobs << "},\n"
-      << "\"verdict_ok\":" << (verdict_ok ? "true" : "false")
-      << ",\n\"runs\":[";
-  for (std::size_t i = 0; i < variants.size(); ++i) {
-    const Variant& v = variants[i];
-    const Row& r = rows[i];
-    out << (i == 0 ? "\n" : ",\n") << "{\"label\":\"" << json_escape(v.label)
-        << "\",\"array\":" << (v.array ? "true" : "false")
-        << ",\"integrity\":" << (v.integrity ? "true" : "false")
-        << ",\"corruption_rate\":" << format_double(v.rate)
-        << ",\"reads\":" << r.reads
-        << ",\"read_mean_s\":" << format_double(r.read_mean_s)
-        << ",\"read_p99_s\":" << format_double(r.read_p99_s)
-        << ",\"verified_reads\":" << r.verified
-        << ",\"mismatch_reads\":" << r.mismatch
-        << ",\"undetected_reads\":" << r.undetected
-        << ",\"recovered\":" << r.recovered
-        << ",\"unrecovered\":" << r.unrecovered
-        << ",\"misdirected_writes\":" << r.misdirected
-        << ",\"torn_relocations\":" << r.torn
-        << ",\"repair_writes\":" << r.repair_writes
-        << ",\"integrity_failovers\":" << r.failovers
-        << ",\"read_repairs\":" << r.read_repairs
-        << ",\"scrub_passes\":" << r.scrub_passes
-        << ",\"corrupt_after_scrub\":" << r.corrupt_after_scrub
-        << ",\"mirrors_equal\":" << (r.mirrors_equal ? "true" : "false")
-        << ",\"wall_clock_s\":" << format_double(r.wall_seconds) << '}';
-  }
-  out << "\n]}\n";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using flex::TablePrinter;
-  const flex::bench::OutputOptions outputs =
-      flex::bench::parse_outputs(&argc, argv);
-  const int jobs = flex::bench::parse_jobs(&argc, argv);
-  const std::uint64_t requests =
-      flex::bench::positional_count(argc, argv, 1, "requests", 20'000);
+  const flex::bench::Cli cli(argc, argv, {{"requests", 20'000}},
+                             {flex::bench::kBenchOut});
+  const std::uint64_t requests = cli.count(0);
 
   std::printf(
       "=== End-to-end integrity ablation (web-1 drive + RAID-10 array, "
@@ -324,7 +280,7 @@ int main(int argc, char** argv) {
         return variants[i].array ? run_array(harness, variants[i], requests)
                                  : run_single(harness, variants[i], requests);
       },
-      jobs);
+      cli.jobs());
 
   TablePrinter table({"variant", "read mean ms", "read p99 ms", "verified",
                       "mismatch", "undetected", "cured", "persistent",
@@ -401,8 +357,38 @@ int main(int argc, char** argv) {
     }
   }
 
-  write_json(outputs.bench_out.empty() ? "BENCH_integrity.json"
-                                       : outputs.bench_out,
-             requests, jobs, variants, rows, verdict_ok);
+  flex::bench::write_bench_file(
+      cli, "integrity", requests, [&](flex::bench::JsonWriter& json) {
+        json.field("verdict_ok", verdict_ok).begin_array("runs");
+        for (std::size_t i = 0; i < variants.size(); ++i) {
+          const Variant& v = variants[i];
+          const Row& r = rows[i];
+          json.begin_object()
+              .field("label", v.label)
+              .field("array", v.array)
+              .field("integrity", v.integrity)
+              .field("corruption_rate", v.rate)
+              .field("reads", r.reads)
+              .field("read_mean_s", r.read_mean_s)
+              .field("read_p99_s", r.read_p99_s)
+              .field("verified_reads", r.verified)
+              .field("mismatch_reads", r.mismatch)
+              .field("undetected_reads", r.undetected)
+              .field("recovered", r.recovered)
+              .field("unrecovered", r.unrecovered)
+              .field("misdirected_writes", r.misdirected)
+              .field("torn_relocations", r.torn)
+              .field("repair_writes", r.repair_writes)
+              .field("integrity_failovers", r.failovers)
+              .field("read_repairs", r.read_repairs)
+              .field("scrub_passes", r.scrub_passes)
+              .field("corrupt_after_scrub", r.corrupt_after_scrub)
+              .field("mirrors_equal", r.mirrors_equal)
+              .field("wall_clock_s",
+                     flex::bench::serial_wall(cli, r.wall_seconds))
+              .end();
+        }
+        json.end();
+      });
   return verdict_ok ? 0 : 1;
 }

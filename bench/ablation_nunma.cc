@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "common/rng.h"
 #include "common/table.h"
 #include "flexlevel/nunma.h"
@@ -14,7 +15,9 @@
 #include "reliability/ber_engine.h"
 #include "reliability/ber_model.h"
 
-int main() {
+int main(int argc, char** argv) {
+  // No arguments: a usage error for anything but the shared --jobs.
+  const flex::bench::Cli cli(argc, argv);
   using flex::TablePrinter;
   flex::Rng rng(0xAB1A);
   const flex::flexlevel::ReduceCodeMapper reduce;

@@ -12,11 +12,10 @@
 
 int main(int argc, char** argv) {
   using flex::TablePrinter;
-  const flex::bench::OutputOptions outputs =
-      flex::bench::parse_outputs(&argc, argv);
-  const int jobs = flex::bench::parse_jobs(&argc, argv);
-  const std::uint64_t requests =
-      flex::bench::positional_count(argc, argv, 1, "requests", 0);
+  const flex::bench::Cli cli(
+      argc, argv, {{"requests", 0}},
+      {flex::bench::kTraceOut, flex::bench::kMetricsOut});
+  const std::uint64_t requests = cli.count(0);
 
   std::printf("=== ReducedCell pool size ablation (web-1, P/E 6000) ===\n\n");
   flex::bench::ExperimentHarness harness;
@@ -27,29 +26,30 @@ int main(int argc, char** argv) {
           .ftl.spec.total_pages());
 
   // Cell 0 is the reference (LDPC-in-SSD: no pool at all); the rest sweep
-  // the pool share.
+  // the pool share. Scheme/workload alone doesn't distinguish the pool
+  // sizes, so runs are labelled by pool share instead of cell_label.
   const std::vector<double> shares = {0.005, 0.02, 0.08, 0.25};
   std::vector<flex::bench::CellSpec> cells;
+  std::vector<std::string> labels;
   cells.push_back({.workload = flex::trace::Workload::kWeb1,
                    .scheme = flex::ssd::Scheme::kLdpcInSsd,
                    .pe_cycles = 6000,
-                   .requests_override = requests,
-                   .collect_metrics = !outputs.metrics_out.empty(),
-                   .collect_spans = !outputs.trace_out.empty(),
-                   .telemetry_pid = 1});
+                   .requests_override = requests});
+  labels.push_back("web-1/ldpc-in-ssd");
   for (const double share : shares) {
     cells.push_back({.workload = flex::trace::Workload::kWeb1,
                      .scheme = flex::ssd::Scheme::kFlexLevel,
                      .pe_cycles = 6000,
                      .requests_override = requests,
                      .pool_override_pages =
-                         static_cast<std::uint64_t>(raw_pages * share),
-                     .collect_metrics = !outputs.metrics_out.empty(),
-                     .collect_spans = !outputs.trace_out.empty(),
-                     .telemetry_pid =
-                         static_cast<std::int32_t>(cells.size() + 1)});
+                         static_cast<std::uint64_t>(raw_pages * share)});
+    labels.push_back("web-1/flexlevel/pool" +
+                     TablePrinter::num(share * 100.0, 2) + "%");
   }
-  const auto all = flex::bench::run_cells(harness, cells, jobs);
+  const auto all = flex::bench::run_sweep(
+      cli, labels, [&](std::size_t i, flex::telemetry::Telemetry* telemetry) {
+        return harness.run(cells[i], telemetry);
+      });
   const auto& reference = all.front();
 
   TablePrinter table({"pool (% of capacity)", "norm response", "pool used",
@@ -73,22 +73,5 @@ int main(int argc, char** argv) {
   std::printf("The paper's 25%% pool bounds capacity loss at ~6%% while "
               "capturing the hot soft-read set; small pools thrash or leave "
               "hot data un-migrated, trading speed for capacity.\n");
-
-  if (!outputs.trace_out.empty() || !outputs.metrics_out.empty()) {
-    // Scheme/workload alone doesn't distinguish the pool sizes, so label
-    // runs by pool share instead of cell_label.
-    std::vector<flex::bench::RunLabel> runs = {{"web-1/ldpc-in-ssd", 1}};
-    for (std::size_t i = 0; i < shares.size(); ++i) {
-      runs.push_back({"web-1/flexlevel/pool" +
-                          TablePrinter::num(shares[i] * 100.0, 2) + "%",
-                      static_cast<std::int32_t>(i + 2)});
-    }
-    if (!outputs.trace_out.empty()) {
-      flex::bench::write_trace_file(outputs.trace_out, runs, all);
-    }
-    if (!outputs.metrics_out.empty()) {
-      flex::bench::write_metrics_file(outputs.metrics_out, runs, all);
-    }
-  }
   return 0;
 }

@@ -56,11 +56,11 @@ struct Variant {
 
 int main(int argc, char** argv) {
   using flex::TablePrinter;
-  const flex::bench::OutputOptions outputs =
-      flex::bench::parse_outputs(&argc, argv);
-  const int jobs = flex::bench::parse_jobs(&argc, argv);
-  const std::uint64_t requests =
-      flex::bench::positional_count(argc, argv, 1, "requests", 60'000);
+  const flex::bench::Cli cli(
+      argc, argv, {{"requests", 60'000}},
+      {flex::bench::kTraceOut, flex::bench::kMetricsOut,
+       flex::bench::kBenchOut});
+  const std::uint64_t requests = cli.count(0);
   const std::uint64_t warmup = requests / 3;
 
   std::printf(
@@ -161,11 +161,12 @@ int main(int argc, char** argv) {
     variants.push_back(std::move(v));
   }
 
-  const bool collect =
-      !outputs.trace_out.empty() || !outputs.metrics_out.empty();
-  const auto all = flex::bench::run_indexed(
-      variants.size(),
-      [&](std::size_t i) {
+  std::vector<std::string> labels;
+  for (const Variant& variant : variants) {
+    labels.push_back("qos/" + variant.label);
+  }
+  const auto all = flex::bench::run_sweep(
+      cli, labels, [&](std::size_t i, flex::telemetry::Telemetry* telemetry) {
         const Variant& v = variants[i];
         flex::ssd::SsdConfig cfg = flex::bench::ExperimentHarness::
             drive_config(flex::ssd::Scheme::kLdpcInSsd, 6000);
@@ -178,16 +179,9 @@ int main(int argc, char** argv) {
           cfg.faults.grown_defect_rate = 1e-4;
           cfg.faults.read_retry_rescue = 1.0;
         }
-        if (!collect) {
-          return harness.run_open_loop(cfg, v.engine, warmup, requests);
-        }
-        flex::telemetry::Telemetry telemetry;
-        telemetry.pid = static_cast<std::int32_t>(i + 1);
-        telemetry.trace = !outputs.trace_out.empty();
         return harness.run_open_loop(cfg, v.engine, warmup, requests,
-                                     &telemetry);
-      },
-      jobs);
+                                     telemetry);
+      });
 
   TablePrinter table({"variant", "read mean ms", "read p99 ms",
                       "read p999 ms", "t0 p99 ms", "rejected",
@@ -217,21 +211,6 @@ int main(int argc, char** argv) {
       "disturb-triggered scrubs depend on queue state, which is the "
       "policy's to shape.)\n");
 
-  std::vector<flex::bench::RunLabel> runs;
-  for (std::size_t i = 0; i < variants.size(); ++i) {
-    runs.push_back(
-        {"qos/" + variants[i].label, static_cast<std::int32_t>(i + 1)});
-  }
-  if (collect) {
-    if (!outputs.trace_out.empty()) {
-      flex::bench::write_trace_file(outputs.trace_out, runs, all);
-    }
-    if (!outputs.metrics_out.empty()) {
-      flex::bench::write_metrics_file(outputs.metrics_out, runs, all);
-    }
-  }
-  flex::bench::write_bench_json(
-      outputs.bench_out.empty() ? "BENCH_qos.json" : outputs.bench_out,
-      "qos", requests, jobs, runs, all);
+  flex::bench::write_bench_json(cli, "qos", requests, labels, all);
   return 0;
 }

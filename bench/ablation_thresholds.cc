@@ -52,11 +52,11 @@ std::uint64_t soft_reads(const std::vector<std::uint64_t>& by_level) {
 
 int main(int argc, char** argv) {
   using flex::TablePrinter;
-  const flex::bench::OutputOptions outputs =
-      flex::bench::parse_outputs(&argc, argv);
-  const int jobs = flex::bench::parse_jobs(&argc, argv);
-  const std::uint64_t requests =
-      flex::bench::positional_count(argc, argv, 1, "requests", 100'000);
+  const flex::bench::Cli cli(
+      argc, argv, {{"requests", 100'000}},
+      {flex::bench::kTraceOut, flex::bench::kMetricsOut,
+       flex::bench::kBenchOut});
+  const std::uint64_t requests = cli.count(0);
 
   std::printf(
       "=== Read-threshold / MI-sensing ablation (web-1, P/E 9000, %llu "
@@ -86,11 +86,12 @@ int main(int argc, char** argv) {
        .measured = true},
   };
 
-  const bool collect =
-      !outputs.trace_out.empty() || !outputs.metrics_out.empty();
-  const auto all = flex::bench::run_indexed(
-      variants.size(),
-      [&](std::size_t i) {
+  std::vector<std::string> labels;
+  for (const Variant& variant : variants) {
+    labels.push_back("thresholds/" + variant.label);
+  }
+  const auto all = flex::bench::run_sweep(
+      cli, labels, [&](std::size_t i, flex::telemetry::Telemetry* telemetry) {
         flex::ssd::SsdConfig cfg = flex::bench::ExperimentHarness::
             drive_config(flex::ssd::Scheme::kLdpcInSsd, 9000);
         // Late in the retention cycle: data is up to a quarter old, so the
@@ -107,17 +108,9 @@ int main(int argc, char** argv) {
         cfg.channel.decode_latency =
             v.measured ? flex::reliability::DecodeLatencyMode::kMeasured
                        : flex::reliability::DecodeLatencyMode::kTable;
-        if (!collect) {
-          return harness.run_with(cfg, flex::trace::Workload::kWeb1,
-                                  requests);
-        }
-        flex::telemetry::Telemetry telemetry;
-        telemetry.pid = static_cast<std::int32_t>(i + 1);
-        telemetry.trace = !outputs.trace_out.empty();
         return harness.run_with(cfg, flex::trace::Workload::kWeb1, requests,
-                                &telemetry);
-      },
-      jobs);
+                                telemetry);
+      });
   const auto& reference = all.front();
 
   TablePrinter table({"variant", "norm mean read", "norm p99 read",
@@ -143,21 +136,6 @@ int main(int argc, char** argv) {
       "re-prices each attempt from real min-sum iteration counts, leaving "
       "depth (and retry counts) unchanged.\n");
 
-  std::vector<flex::bench::RunLabel> runs;
-  for (std::size_t i = 0; i < variants.size(); ++i) {
-    runs.push_back(
-        {"thresholds/" + variants[i].label, static_cast<std::int32_t>(i + 1)});
-  }
-  if (collect) {
-    if (!outputs.trace_out.empty()) {
-      flex::bench::write_trace_file(outputs.trace_out, runs, all);
-    }
-    if (!outputs.metrics_out.empty()) {
-      flex::bench::write_metrics_file(outputs.metrics_out, runs, all);
-    }
-  }
-  flex::bench::write_bench_json(
-      outputs.bench_out.empty() ? "BENCH_thresholds.json" : outputs.bench_out,
-      "thresholds", requests, jobs, runs, all);
+  flex::bench::write_bench_json(cli, "thresholds", requests, labels, all);
   return 0;
 }

@@ -24,7 +24,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -32,7 +31,6 @@
 #include "common/table.h"
 #include "common/units.h"
 #include "host/array.h"
-#include "telemetry/export.h"
 #include "workload/engine.h"
 
 namespace {
@@ -178,101 +176,86 @@ std::uint64_t sum_migrations(const ArrayResults& r) {
   return sum;
 }
 
-void write_array_json(const std::string& path, std::uint64_t requests,
-                      int jobs, const std::vector<Variant>& variants,
+void write_array_json(const flex::bench::Cli& cli, std::uint64_t requests,
+                      const std::vector<Variant>& variants,
                       const std::vector<ArrayResults>& all) {
-  using flex::telemetry::format_double;
-  using flex::telemetry::json_escape;
-  const flex::ssd::SsdConfig drive =
-      ExperimentHarness::drive_config(flex::ssd::Scheme::kLdpcInSsd, 6000);
-  std::ofstream out(path);
-  out << "{\n\"bench\":\"array\",\n"
-      << "\"git_sha\":\"" << json_escape(FLEX_GIT_SHA) << "\",\n"
-      << "\"config\":{"
-      << "\"chips\":" << drive.ftl.spec.chips
-      << ",\"blocks_per_chip\":" << drive.ftl.spec.blocks_per_chip
-      << ",\"pages_per_block\":" << drive.ftl.spec.pages_per_block
-      << ",\"page_size_bytes\":" << drive.ftl.spec.page_size_bytes
-      << ",\"per_drive_iops\":" << format_double(kPerDriveIops)
-      << ",\"requests_override\":" << requests << ",\"jobs\":" << jobs
-      << "},\n\"runs\":[";
-  for (std::size_t i = 0; i < variants.size(); ++i) {
-    const Variant& v = variants[i];
-    const ArrayResults& r = all[i];
-    const flex::Duration window = r.window > 0 ? r.window : 1;
-    out << (i == 0 ? "\n" : ",\n") << "{\"label\":\""
-        << json_escape(v.label) << '"' << ",\"drives\":" << v.drives
-        << ",\"replication\":" << v.replication << ",\"policy\":\""
-        << policy_name(v.policy) << "\",\"access_eval_scope\":\""
-        << (v.scope == flex::host::AccessEvalScope::kGlobal ? "global"
-                                                            : "per-drive")
-        << "\",\"scheme\":\"" << json_escape(flex::ssd::scheme_name(v.scheme))
-        << "\",\"requests\":" << r.all_response.count()
-        << ",\"reads\":" << r.read_response.count()
-        << ",\"writes\":" << r.write_response.count()
-        << ",\"window_s\":" << format_double(flex::to_seconds(r.window))
-        << ",\"read_throughput_rps\":" << format_double(reads_per_second(r))
-        << ",\"read_mean_s\":" << format_double(r.read_response.mean())
-        << ",\"read_p99_s\":"
-        << format_double(r.read_latency_hist.quantile(0.99))
-        << ",\"read_p999_s\":"
-        << format_double(r.read_latency_hist.quantile(0.999))
-        << ",\"write_mean_s\":" << format_double(r.write_response.mean())
-        << ",\"breakdown_s\":{\"submit\":"
-        << format_double(flex::to_seconds(r.read_breakdown.submit))
-        << ",\"queue\":"
-        << format_double(flex::to_seconds(r.read_breakdown.queue))
-        << ",\"drive\":"
-        << format_double(flex::to_seconds(r.read_breakdown.drive))
-        << ",\"completion\":"
-        << format_double(flex::to_seconds(r.read_breakdown.completion))
-        << "},\"switch_utilization\":"
-        << format_double(r.switch_fabric.utilization(window))
-        << ",\"observe_feeds\":" << r.observe_feeds
-        << ",\"refresh_blocks\":" << sum_refresh(r)
-        << ",\"migrations\":" << sum_migrations(r)
-        << ",\"wall_clock_s\":" << format_double(r.wall_seconds)
-        << ",\"replica_reads\":[";
-    for (std::size_t d = 0; d < r.replica_reads.size(); ++d) {
-      out << (d == 0 ? "" : ",") << r.replica_reads[d];
-    }
-    out << "],\"drive_link_utilization\":[";
-    for (std::size_t d = 0; d < r.drive_link.size(); ++d) {
-      out << (d == 0 ? "" : ",")
-          << format_double(r.drive_link[d].utilization(window));
-    }
-    out << "],\"qp\":[";
-    for (std::size_t d = 0; d < r.qp.size(); ++d) {
-      out << (d == 0 ? "" : ",") << "{\"submitted\":" << r.qp[d].submitted
-          << ",\"backlogged\":" << r.qp[d].backlogged
-          << ",\"cq_stalls\":" << r.qp[d].cq_stalls
-          << ",\"sq_high_water\":" << r.qp[d].sq_high_water << '}';
-    }
-    out << "],\"tenants\":[";
-    for (std::size_t t = 0; t < r.tenant.size(); ++t) {
-      const flex::ssd::TenantStats& ts = r.tenant[t];
-      out << (t == 0 ? "" : ",") << "{\"reads\":"
-          << ts.read_response.count()
-          << ",\"read_mean_s\":" << format_double(ts.read_response.mean())
-          << ",\"read_p99_s\":"
-          << format_double(ts.read_latency_hist.quantile(0.99))
-          << ",\"read_p999_s\":"
-          << format_double(ts.read_latency_hist.quantile(0.999)) << '}';
-    }
-    out << "]}";
-  }
-  out << "\n]}\n";
+  flex::bench::write_bench_file(
+      cli, "array", requests, [&](flex::bench::JsonWriter& json) {
+        json.field("per_drive_iops", kPerDriveIops).begin_array("runs");
+        for (std::size_t i = 0; i < variants.size(); ++i) {
+          const Variant& v = variants[i];
+          const ArrayResults& r = all[i];
+          const flex::Duration window = r.window > 0 ? r.window : 1;
+          json.begin_object()
+              .field("label", v.label)
+              .field("drives", v.drives)
+              .field("replication", v.replication)
+              .field("policy", policy_name(v.policy))
+              .field("access_eval_scope",
+                     v.scope == flex::host::AccessEvalScope::kGlobal
+                         ? "global"
+                         : "per-drive")
+              .field("scheme", flex::ssd::scheme_name(v.scheme))
+              .field("requests", r.all_response.count())
+              .field("reads", r.read_response.count())
+              .field("writes", r.write_response.count())
+              .field("window_s", flex::to_seconds(r.window))
+              .field("read_throughput_rps", reads_per_second(r))
+              .field("read_mean_s", r.read_response.mean())
+              .field("read_p99_s", r.read_latency_hist.quantile(0.99))
+              .field("read_p999_s", r.read_latency_hist.quantile(0.999))
+              .field("write_mean_s", r.write_response.mean())
+              .begin_object("breakdown_s")
+              .field("submit", flex::to_seconds(r.read_breakdown.submit))
+              .field("queue", flex::to_seconds(r.read_breakdown.queue))
+              .field("drive", flex::to_seconds(r.read_breakdown.drive))
+              .field("completion",
+                     flex::to_seconds(r.read_breakdown.completion))
+              .end()
+              .field("switch_utilization",
+                     r.switch_fabric.utilization(window))
+              .field("observe_feeds", r.observe_feeds)
+              .field("refresh_blocks", sum_refresh(r))
+              .field("migrations", sum_migrations(r))
+              .field("wall_clock_s",
+                     flex::bench::serial_wall(cli, r.wall_seconds))
+              .begin_array("replica_reads");
+          for (const std::uint64_t reads : r.replica_reads) json.item(reads);
+          json.end().begin_array("drive_link_utilization");
+          for (const auto& link : r.drive_link) {
+            json.item(link.utilization(window));
+          }
+          json.end().begin_array("qp");
+          for (const auto& qp : r.qp) {
+            json.begin_object()
+                .field("submitted", qp.submitted)
+                .field("backlogged", qp.backlogged)
+                .field("cq_stalls", qp.cq_stalls)
+                .field("sq_high_water", qp.sq_high_water)
+                .end();
+          }
+          json.end().begin_array("tenants");
+          for (const flex::ssd::TenantStats& ts : r.tenant) {
+            json.begin_object()
+                .field("reads", ts.read_response.count())
+                .field("read_mean_s", ts.read_response.mean())
+                .field("read_p99_s", ts.read_latency_hist.quantile(0.99))
+                .field("read_p999_s", ts.read_latency_hist.quantile(0.999))
+                .end();
+          }
+          json.end().end();
+        }
+        json.end();
+      });
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   using flex::TablePrinter;
-  const flex::bench::OutputOptions outputs =
-      flex::bench::parse_outputs(&argc, argv);
-  const int jobs = flex::bench::parse_jobs(&argc, argv);
-  const std::uint64_t requests =
-      flex::bench::positional_count(argc, argv, 1, "requests", 40'000);
+  const flex::bench::Cli cli(argc, argv, {{"requests", 40'000}},
+                             {flex::bench::kBenchOut});
+  const std::uint64_t requests = cli.count(0);
   const std::uint64_t warmup = requests / 3;
 
   std::printf(
@@ -327,7 +310,7 @@ int main(int argc, char** argv) {
       [&](std::size_t i) {
         return run_row(harness, variants[i], warmup, requests);
       },
-      jobs);
+      cli.jobs());
 
   TablePrinter table({"variant", "drives", "R", "reads/s", "scaling",
                       "read mean ms", "read p99 ms", "t0 p99 ms",
@@ -367,8 +350,6 @@ int main(int argc, char** argv) {
       "savings return, so the diluted per-drive signal acts as a useful "
       "promotion filter.\n");
 
-  write_array_json(
-      outputs.bench_out.empty() ? "BENCH_array.json" : outputs.bench_out,
-      requests, jobs, variants, all);
+  write_array_json(cli, requests, variants, all);
   return 0;
 }

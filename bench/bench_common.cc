@@ -3,12 +3,12 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <limits>
 #include <memory>
 #include <optional>
 #include <set>
+#include <string>
 #include <utility>
 
 #include "common/rng.h"
@@ -82,20 +82,15 @@ ssd::SsdConfig ExperimentHarness::drive_config(ssd::Scheme scheme,
   return cfg;
 }
 
-ssd::SsdResults ExperimentHarness::run(const CellSpec& cell) const {
+ssd::SsdResults ExperimentHarness::run(const CellSpec& cell,
+                                       telemetry::Telemetry* telemetry) const {
   ssd::SsdConfig cfg = drive_config(cell.scheme, cell.pe_cycles);
   cfg.age_model = cell.age_model;
   if (cell.pool_override_pages > 0) {
     cfg.access_eval.pool_capacity_pages = cell.pool_override_pages;
   }
-  if (!cell.collect_metrics && !cell.collect_spans) {
-    return run_with(std::move(cfg), cell.workload, cell.requests_override);
-  }
-  telemetry::Telemetry telemetry;
-  telemetry.pid = cell.telemetry_pid;
-  telemetry.trace = cell.collect_spans;
   return run_with(std::move(cfg), cell.workload, cell.requests_override,
-                  &telemetry);
+                  telemetry);
 }
 
 ssd::SsdResults ExperimentHarness::run_with(
@@ -180,240 +175,10 @@ std::vector<ssd::SsdResults> run_cells(const ExperimentHarness& harness,
       [&](std::size_t i) { return harness.run(cells[i]); }, jobs);
 }
 
-void parse_path_flags(int* argc, char** argv,
-                      std::initializer_list<PathFlag> flags) {
-  int out = 1;
-  for (int i = 1; i < *argc; ++i) {
-    bool consumed = false;
-    for (const auto& [flag, dest] : flags) {
-      const std::size_t len = std::strlen(flag);
-      const char* value = nullptr;
-      if (std::strcmp(argv[i], flag) == 0) {
-        value = i + 1 < *argc ? argv[++i] : "";
-      } else if (std::strncmp(argv[i], flag, len) == 0 &&
-                 argv[i][len] == '=') {
-        value = argv[i] + len + 1;
-      }
-      if (value == nullptr) continue;
-      if (*value == '\0') {
-        std::fprintf(stderr, "usage error: %s expects a path, got \"\"\n",
-                     flag);
-        std::exit(2);
-      }
-      *dest = value;
-      consumed = true;
-      break;
-    }
-    if (!consumed) argv[out++] = argv[i];
-  }
-  *argc = out;
-}
-
-OutputOptions parse_outputs(int* argc, char** argv) {
-  OutputOptions options;
-  parse_path_flags(argc, argv,
-                   {{"--trace-out", &options.trace_out},
-                    {"--metrics-out", &options.metrics_out},
-                    {"--bench-out", &options.bench_out}});
-  return options;
-}
-
 std::string cell_label(const CellSpec& cell) {
   return trace::workload_name(cell.workload) + "/" +
          ssd::scheme_name(cell.scheme) + "/pe" +
          std::to_string(cell.pe_cycles);
-}
-
-void write_trace_file(const std::string& path,
-                      const std::vector<RunLabel>& runs,
-                      const std::vector<ssd::SsdResults>& results) {
-  std::vector<telemetry::Span> spans;
-  std::vector<telemetry::TrackLabel> labels;
-  std::set<std::pair<std::int32_t, std::int32_t>> tracks;
-  for (std::size_t i = 0; i < runs.size() && i < results.size(); ++i) {
-    if (results[i].spans.empty()) continue;
-    labels.push_back(
-        {.pid = runs[i].pid, .thread = false, .name = runs[i].label});
-    for (const telemetry::Span& span : results[i].spans) {
-      spans.push_back(span);
-      tracks.emplace(span.pid, span.tid);
-    }
-  }
-  for (const auto& [pid, tid] : tracks) {
-    telemetry::TrackLabel label{.pid = pid, .tid = tid, .thread = true};
-    if (tid == telemetry::kHostTrack) {
-      label.name = "host";
-    } else if (tid == telemetry::kFtlTrack) {
-      label.name = "ftl";
-    } else {
-      label.name = "chip " + std::to_string(tid);
-    }
-    labels.push_back(std::move(label));
-  }
-  std::ofstream out(path);
-  telemetry::write_chrome_trace(out, spans, labels);
-}
-
-void write_trace_file(const std::string& path,
-                      const std::vector<CellSpec>& cells,
-                      const std::vector<ssd::SsdResults>& results) {
-  std::vector<RunLabel> runs;
-  runs.reserve(cells.size());
-  for (const CellSpec& cell : cells) {
-    runs.push_back({cell_label(cell), cell.telemetry_pid});
-  }
-  write_trace_file(path, runs, results);
-}
-
-void write_metrics_file(const std::string& path,
-                        const std::vector<RunLabel>& runs,
-                        const std::vector<ssd::SsdResults>& results) {
-  std::ofstream out(path);
-  telemetry::MetricsSnapshot merged;
-  for (std::size_t i = 0; i < runs.size() && i < results.size(); ++i) {
-    if (results[i].metrics.empty()) continue;
-    telemetry::write_metrics_jsonl(out, runs[i].label, results[i].metrics);
-    // Index-order fold: deterministic whatever --jobs produced them.
-    merged.merge(results[i].metrics);
-  }
-  if (!merged.empty()) {
-    telemetry::write_metrics_jsonl(out, "_merged", merged);
-  }
-}
-
-void write_metrics_file(const std::string& path,
-                        const std::vector<CellSpec>& cells,
-                        const std::vector<ssd::SsdResults>& results) {
-  std::vector<RunLabel> runs;
-  runs.reserve(cells.size());
-  for (const CellSpec& cell : cells) {
-    runs.push_back({cell_label(cell), cell.telemetry_pid});
-  }
-  write_metrics_file(path, runs, results);
-}
-
-namespace {
-
-/// Shared preamble of both BENCH_*.json shapes: bench identity, git SHA
-/// and the drive geometry. `rows` names the row array that follows
-/// ("cells" or "runs").
-void write_bench_preamble(std::ofstream& out, const std::string& bench,
-                          std::uint64_t requests_override, int jobs,
-                          const char* rows) {
-  using telemetry::format_double;
-  using telemetry::json_escape;
-  const ssd::SsdConfig cfg =
-      ExperimentHarness::drive_config(ssd::Scheme::kLdpcInSsd, 6000);
-  out << "{\n\"bench\":\"" << json_escape(bench) << "\",\n"
-      << "\"git_sha\":\"" << json_escape(FLEX_GIT_SHA) << "\",\n"
-      << "\"config\":{"
-      << "\"chips\":" << cfg.ftl.spec.chips
-      << ",\"blocks_per_chip\":" << cfg.ftl.spec.blocks_per_chip
-      << ",\"pages_per_block\":" << cfg.ftl.spec.pages_per_block
-      << ",\"page_size_bytes\":" << cfg.ftl.spec.page_size_bytes
-      << ",\"over_provisioning\":"
-      << format_double(cfg.ftl.over_provisioning)
-      << ",\"requests_override\":" << requests_override
-      << ",\"jobs\":" << jobs << "},\n\"" << rows << "\":[";
-}
-
-}  // namespace
-
-void write_bench_json(const std::string& path, const std::string& bench,
-                      std::uint64_t requests_override, int jobs,
-                      const std::vector<CellSpec>& cells,
-                      const std::vector<ssd::SsdResults>& results) {
-  using telemetry::format_double;
-  using telemetry::json_escape;
-  std::ofstream out(path);
-  write_bench_preamble(out, bench, requests_override, jobs, "cells");
-  for (std::size_t i = 0; i < cells.size() && i < results.size(); ++i) {
-    const CellSpec& cell = cells[i];
-    const ssd::SsdResults& r = results[i];
-    const ssd::ReadBreakdown& b = r.read_breakdown;
-    const double total = static_cast<double>(b.total());
-    out << (i == 0 ? "\n" : ",\n") << "{\"workload\":\""
-        << json_escape(trace::workload_name(cell.workload))
-        << "\",\"scheme\":\"" << json_escape(ssd::scheme_name(cell.scheme))
-        << "\",\"pe_cycles\":" << cell.pe_cycles << ",\"age_model\":\""
-        << (cell.age_model == ssd::AgeModel::kStaticPerLba ? "static"
-                                                           : "physical")
-        << "\",\"requests\":" << r.all_response.count()
-        << ",\"reads\":" << r.read_response.count()
-        << ",\"writes\":" << r.write_response.count()
-        << ",\"all_mean_s\":" << format_double(r.all_response.mean())
-        << ",\"read_mean_s\":" << format_double(r.read_response.mean())
-        << ",\"read_p99_s\":"
-        << format_double(r.read_latency_hist.quantile(0.99))
-        << ",\"read_total_s\":" << format_double(r.read_response.sum())
-        << ",\"wall_clock_s\":" << format_double(r.wall_seconds)
-        << ",\"breakdown_s\":{";
-    const std::pair<const char*, Duration> parts[] = {
-        {"queue_wait", b.queue_wait},
-        {"sensing", b.sensing},
-        {"transfer", b.transfer},
-        {"decode", b.decode},
-        {"buffer", b.buffer}};
-    for (std::size_t p = 0; p < std::size(parts); ++p) {
-      out << (p == 0 ? "" : ",") << '"' << parts[p].first
-          << "\":" << format_double(to_seconds(parts[p].second));
-    }
-    out << "},\"breakdown_share\":{";
-    for (std::size_t p = 0; p < std::size(parts); ++p) {
-      const double share =
-          total > 0.0 ? static_cast<double>(parts[p].second) / total : 0.0;
-      out << (p == 0 ? "" : ",") << '"' << parts[p].first
-          << "\":" << format_double(share);
-    }
-    out << "}}";
-  }
-  out << "\n]}\n";
-}
-
-void write_bench_json(const std::string& path, const std::string& bench,
-                      std::uint64_t requests_override, int jobs,
-                      const std::vector<RunLabel>& runs,
-                      const std::vector<ssd::SsdResults>& results) {
-  using telemetry::format_double;
-  using telemetry::json_escape;
-  std::ofstream out(path);
-  write_bench_preamble(out, bench, requests_override, jobs, "runs");
-  for (std::size_t i = 0; i < runs.size() && i < results.size(); ++i) {
-    const ssd::SsdResults& r = results[i];
-    out << (i == 0 ? "\n" : ",\n") << "{\"label\":\""
-        << json_escape(runs[i].label) << '"'
-        << ",\"requests\":" << r.all_response.count()
-        << ",\"reads\":" << r.read_response.count()
-        << ",\"writes\":" << r.write_response.count()
-        << ",\"read_mean_s\":" << format_double(r.read_response.mean())
-        << ",\"read_p99_s\":"
-        << format_double(r.read_latency_hist.quantile(0.99))
-        << ",\"read_p999_s\":"
-        << format_double(r.read_latency_hist.quantile(0.999))
-        << ",\"write_mean_s\":" << format_double(r.write_response.mean())
-        << ",\"admission_rejected\":" << r.admission_rejected
-        << ",\"request_slots_high_water\":" << r.qos_request_slots_high_water
-        << ",\"pending_high_water\":" << r.qos_pending_high_water
-        << ",\"background_deferrals\":" << r.background_deferrals
-        << ",\"fairness_overrides\":" << r.fairness_overrides
-        << ",\"wall_clock_s\":" << format_double(r.wall_seconds)
-        << ",\"tenants\":[";
-    for (std::size_t t = 0; t < r.tenant.size(); ++t) {
-      const ssd::TenantStats& ts = r.tenant[t];
-      out << (t == 0 ? "" : ",")
-          << "{\"reads\":" << ts.read_response.count()
-          << ",\"writes\":" << ts.write_response.count()
-          << ",\"read_mean_s\":" << format_double(ts.read_response.mean())
-          << ",\"read_p99_s\":"
-          << format_double(ts.read_latency_hist.quantile(0.99))
-          << ",\"read_p999_s\":"
-          << format_double(ts.read_latency_hist.quantile(0.999))
-          << ",\"write_mean_s\":" << format_double(ts.write_response.mean())
-          << ",\"rejected\":" << ts.admission_rejected << '}';
-    }
-    out << "]}";
-  }
-  out << "\n]}\n";
 }
 
 std::optional<int> parse_jobs_value(const char* text) {
@@ -423,59 +188,305 @@ std::optional<int> parse_jobs_value(const char* text) {
   return static_cast<int>(*value);
 }
 
-std::uint64_t positional_count(int argc, char** argv, int index,
-                               const char* name, std::uint64_t fallback,
-                               std::uint64_t max) {
-  if (index >= argc) return fallback;
-  const std::optional<std::uint64_t> value = parse_count_value(argv[index], max);
-  if (!value.has_value()) {
-    std::fprintf(stderr,
-                 "usage error: positional argument %d (%s) expects a count "
-                 "(decimal digits only), got \"%s\"\n",
-                 index, name, argv[index]);
+Cli::Cli(int argc, const char* const* argv,
+         std::initializer_list<Positional> positionals,
+         std::initializer_list<std::string_view> path_flags) {
+  const auto fail = [](const std::string& message) {
+    std::fprintf(stderr, "usage error: %s\n", message.c_str());
     std::exit(2);
-  }
-  return *value;
-}
-
-namespace {
-
-/// Parses a --jobs / FLEX_BENCH_JOBS value or exits with a usage error.
-int jobs_or_exit(const char* source, const char* text) {
-  const std::optional<int> jobs = parse_jobs_value(text);
-  if (!jobs.has_value()) {
-    std::fprintf(stderr,
-                 "usage error: %s expects a job count (a non-negative "
-                 "integer, 0 = one per hardware thread), got \"%s\"\n",
-                 source, text);
-    std::exit(2);
-  }
-  return *jobs;
-}
-
-}  // namespace
-
-int parse_jobs(int* argc, char** argv) {
-  int jobs = 1;
+  };
+  const auto jobs_or_fail = [&](std::string_view source, const char* text) {
+    const std::optional<int> jobs = parse_jobs_value(text);
+    if (!jobs.has_value()) {
+      fail(std::string(source) +
+           " expects a job count (a non-negative integer, 0 = one per "
+           "hardware thread), got \"" + text + "\"");
+    }
+    return *jobs;
+  };
   if (const char* env = std::getenv("FLEX_BENCH_JOBS")) {
-    jobs = jobs_or_exit("FLEX_BENCH_JOBS", env);
+    jobs_ = jobs_or_fail("FLEX_BENCH_JOBS", env);
   }
-  int out = 1;
-  for (int i = 1; i < *argc; ++i) {
-    if (std::strcmp(argv[i], "--jobs") == 0 ||
-        std::strcmp(argv[i], "-j") == 0) {
-      const char* const flag = argv[i];
-      jobs = jobs_or_exit(flag, i + 1 < *argc ? argv[++i] : "");
+  for (const std::string_view flag : path_flags) paths_.emplace_back(flag, "");
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    // `--flag VALUE` takes the next argument ("" when there is none);
+    // `--flag=VALUE` carries its own.
+    const auto value_of = [&](std::string_view flag) -> const char* {
+      if (arg == flag) return i + 1 < argc ? argv[++i] : "";
+      if (arg.size() > flag.size() && arg.starts_with(flag) &&
+          arg[flag.size()] == '=') {
+        return argv[i] + flag.size() + 1;
+      }
+      return nullptr;
+    };
+    if (const char* value = value_of("--jobs")) {
+      jobs_ = jobs_or_fail("--jobs", value);
       continue;
     }
-    if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      jobs = jobs_or_exit("--jobs", argv[i] + 7);
+    if (arg == "-j") {
+      jobs_ = jobs_or_fail("-j", i + 1 < argc ? argv[++i] : "");
       continue;
     }
-    argv[out++] = argv[i];
+    bool taken = false;
+    for (auto& [flag, dest] : paths_) {
+      const char* value = value_of(flag);
+      if (value == nullptr) continue;
+      if (*value == '\0') {
+        fail(std::string(flag) + " expects a path, got \"\"");
+      }
+      dest = value;
+      taken = true;
+      break;
+    }
+    if (taken) continue;
+    if (arg.size() > 1 && arg.front() == '-') {
+      fail("unknown flag \"" + std::string(arg) + "\"");
+    }
+    const std::size_t index = counts_.size();
+    if (index >= positionals.size()) {
+      fail("unexpected argument \"" + std::string(arg) + "\" (takes " +
+           std::to_string(positionals.size()) + " positional argument" +
+           (positionals.size() == 1 ? "" : "s") + ")");
+    }
+    const Positional& positional = positionals.begin()[index];
+    const std::optional<std::uint64_t> value =
+        parse_count_value(argv[i], positional.max);
+    if (!value.has_value()) {
+      fail("positional argument " + std::to_string(index + 1) + " (" +
+           positional.name +
+           ") expects a count (decimal digits only), got \"" +
+           std::string(arg) + "\"");
+    }
+    counts_.push_back(*value);
   }
-  *argc = out;
-  return jobs;
+  for (std::size_t i = counts_.size(); i < positionals.size(); ++i) {
+    counts_.push_back(positionals.begin()[i].fallback);
+  }
+}
+
+const std::string& Cli::path(std::string_view flag) const {
+  static const std::string kNone;
+  for (const auto& [name, value] : paths_) {
+    if (name == flag) return value;
+  }
+  return kNone;
+}
+
+std::string Cli::bench_out(const std::string& bench) const {
+  const std::string& path = this->path(kBenchOut);
+  return path.empty() ? "BENCH_" + bench + ".json" : path;
+}
+
+void write_file(const std::string& path,
+                const std::function<void(std::ostream&)>& body) {
+  std::ofstream out(path);
+  if (out) body(out);
+  out.close();
+  if (!out) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    std::exit(EXIT_FAILURE);
+  }
+}
+
+void write_sweep_files(const Cli& cli, const std::vector<std::string>& labels,
+                       const std::vector<ssd::SsdResults>& results) {
+  if (const std::string& path = cli.path(kTraceOut); !path.empty()) {
+    std::vector<telemetry::Span> spans;
+    std::vector<telemetry::TrackLabel> tracks;
+    std::set<std::pair<std::int32_t, std::int32_t>> threads;
+    for (std::size_t i = 0; i < labels.size(); ++i) {
+      if (results[i].spans.empty()) continue;
+      tracks.push_back({.pid = static_cast<std::int32_t>(i + 1),
+                        .thread = false,
+                        .name = labels[i]});
+      for (const telemetry::Span& span : results[i].spans) {
+        spans.push_back(span);
+        threads.emplace(span.pid, span.tid);
+      }
+    }
+    for (const auto& [pid, tid] : threads) {
+      tracks.push_back({.pid = pid,
+                        .tid = tid,
+                        .thread = true,
+                        .name = tid == telemetry::kHostTrack  ? "host"
+                                : tid == telemetry::kFtlTrack ? "ftl"
+                                : "chip " + std::to_string(tid)});
+    }
+    write_file(path, [&](std::ostream& out) {
+      telemetry::write_chrome_trace(out, spans, tracks);
+    });
+  }
+  if (const std::string& path = cli.path(kMetricsOut); !path.empty()) {
+    write_file(path, [&](std::ostream& out) {
+      telemetry::MetricsSnapshot merged;
+      for (std::size_t i = 0; i < labels.size(); ++i) {
+        if (results[i].metrics.empty()) continue;
+        telemetry::write_metrics_jsonl(out, labels[i], results[i].metrics);
+        // Index-order fold: deterministic whatever --jobs produced them.
+        merged.merge(results[i].metrics);
+      }
+      if (!merged.empty()) {
+        telemetry::write_metrics_jsonl(out, "_merged", merged);
+      }
+    });
+  }
+}
+
+std::vector<ssd::SsdResults> run_cell_sweep(
+    const Cli& cli, const ExperimentHarness& harness,
+    const std::vector<CellSpec>& cells) {
+  std::vector<std::string> labels;
+  for (const CellSpec& cell : cells) labels.push_back(cell_label(cell));
+  return run_sweep(cli, labels,
+                   [&](std::size_t i, telemetry::Telemetry* telemetry) {
+                     return harness.run(cells[i], telemetry);
+                   });
+}
+
+void JsonWriter::open_slot(std::string_view key) {
+  if (stack_.empty()) return;
+  Frame& parent = stack_.back();
+  if (!parent.empty) out_ << ',';
+  parent.empty = false;
+  if (parent.rows) out_ << '\n';
+  if (!key.empty()) out_ << '"' << telemetry::json_escape(key) << "\":";
+}
+
+JsonWriter& JsonWriter::open(std::string_view key, bool array) {
+  open_slot(key);
+  out_ << (array ? '[' : '{');
+  // Row layout: the root's members, and the items of its array members.
+  const bool rows =
+      rows_ && (stack_.empty() || (stack_.size() == 1 && array));
+  stack_.push_back({.array = array, .empty = true, .rows = rows});
+  return *this;
+}
+
+JsonWriter& JsonWriter::end() {
+  const Frame frame = stack_.back();
+  stack_.pop_back();
+  if (frame.rows && !frame.empty) out_ << '\n';
+  out_ << (frame.array ? ']' : '}');
+  if (stack_.empty()) out_ << '\n';
+  return *this;
+}
+
+void write_bench_file(const Cli& cli, const std::string& bench,
+                      std::uint64_t requests_override,
+                      const std::function<void(JsonWriter&)>& body) {
+  const ssd::SsdConfig cfg =
+      ExperimentHarness::drive_config(ssd::Scheme::kLdpcInSsd, 6000);
+  write_file(cli.bench_out(bench), [&](std::ostream& out) {
+    JsonWriter json(out, /*rows=*/true);
+    json.begin_object()
+        .field("bench", bench)
+        .field("git_sha", FLEX_GIT_SHA)
+        .field("jobs", cli.jobs())
+        .begin_object("config")
+        .field("chips", cfg.ftl.spec.chips)
+        .field("blocks_per_chip", cfg.ftl.spec.blocks_per_chip)
+        .field("pages_per_block", cfg.ftl.spec.pages_per_block)
+        .field("page_size_bytes", cfg.ftl.spec.page_size_bytes)
+        .field("over_provisioning", cfg.ftl.over_provisioning)
+        .field("requests_override", requests_override)
+        .end();
+    body(json);
+    json.end();
+  });
+}
+
+std::optional<double> serial_wall(const Cli& cli, double seconds) {
+  if (cli.jobs() != 1) return std::nullopt;
+  return seconds;
+}
+
+void write_bench_json(const Cli& cli, const std::string& bench,
+                      std::uint64_t requests_override,
+                      const std::vector<CellSpec>& cells,
+                      const std::vector<ssd::SsdResults>& results) {
+  write_bench_file(cli, bench, requests_override, [&](JsonWriter& json) {
+    json.begin_array("cells");
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      const CellSpec& cell = cells[i];
+      const ssd::SsdResults& r = results[i];
+      const ssd::ReadBreakdown& b = r.read_breakdown;
+      json.begin_object()
+          .field("workload", trace::workload_name(cell.workload))
+          .field("scheme", ssd::scheme_name(cell.scheme))
+          .field("pe_cycles", cell.pe_cycles)
+          .field("age_model", cell.age_model == ssd::AgeModel::kStaticPerLba
+                                  ? "static"
+                                  : "physical")
+          .field("requests", r.all_response.count())
+          .field("reads", r.read_response.count())
+          .field("writes", r.write_response.count())
+          .field("all_mean_s", r.all_response.mean())
+          .field("read_mean_s", r.read_response.mean())
+          .field("read_p99_s", r.read_latency_hist.quantile(0.99))
+          .field("read_total_s", r.read_response.sum())
+          .field("wall_clock_s", serial_wall(cli, r.wall_seconds));
+      const std::pair<const char*, Duration> parts[] = {
+          {"queue_wait", b.queue_wait},
+          {"sensing", b.sensing},
+          {"transfer", b.transfer},
+          {"decode", b.decode},
+          {"buffer", b.buffer}};
+      json.begin_object("breakdown_s");
+      for (const auto& [name, part] : parts) {
+        json.field(name, to_seconds(part));
+      }
+      json.end().begin_object("breakdown_share");
+      const double total = static_cast<double>(b.total());
+      for (const auto& [name, part] : parts) {
+        json.field(name,
+                   total > 0.0 ? static_cast<double>(part) / total : 0.0);
+      }
+      json.end().end();
+    }
+    json.end();
+  });
+}
+
+void write_bench_json(const Cli& cli, const std::string& bench,
+                      std::uint64_t requests_override,
+                      const std::vector<std::string>& labels,
+                      const std::vector<ssd::SsdResults>& results) {
+  write_bench_file(cli, bench, requests_override, [&](JsonWriter& json) {
+    json.begin_array("runs");
+    for (std::size_t i = 0; i < labels.size(); ++i) {
+      const ssd::SsdResults& r = results[i];
+      json.begin_object()
+          .field("label", labels[i])
+          .field("requests", r.all_response.count())
+          .field("reads", r.read_response.count())
+          .field("writes", r.write_response.count())
+          .field("read_mean_s", r.read_response.mean())
+          .field("read_p99_s", r.read_latency_hist.quantile(0.99))
+          .field("read_p999_s", r.read_latency_hist.quantile(0.999))
+          .field("write_mean_s", r.write_response.mean())
+          .field("admission_rejected", r.admission_rejected)
+          .field("request_slots_high_water", r.qos_request_slots_high_water)
+          .field("pending_high_water", r.qos_pending_high_water)
+          .field("background_deferrals", r.background_deferrals)
+          .field("fairness_overrides", r.fairness_overrides)
+          .field("wall_clock_s", serial_wall(cli, r.wall_seconds))
+          .begin_array("tenants");
+      for (const ssd::TenantStats& ts : r.tenant) {
+        json.begin_object()
+            .field("reads", ts.read_response.count())
+            .field("writes", ts.write_response.count())
+            .field("read_mean_s", ts.read_response.mean())
+            .field("read_p99_s", ts.read_latency_hist.quantile(0.99))
+            .field("read_p999_s", ts.read_latency_hist.quantile(0.999))
+            .field("write_mean_s", ts.write_response.mean())
+            .field("rejected", ts.admission_rejected)
+            .end();
+      }
+      json.end().end();
+    }
+    json.end();
+  });
 }
 
 }  // namespace flex::bench

@@ -16,19 +16,25 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <initializer_list>
 #include <limits>
 #include <memory>
 #include <optional>
+#include <ostream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/count.h"
 #include "reliability/ber_model.h"
 #include "ssd/simulator.h"
 #include "telemetry/export.h"
+#include "telemetry/metrics.h"
+#include "telemetry/telemetry.h"
 #include "trace/workloads.h"
 #include "workload/engine.h"
 
@@ -44,15 +50,6 @@ struct CellSpec {
   ssd::AgeModel age_model = ssd::AgeModel::kStaticPerLba;
   /// 0 = keep the drive default ReducedCell pool size.
   std::uint64_t pool_override_pages = 0;
-  /// Attach a telemetry context for the measured pass (warmup excluded);
-  /// its snapshot lands in SsdResults::metrics. Observation-only: the
-  /// simulated results are bit-identical either way.
-  bool collect_metrics = false;
-  /// Additionally record per-request spans (implies a metrics context);
-  /// they land in SsdResults::spans.
-  bool collect_spans = false;
-  /// Chrome-trace process id for this cell's spans (one track per cell).
-  std::int32_t telemetry_pid = 0;
 };
 
 class ExperimentHarness {
@@ -65,8 +62,9 @@ class ExperimentHarness {
   /// runtime for sweeps; `age_model` selects between the paper's static
   /// per-LBA storage-time axis (its Fig. 6 setting) and physically tracked
   /// per-page ages. Thread-safe: the shared BerModels are immutable and
-  /// every run owns its simulator.
-  ssd::SsdResults run(const CellSpec& cell) const;
+  /// every run owns its simulator. `telemetry` is as for run_with().
+  ssd::SsdResults run(const CellSpec& cell,
+                      telemetry::Telemetry* telemetry = nullptr) const;
 
   /// Runs an arbitrary SsdConfig under the harness methodology (scaled
   /// arrival rate, standing population, preconditioning, a warmup pass on
@@ -161,12 +159,55 @@ std::vector<ssd::SsdResults> run_cells(const ExperimentHarness& harness,
                                        const std::vector<CellSpec>& cells,
                                        int jobs);
 
-/// Extracts `--jobs N` (or `-j N`, `--jobs=N`) from argv, compacting it,
-/// and falls back to the FLEX_BENCH_JOBS environment variable; defaults
-/// to 1. 0 means "one job per hardware thread". A value that
-/// parse_jobs_value() rejects, or a flag with no value, prints a usage
-/// error and exits with status 2.
-int parse_jobs(int* argc, char** argv);
+/// "workload/scheme/peNNNN" identity of a cell (trace process names,
+/// metrics line tags, bench JSON rows).
+std::string cell_label(const CellSpec& cell);
+
+// --- Command line ---------------------------------------------------------
+
+/// The output flags a bench may take, each spelled `--flag PATH` or
+/// `--flag=PATH`.
+inline constexpr std::string_view kTraceOut = "--trace-out";
+inline constexpr std::string_view kMetricsOut = "--metrics-out";
+inline constexpr std::string_view kBenchOut = "--bench-out";
+
+/// One positional count argument: its name in usage errors, the value
+/// when it is absent, and its cap.
+struct Positional {
+  const char* name;
+  std::uint64_t fallback;
+  std::uint64_t max = std::numeric_limits<std::uint64_t>::max();
+};
+
+/// The one bench front end. Every bench takes `--jobs N` (also `-j N` and
+/// `--jobs=N`; the FLEX_BENCH_JOBS environment variable when the flag is
+/// absent; default 1, 0 = one job per hardware thread), the path flags
+/// it names, and up to one count per positional it names. Anything else
+/// (an unknown flag, a surplus positional, a malformed count, a flag
+/// without its value) prints a usage error and exits with status 2.
+/// The flag names are kept as views: pass literals or the k*Out constants.
+class Cli {
+ public:
+  Cli(int argc, const char* const* argv,
+      std::initializer_list<Positional> positionals = {},
+      std::initializer_list<std::string_view> path_flags = {});
+
+  int jobs() const { return jobs_; }
+
+  /// Positional `index` (0-based), or its fallback when absent.
+  std::uint64_t count(std::size_t index) const { return counts_.at(index); }
+
+  /// The value of path flag `flag`; empty when it was not given.
+  const std::string& path(std::string_view flag) const;
+
+  /// Where BENCH_<bench>.json goes: the --bench-out path if given.
+  std::string bench_out(const std::string& bench) const;
+
+ private:
+  int jobs_ = 1;
+  std::vector<std::uint64_t> counts_;
+  std::vector<std::pair<std::string_view, std::string>> paths_;
+};
 
 /// Parses a job count: parse_count_value() capped at INT_MAX.
 std::optional<int> parse_jobs_value(const char* text);
@@ -175,85 +216,149 @@ std::optional<int> parse_jobs_value(const char* text);
 /// (common/count.h).
 using flex::parse_count_value;
 
-/// Positional argument `index` of an argv already compacted by
-/// parse_outputs()/parse_jobs(), as a count; `fallback` when it is absent.
-/// A value parse_count_value() rejects (`--help`, `-5`, `20k`) prints a
-/// usage error naming `name` and exits with status 2, instead of parsing
-/// as 0 and running the default experiment.
-std::uint64_t positional_count(
-    int argc, char** argv, int index, const char* name,
-    std::uint64_t fallback,
-    std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
+// --- Sweeps ---------------------------------------------------------------
 
-/// Telemetry/export destinations for a bench run (empty string = off).
-struct OutputOptions {
-  std::string trace_out;    ///< Chrome trace-event JSON
-  std::string metrics_out;  ///< metrics JSONL (per cell + merged)
-  std::string bench_out;    ///< BENCH_*.json override (benches default it)
+/// Writes the --trace-out and --metrics-out files of one sweep, if asked
+/// for: run i's spans under a process track named labels[i] (Chrome pid
+/// i + 1), and its metrics snapshot tagged labels[i], followed by the
+/// index-order fold of every snapshot tagged "_merged" (the deterministic
+/// merge that must not depend on --jobs).
+void write_sweep_files(const Cli& cli, const std::vector<std::string>& labels,
+                       const std::vector<ssd::SsdResults>& results);
+
+/// Runs `body(i, telemetry)` for every run i of `labels` across
+/// cli.jobs() threads (see run_indexed), then writes the sweep's trace
+/// and metrics files. `telemetry` is null unless --trace-out or
+/// --metrics-out was given; then each run gets its own context, with
+/// Chrome pid i + 1, recording spans iff --trace-out was given.
+/// Telemetry only observes: the results are identical either way.
+template <typename Body>
+std::vector<ssd::SsdResults> run_sweep(const Cli& cli,
+                                       const std::vector<std::string>& labels,
+                                       const Body& body) {
+  const bool trace = !cli.path(kTraceOut).empty();
+  const bool collect = trace || !cli.path(kMetricsOut).empty();
+  auto results = run_indexed(
+      labels.size(),
+      [&](std::size_t i) -> ssd::SsdResults {
+        if (!collect) return body(i, nullptr);
+        telemetry::Telemetry telemetry;
+        telemetry.pid = static_cast<std::int32_t>(i + 1);
+        telemetry.trace = trace;
+        return body(i, &telemetry);
+      },
+      cli.jobs());
+  write_sweep_files(cli, labels, results);
+  return results;
+}
+
+/// run_sweep() over `cells`, each run labelled by cell_label().
+std::vector<ssd::SsdResults> run_cell_sweep(const Cli& cli,
+                                            const ExperimentHarness& harness,
+                                            const std::vector<CellSpec>& cells);
+
+// --- Artifacts ------------------------------------------------------------
+
+/// Writes `path` through `body`. A file that cannot be opened or written
+/// prints "cannot write PATH" and exits with status 1.
+void write_file(const std::string& path,
+                const std::function<void(std::ostream&)>& body);
+
+/// A streaming JSON emitter: objects, arrays and fields, with strings
+/// escaped by telemetry::json_escape and doubles printed by
+/// telemetry::format_double (shortest round-trip form).
+class JsonWriter {
+ public:
+  /// `rows` puts each member of the root object, and each item of an
+  /// array member of the root, on its own line (the BENCH_*.json layout);
+  /// otherwise the document is one line (a JSONL record). Either way it
+  /// ends with a newline.
+  JsonWriter(std::ostream& out, bool rows) : out_(out), rows_(rows) {}
+
+  /// Opens an object or array: the root or an array item when `key` is
+  /// empty, else a member of the enclosing object.
+  JsonWriter& begin_object(std::string_view key = {}) {
+    return open(key, false);
+  }
+  JsonWriter& begin_array(std::string_view key = {}) {
+    return open(key, true);
+  }
+  /// Closes the innermost open object or array.
+  JsonWriter& end();
+
+  /// One member: a string, bool, integer, double or optional double
+  /// (std::nullopt prints null).
+  template <typename T>
+  JsonWriter& field(std::string_view key, const T& value) {
+    open_slot(key);
+    write_value(value);
+    return *this;
+  }
+  /// One array item.
+  template <typename T>
+  JsonWriter& item(const T& value) {
+    return field({}, value);
+  }
+
+ private:
+  struct Frame {
+    bool array = false;
+    bool empty = true;
+    bool rows = false;  ///< children each on their own line
+  };
+  void open_slot(std::string_view key);
+  JsonWriter& open(std::string_view key, bool array);
+
+  template <typename T>
+  void write_value(const T& value) {
+    if constexpr (std::is_same_v<T, bool>) {
+      out_ << (value ? "true" : "false");
+    } else if constexpr (std::is_integral_v<T>) {
+      out_ << value;
+    } else if constexpr (std::is_floating_point_v<T>) {
+      out_ << telemetry::format_double(value);
+    } else if constexpr (std::is_same_v<T, std::optional<double>>) {
+      if (value.has_value()) {
+        write_value(*value);
+      } else {
+        out_ << "null";
+      }
+    } else {
+      out_ << '"' << telemetry::json_escape(value) << '"';
+    }
+  }
+
+  std::ostream& out_;
+  bool rows_;
+  std::vector<Frame> stack_;
 };
 
-/// A `--flag PATH` option (also spelled `--flag=PATH`) and the string
-/// its value lands in.
-struct PathFlag {
-  const char* flag;
-  std::string* dest;
-};
+/// Writes BENCH_<bench>.json (or the --bench-out path): the preamble every
+/// artifact shares (bench, git SHA, job count and the scaled drive's
+/// config with `requests_override`), then `body`'s members.
+void write_bench_file(const Cli& cli, const std::string& bench,
+                      std::uint64_t requests_override,
+                      const std::function<void(JsonWriter&)>& body);
 
-/// Extracts every flag of `flags` from argv, compacting it. A flag with
-/// no value (the last argument, or `--flag=`) prints a usage error and
-/// exits with status 2, like a `--jobs` with none, instead of silently
-/// writing no file.
-void parse_path_flags(int* argc, char** argv,
-                      std::initializer_list<PathFlag> flags);
+/// A run's wall-clock seconds for an artifact: only a --jobs 1 wall is
+/// recorded (null otherwise), since parallel runs share the CPU.
+std::optional<double> serial_wall(const Cli& cli, double seconds);
 
-/// Extracts `--trace-out PATH`, `--metrics-out PATH` and `--bench-out
-/// PATH` with parse_path_flags().
-OutputOptions parse_outputs(int* argc, char** argv);
-
-/// "workload/scheme/peNNNN" identity of a cell (trace process names,
-/// metrics line tags, bench JSON rows).
-std::string cell_label(const CellSpec& cell);
-
-/// Label + Chrome process id of one telemetry-collecting run, for benches
-/// whose variants are not CellSpecs (custom-config ablations).
-struct RunLabel {
-  std::string label;
-  std::int32_t pid = 0;
-};
-
-/// Writes one Chrome trace-event file combining every run's spans, one
-/// process track per run.
-void write_trace_file(const std::string& path,
-                      const std::vector<RunLabel>& runs,
-                      const std::vector<ssd::SsdResults>& results);
-void write_trace_file(const std::string& path,
+/// The BENCH_<bench>.json of a CellSpec sweep: per-cell mean/p99/latency-
+/// breakdown rows (plus read/write request counts and host wall-clock)
+/// under "cells".
+void write_bench_json(const Cli& cli, const std::string& bench,
+                      std::uint64_t requests_override,
                       const std::vector<CellSpec>& cells,
                       const std::vector<ssd::SsdResults>& results);
 
-/// Writes metrics JSONL: every run's snapshot tagged with its label (in
-/// index order), then the fold of all snapshots tagged "_merged" — the
-/// deterministic-merge artifact that must not depend on --jobs.
-void write_metrics_file(const std::string& path,
-                        const std::vector<RunLabel>& runs,
-                        const std::vector<ssd::SsdResults>& results);
-void write_metrics_file(const std::string& path,
-                        const std::vector<CellSpec>& cells,
-                        const std::vector<ssd::SsdResults>& results);
-
-/// Writes the machine-readable BENCH_<name>.json summary: git SHA, drive
-/// config, and per-cell mean/p99/latency-breakdown rows (plus read/write
-/// request counts and host wall-clock per cell).
-void write_bench_json(const std::string& path, const std::string& bench,
-                      std::uint64_t requests_override, int jobs,
-                      const std::vector<CellSpec>& cells,
-                      const std::vector<ssd::SsdResults>& results);
-
-/// RunLabel-keyed variant for benches whose rows are not CellSpecs (the
-/// QoS ablation): per-run latency/QoS-gauge rows, each with a "tenants"
-/// array carrying per-tenant mean/p99/p999 and admission rejections.
-void write_bench_json(const std::string& path, const std::string& bench,
-                      std::uint64_t requests_override, int jobs,
-                      const std::vector<RunLabel>& runs,
+/// The BENCH_<bench>.json of a labelled sweep (the QoS and read-threshold
+/// ablations): per-run latency/QoS-gauge rows under "runs", each with a
+/// "tenants" array carrying per-tenant mean/p99/p999 and admission
+/// rejections.
+void write_bench_json(const Cli& cli, const std::string& bench,
+                      std::uint64_t requests_override,
+                      const std::vector<std::string>& labels,
                       const std::vector<ssd::SsdResults>& results);
 
 }  // namespace flex::bench

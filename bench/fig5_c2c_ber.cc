@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "common/rng.h"
 #include "common/table.h"
 #include "flexlevel/nunma.h"
@@ -13,7 +14,9 @@
 #include "nand/level_config.h"
 #include "reliability/ber_engine.h"
 
-int main() {
+int main(int argc, char** argv) {
+  // No arguments: a usage error for anything but the shared --jobs.
+  const flex::bench::Cli cli(argc, argv);
   using flex::TablePrinter;
 
   std::printf("=== Table 3: NUNMA configurations under test ===\n\n");

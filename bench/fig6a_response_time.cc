@@ -15,7 +15,7 @@
 // spans of the primary table's measured window (Chrome trace-event
 // format); `--metrics-out m.jsonl` dumps its metrics snapshots. Both are
 // observation-only: stdout is byte-identical with or without them. A
-// machine-readable summary always lands in BENCH_fig6a.json
+// machine-readable summary of both tables always lands in BENCH_fig6a.json
 // (`--bench-out` overrides the path).
 #include <cstdio>
 #include <string>
@@ -28,23 +28,18 @@
 namespace {
 
 std::vector<flex::bench::CellSpec> make_cells(
-    flex::ssd::AgeModel age_model, std::uint64_t requests,
-    const flex::bench::OutputOptions& outputs) {
+    flex::ssd::AgeModel age_model, std::uint64_t requests) {
   const std::vector<flex::ssd::Scheme> schemes = {
       flex::ssd::Scheme::kBaseline, flex::ssd::Scheme::kLdpcInSsd,
       flex::ssd::Scheme::kLevelAdjustOnly, flex::ssd::Scheme::kFlexLevel};
   std::vector<flex::bench::CellSpec> cells;
   for (const auto workload : flex::trace::kAllWorkloads) {
     for (const auto scheme : schemes) {
-      cells.push_back(
-          {.workload = workload,
-           .scheme = scheme,
-           .pe_cycles = 6000,
-           .requests_override = requests,
-           .age_model = age_model,
-           .collect_metrics = !outputs.metrics_out.empty(),
-           .collect_spans = !outputs.trace_out.empty(),
-           .telemetry_pid = static_cast<std::int32_t>(cells.size() + 1)});
+      cells.push_back({.workload = workload,
+                       .scheme = scheme,
+                       .pe_cycles = 6000,
+                       .requests_override = requests,
+                       .age_model = age_model});
     }
   }
   return cells;
@@ -92,12 +87,12 @@ void print_table(const std::vector<flex::ssd::SsdResults>& results) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const flex::bench::OutputOptions outputs =
-      flex::bench::parse_outputs(&argc, argv);
-  const int jobs = flex::bench::parse_jobs(&argc, argv);
   // Optional request-count override for quick runs.
-  const std::uint64_t requests =
-      flex::bench::positional_count(argc, argv, 1, "requests", 0);
+  const flex::bench::Cli cli(
+      argc, argv, {{"requests", 0}},
+      {flex::bench::kTraceOut, flex::bench::kMetricsOut,
+       flex::bench::kBenchOut});
+  const std::uint64_t requests = cli.count(0);
 
   {
     const flex::nand::NandSpec spec;
@@ -116,25 +111,21 @@ int main(int argc, char** argv) {
   std::printf("=== Fig. 6(a): normalized overall response time, P/E 6000 "
               "(paper's static storage-time axis, 1 day .. 1 month) ===\n\n");
   // Telemetry (if requested) covers the primary, paper-setting table.
-  const auto cells =
-      make_cells(flex::ssd::AgeModel::kStaticPerLba, requests, outputs);
-  const auto results = flex::bench::run_cells(harness, cells, jobs);
+  auto cells = make_cells(flex::ssd::AgeModel::kStaticPerLba, requests);
+  auto results = flex::bench::run_cell_sweep(cli, harness, cells);
   print_table(results);
 
   std::printf("=== Extension: same experiment with physically tracked "
               "per-page ages (rewritten data is fresh) ===\n\n");
-  const auto physical_cells = make_cells(flex::ssd::AgeModel::kPhysical,
-                                         requests, flex::bench::OutputOptions{});
-  print_table(flex::bench::run_cells(harness, physical_cells, jobs));
+  const auto physical_cells =
+      make_cells(flex::ssd::AgeModel::kPhysical, requests);
+  const auto physical =
+      flex::bench::run_cells(harness, physical_cells, cli.jobs());
+  print_table(physical);
 
-  if (!outputs.trace_out.empty()) {
-    flex::bench::write_trace_file(outputs.trace_out, cells, results);
-  }
-  if (!outputs.metrics_out.empty()) {
-    flex::bench::write_metrics_file(outputs.metrics_out, cells, results);
-  }
-  flex::bench::write_bench_json(
-      outputs.bench_out.empty() ? "BENCH_fig6a.json" : outputs.bench_out,
-      "fig6a", requests, jobs, cells, results);
+  // BENCH_fig6a.json records both tables; age_model tells them apart.
+  cells.insert(cells.end(), physical_cells.begin(), physical_cells.end());
+  results.insert(results.end(), physical.begin(), physical.end());
+  flex::bench::write_bench_json(cli, "fig6a", requests, cells, results);
   return 0;
 }

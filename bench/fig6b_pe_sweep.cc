@@ -17,11 +17,11 @@
 
 int main(int argc, char** argv) {
   using flex::TablePrinter;
-  const flex::bench::OutputOptions outputs =
-      flex::bench::parse_outputs(&argc, argv);
-  const int jobs = flex::bench::parse_jobs(&argc, argv);
-  const std::uint64_t requests =
-      flex::bench::positional_count(argc, argv, 1, "requests", 0);
+  const flex::bench::Cli cli(
+      argc, argv, {{"requests", 0}},
+      {flex::bench::kTraceOut, flex::bench::kMetricsOut,
+       flex::bench::kBenchOut});
+  const std::uint64_t requests = cli.count(0);
 
   std::printf("=== Fig. 6(b): response time vs LDPC-in-SSD across P/E ===\n\n");
   flex::bench::ExperimentHarness harness;
@@ -38,18 +38,14 @@ int main(int argc, char** argv) {
     for (const auto workload : flex::trace::kAllWorkloads) {
       for (const auto scheme : {flex::ssd::Scheme::kLdpcInSsd,
                                 flex::ssd::Scheme::kFlexLevel}) {
-        cells.push_back(
-            {.workload = workload,
-             .scheme = scheme,
-             .pe_cycles = point.pe,
-             .requests_override = requests,
-             .collect_metrics = !outputs.metrics_out.empty(),
-             .collect_spans = !outputs.trace_out.empty(),
-             .telemetry_pid = static_cast<std::int32_t>(cells.size() + 1)});
+        cells.push_back({.workload = workload,
+                         .scheme = scheme,
+                         .pe_cycles = point.pe,
+                         .requests_override = requests});
       }
     }
   }
-  const auto results = flex::bench::run_cells(harness, cells, jobs);
+  const auto results = flex::bench::run_cell_sweep(cli, harness, cells);
 
   TablePrinter table(
       {"P/E", "workload-avg normalized response", "reduction", "paper"});
@@ -71,14 +67,6 @@ int main(int argc, char** argv) {
   std::printf("Paper shape: the FlexLevel advantage must widen as P/E "
               "grows.\n");
 
-  if (!outputs.trace_out.empty()) {
-    flex::bench::write_trace_file(outputs.trace_out, cells, results);
-  }
-  if (!outputs.metrics_out.empty()) {
-    flex::bench::write_metrics_file(outputs.metrics_out, cells, results);
-  }
-  flex::bench::write_bench_json(
-      outputs.bench_out.empty() ? "BENCH_fig6b.json" : outputs.bench_out,
-      "fig6b", requests, jobs, cells, results);
+  flex::bench::write_bench_json(cli, "fig6b", requests, cells, results);
   return 0;
 }

@@ -15,11 +15,10 @@
 
 int main(int argc, char** argv) {
   using flex::TablePrinter;
-  const flex::bench::OutputOptions outputs =
-      flex::bench::parse_outputs(&argc, argv);
-  const int jobs = flex::bench::parse_jobs(&argc, argv);
-  const std::uint64_t requests =
-      flex::bench::positional_count(argc, argv, 1, "requests", 0);
+  const flex::bench::Cli cli(
+      argc, argv, {{"requests", 0}},
+      {flex::bench::kTraceOut, flex::bench::kMetricsOut});
+  const std::uint64_t requests = cli.count(0);
 
   std::printf("=== Fig. 7: endurance impact at P/E 6000 ===\n\n");
   flex::bench::ExperimentHarness harness;
@@ -31,14 +30,10 @@ int main(int argc, char** argv) {
       cells.push_back({.workload = workload,
                        .scheme = scheme,
                        .pe_cycles = 6000,
-                       .requests_override = requests,
-                       .collect_metrics = !outputs.metrics_out.empty(),
-                       .collect_spans = !outputs.trace_out.empty(),
-                       .telemetry_pid =
-                           static_cast<std::int32_t>(cells.size() + 1)});
+                       .requests_override = requests});
     }
   }
-  const auto results = flex::bench::run_cells(harness, cells, jobs);
+  const auto results = flex::bench::run_cell_sweep(cli, harness, cells);
 
   TablePrinter table({"workload", "write increase", "erase increase",
                       "lifetime"});
@@ -82,12 +77,5 @@ int main(int argc, char** argv) {
               TablePrinter::percent(life_sum / count).c_str());
   std::printf("\n(LDPC-in-SSD itself adds no writes or erases — the deltas "
               "come from AccessEval's pool migrations.)\n");
-
-  if (!outputs.trace_out.empty()) {
-    flex::bench::write_trace_file(outputs.trace_out, cells, results);
-  }
-  if (!outputs.metrics_out.empty()) {
-    flex::bench::write_metrics_file(outputs.metrics_out, cells, results);
-  }
   return 0;
 }

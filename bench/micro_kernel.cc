@@ -40,10 +40,6 @@ FLEX_DEFINE_COUNTING_ALLOCATOR()
 
 namespace {
 
-#ifndef FLEX_GIT_SHA
-#define FLEX_GIT_SHA "unknown"
-#endif
-
 /// Makes one allocation the compiler cannot elide (a direct call to the
 /// replaceable operator new, its result published through a volatile) and
 /// reports whether the counting allocator observed it. counting_enabled()
@@ -131,40 +127,19 @@ SsdNumbers bench_ssd(const flex::bench::ExperimentHarness& harness,
   return out;
 }
 
-void write_json(const std::string& path, const KernelNumbers& kernel,
-                const SsdNumbers& ssd) {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (!file) {
-    std::fprintf(stderr, "micro_kernel: cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(file,
-               "{\n"
-               "\"bench\":\"micro_kernel\",\n"
-               "\"git_sha\":\"%s\",\n"
-               "\"kernel\":{\"events\":%" PRIu64
-               ",\"events_per_sec\":%.1f,"
-               "\"allocations_per_event\":%.6f,\"lane_capacity\":%zu},\n"
-               "\"ssd\":{\"workload\":\"fin-2\","
-               "\"scheme\":\"LevelAdjust+AccessEval\",\"requests\":%" PRIu64
-               ",\"requests_per_sec\":%.1f}\n"
-               "}\n",
-               FLEX_GIT_SHA, kernel.events, kernel.events_per_sec,
-               kernel.allocations_per_event, kernel.lane_capacity, ssd.requests,
-               ssd.requests_per_sec);
-  std::fclose(file);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  flex::bench::OutputOptions outputs = flex::bench::parse_outputs(&argc, argv);
-  flex::bench::parse_jobs(&argc, argv);  // accepted for CLI uniformity
-  // Positional overrides: [arrivals-per-round [rounds]].
-  const std::uint64_t arrivals =
-      flex::bench::positional_count(argc, argv, 1, "arrivals", 200000);
-  const int rounds = static_cast<int>(flex::bench::positional_count(
-      argc, argv, 2, "rounds", 5, std::numeric_limits<int>::max()));
+  // Positional overrides: [arrivals-per-round [rounds]]. --jobs is
+  // accepted like everywhere else; both measurements are single-threaded.
+  const flex::bench::Cli cli(
+      argc, argv,
+      {{"arrivals", 200000},
+       {"rounds", 5, static_cast<std::uint64_t>(
+                         std::numeric_limits<int>::max())}},
+      {flex::bench::kBenchOut});
+  const std::uint64_t arrivals = cli.count(0);
+  const int rounds = static_cast<int>(cli.count(1));
 
   const bool counting = counting_allocator_live();
   std::printf("micro_kernel: hot-path throughput "
@@ -187,14 +162,27 @@ int main(int argc, char** argv) {
               kernel.allocations_per_event);
 
   const flex::bench::ExperimentHarness harness;
-  const SsdNumbers ssd = bench_ssd(harness, /*requests_override=*/20000);
+  constexpr std::uint64_t kSsdRequests = 20000;
+  const SsdNumbers ssd = bench_ssd(harness, kSsdRequests);
   std::printf("end-to-end   : %.0f requests/sec  (fin-2, "
               "LevelAdjust+AccessEval, %" PRIu64 " requests)\n",
               ssd.requests_per_sec, ssd.requests);
 
-  const std::string out_path =
-      outputs.bench_out.empty() ? "BENCH_micro_kernel.json" : outputs.bench_out;
-  write_json(out_path, kernel, ssd);
+  flex::bench::write_bench_file(
+      cli, "micro_kernel", kSsdRequests, [&](flex::bench::JsonWriter& json) {
+        json.begin_object("kernel")
+            .field("events", kernel.events)
+            .field("events_per_sec", kernel.events_per_sec)
+            .field("allocations_per_event", kernel.allocations_per_event)
+            .field("lane_capacity", kernel.lane_capacity)
+            .end()
+            .begin_object("ssd")
+            .field("workload", "fin-2")
+            .field("scheme", "LevelAdjust+AccessEval")
+            .field("requests", ssd.requests)
+            .field("requests_per_sec", ssd.requests_per_sec)
+            .end();
+      });
 
   // The memory contract is part of the bench's pass criterion: a nonzero
   // steady-state allocation rate is a regression even if throughput holds.

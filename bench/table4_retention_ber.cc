@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "common/rng.h"
 #include "common/table.h"
 #include "flexlevel/nunma.h"
@@ -49,7 +50,9 @@ const std::map<std::string, std::map<int, std::vector<double>>> kPaper = {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  // No arguments: a usage error for anything but the shared --jobs.
+  const flex::bench::Cli cli(argc, argv);
   std::printf("=== Table 4: retention-time BER (measured vs paper) ===\n\n");
 
   flex::Rng rng(0x7AB4);

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "common/rng.h"
 #include "common/table.h"
 #include "nand/level_config.h"
@@ -13,7 +14,9 @@
 #include "reliability/sensing_solver.h"
 #include "reliability/uber.h"
 
-int main() {
+int main(int argc, char** argv) {
+  // No arguments: a usage error for anything but the shared --jobs.
+  const flex::bench::Cli cli(argc, argv);
   using flex::TablePrinter;
 
   // Paper Table 5 for comparison, rows P/E 3000..6000,

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -104,7 +107,8 @@ class ParallelHarnessTest : public ::testing::Test {
 
   /// One independent small-drive simulation per index, scheme varying
   /// with the index — the per-cell work the bench harness fans out.
-  static ssd::SsdResults run_cell(std::size_t index) {
+  static ssd::SsdResults run_cell(std::size_t index,
+                                  telemetry::Telemetry* telemetry = nullptr) {
     static const ssd::Scheme schemes[] = {
         ssd::Scheme::kBaseline, ssd::Scheme::kLdpcInSsd,
         ssd::Scheme::kLevelAdjustOnly, ssd::Scheme::kFlexLevel};
@@ -121,6 +125,7 @@ class ParallelHarnessTest : public ::testing::Test {
     auto sim = test::build_simulator(small_config(schemes[index % 4]), *normal_,
                                      *reduced_);
     sim->prefill(4000);
+    if (telemetry) sim->attach_telemetry(telemetry);
     return sim->run(trace);
   }
 
@@ -138,13 +143,81 @@ TEST_F(ParallelHarnessTest, SameSeedSameTraceIsByteIdentical) {
 }
 
 TEST_F(ParallelHarnessTest, SerialAndJobs8AreIdentical) {
-  const auto serial = run_indexed(8, &ParallelHarnessTest::run_cell, 1);
-  const auto parallel = run_indexed(8, &ParallelHarnessTest::run_cell, 8);
+  const auto cell = [](std::size_t i) { return run_cell(i); };
+  const auto serial = run_indexed(8, cell, 1);
+  const auto parallel = run_indexed(8, cell, 8);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     SCOPED_TRACE(i);
     expect_identical(serial[i], parallel[i]);
   }
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// A Cli for `--jobs <jobs>`, plus the two exporters when `dir` is given.
+Cli sweep_cli(int jobs, const std::string& dir = "") {
+  std::vector<std::string> args = {"sweep", "--jobs", std::to_string(jobs)};
+  if (!dir.empty()) {
+    args.insert(args.end(), {"--trace-out", dir + "trace.json",
+                             "--metrics-out", dir + "metrics.jsonl"});
+  }
+  std::vector<const char*> argv;
+  for (const std::string& arg : args) argv.push_back(arg.c_str());
+  return Cli(static_cast<int>(argv.size()), argv.data(), {},
+             {kTraceOut, kMetricsOut});
+}
+
+TEST_F(ParallelHarnessTest, SweepRunnerFilesIdenticalAcrossJobs1And8) {
+  const std::vector<std::string> labels = {
+      "par/baseline", "par/ldpc", "par/level-adjust", "par/flexlevel",
+      "par/baseline-2", "par/ldpc-2", "par/level-adjust-2", "par/flexlevel-2"};
+  const auto body = [](std::size_t i, telemetry::Telemetry* telemetry) {
+    return run_cell(i, telemetry);
+  };
+  // Exporters off: no telemetry, and the runner matches a plain fan-out.
+  const auto plain = run_sweep(sweep_cli(8), labels,
+                               [&](std::size_t i, telemetry::Telemetry* t) {
+                                 EXPECT_EQ(t, nullptr);
+                                 return body(i, t);
+                               });
+  ASSERT_EQ(plain.size(), labels.size());
+  std::string trace[2];
+  std::string metrics[2];
+  for (const int jobs : {1, 8}) {
+    SCOPED_TRACE(jobs);
+    const std::string dir =
+        ::testing::TempDir() + "sweep_jobs" + std::to_string(jobs) + "_";
+    const auto traced = run_sweep(sweep_cli(jobs, dir), labels, body);
+    // Exporters on: telemetry only observes.
+    for (std::size_t i = 0; i < labels.size(); ++i) {
+      SCOPED_TRACE(i);
+      expect_identical(plain[i], traced[i]);
+      EXPECT_FALSE(traced[i].spans.empty());
+      EXPECT_FALSE(traced[i].metrics.empty());
+    }
+    trace[jobs == 8] = read_file(dir + "trace.json");
+    metrics[jobs == 8] = read_file(dir + "metrics.jsonl");
+  }
+  ASSERT_FALSE(trace[0].empty());
+  ASSERT_FALSE(metrics[0].empty());
+  EXPECT_EQ(trace[0], trace[1]);
+  EXPECT_EQ(metrics[0], metrics[1]);
+  // Run i is process i + 1 named labels[i], and tags its metrics lines.
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    EXPECT_NE(trace[0].find("\"pid\":" + std::to_string(i + 1) +
+                            ",\"name\":\"process_name\",\"args\":{"
+                            "\"name\":\"" + labels[i] + "\"}"),
+              std::string::npos)
+        << labels[i];
+    EXPECT_NE(metrics[0].find("\"cell\":\"" + labels[i] + "\""),
+              std::string::npos)
+        << labels[i];
+  }
+  EXPECT_NE(metrics[0].find("\"cell\":\"_merged\""), std::string::npos);
 }
 
 TEST(ExperimentHarnessParallel, CellsSerialVsJobs8Identical) {

@@ -23,13 +23,10 @@ std::vector<CellSpec> fig6a_cells(std::uint64_t requests) {
   std::vector<CellSpec> cells;
   for (const auto workload : trace::kAllWorkloads) {
     for (const auto scheme : schemes) {
-      cells.push_back(
-          {.workload = workload,
-           .scheme = scheme,
-           .pe_cycles = 6000,
-           .requests_override = requests,
-           .collect_metrics = true,
-           .telemetry_pid = static_cast<std::int32_t>(cells.size() + 1)});
+      cells.push_back({.workload = workload,
+                       .scheme = scheme,
+                       .pe_cycles = 6000,
+                       .requests_override = requests});
     }
   }
   return cells;
@@ -38,8 +35,19 @@ std::vector<CellSpec> fig6a_cells(std::uint64_t requests) {
 TEST(TelemetryDeterminismTest, Fig6aSnapshotsIdenticalAcrossJobs1And8) {
   ExperimentHarness harness;
   const auto cells = fig6a_cells(20'000);
-  const auto serial = run_cells(harness, cells, 1);
-  const auto parallel = run_cells(harness, cells, 8);
+  // Each cell gets its own metrics context, as run_sweep() gives it.
+  const auto run = [&](int jobs) {
+    return run_indexed(
+        cells.size(),
+        [&](std::size_t i) {
+          telemetry::Telemetry telemetry;
+          telemetry.pid = static_cast<std::int32_t>(i + 1);
+          return harness.run(cells[i], &telemetry);
+        },
+        jobs);
+  };
+  const auto serial = run(1);
+  const auto parallel = run(8);
   ASSERT_EQ(serial.size(), cells.size());
   ASSERT_EQ(parallel.size(), cells.size());
   telemetry::MetricsSnapshot merged_serial;
