@@ -3,13 +3,17 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <memory>
 #include <optional>
 #include <set>
 #include <string>
+#include <system_error>
 #include <utility>
+
+#include <unistd.h>
 
 #include "common/rng.h"
 #include "flexlevel/nunma.h"
@@ -29,6 +33,17 @@ const flexlevel::ReduceCodeMapper kReduce;
 reliability::BerEngine::Config c2c_mc() {
   // Large enough to resolve the (rare) reduced-state C2C errors.
   return {.wordlines = 64, .bitlines = 512, .rounds = 4, .coupling = {}};
+}
+
+/// Whether a file could be created at `path`: its directory exists and is
+/// writable, and `path` itself is not a directory.
+bool writable_path(const std::string& path) {
+  namespace fs = std::filesystem;
+  std::error_code ec;
+  if (fs::is_directory(path, ec)) return false;
+  const fs::path parent = fs::path(path).parent_path();
+  const std::string dir = parent.empty() ? "." : parent.string();
+  return fs::is_directory(dir, ec) && ::access(dir.c_str(), W_OK | X_OK) == 0;
 }
 
 }  // namespace
@@ -262,6 +277,17 @@ Cli::Cli(int argc, const char* const* argv,
   }
   for (std::size_t i = counts_.size(); i < positionals.size(); ++i) {
     counts_.push_back(positionals.begin()[i].fallback);
+  }
+  // An output that cannot be written fails here, before any cell runs,
+  // with the message write_file() would print after the sweep. Without
+  // --bench-out, BENCH_<name>.json goes into the current directory.
+  for (const auto& [flag, path] : paths_) {
+    const std::string target =
+        path.empty() && flag == kBenchOut ? "BENCH_*.json" : path;
+    if (!target.empty() && !writable_path(target)) {
+      std::fprintf(stderr, "cannot write %s\n", target.c_str());
+      std::exit(EXIT_FAILURE);
+    }
   }
 }
 

@@ -184,7 +184,11 @@ struct Positional {
 /// absent; default 1, 0 = one job per hardware thread), the path flags
 /// it names, and up to one count per positional it names. Anything else
 /// (an unknown flag, a surplus positional, a malformed count, a flag
-/// without its value) prints a usage error and exits with status 2.
+/// without its value) prints a usage error and exits with status 2. A
+/// path flag whose directory is missing or not writable (and, for a bench
+/// taking --bench-out without it, a current directory that is not
+/// writable) prints "cannot write PATH" and exits with status 1 before
+/// the bench runs anything.
 /// The flag names are kept as views: pass literals or the k*Out constants.
 class Cli {
  public:

@@ -56,6 +56,14 @@ void BM_LdpcDecode(benchmark::State& state) {
   state.counters["minsum_iters"] = benchmark::Counter(
       static_cast<double>(iterations_total),
       benchmark::Counter::kAvgIterations);
+  // Check-to-variable edge updates per second (min-sum iterations x edges):
+  // the kernel's speed, comparable across BER points whatever their
+  // iteration counts.
+  const auto edges = static_cast<double>(paper_code().base_entries().size()) *
+                     paper_code().z();
+  state.counters["edge_updates_per_s"] = benchmark::Counter(
+      static_cast<double>(iterations_total) * edges,
+      benchmark::Counter::kIsRate);
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           paper_code().k() / 8);
 }

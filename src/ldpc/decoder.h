@@ -4,6 +4,14 @@
 // in channel.h — so the same code path handles hard-decision input
 // (two-level LLRs) and any number of extra soft-sensing levels, exactly the
 // knob the paper's latency analysis turns.
+//
+// The kernel works on the code's quasi-cyclic structure rather than on the
+// expanded parity-check rows. A layer is one base row: its Z check rows
+// meet each of its circulants once, and a circulant is a permutation, so
+// the layer's rows touch disjoint variables. Updating them together, one
+// Z-wide circulant block at a time and four lanes per vector operation,
+// therefore produces exactly the floats a row-by-row walk would (same
+// operations per row, same edge order, same first-minimum edge).
 #pragma once
 
 #include <cstdint>
@@ -41,11 +49,14 @@ class Decoder {
     Algorithm algorithm = Algorithm::kMinSum;
   };
 
+  /// The code's circulant size must be a multiple of 4 (the kernel's
+  /// vector width).
   explicit Decoder(const QcLdpcCode& code);
   Decoder(const QcLdpcCode& code, Options options);
 
   /// Decodes from channel LLRs (positive = bit 0 more likely). Size must be
-  /// n(). Deterministic; reusable across calls (scratch is recycled).
+  /// n(). Deterministic; allocates its working arrays per call, so one
+  /// decoder may serve concurrent callers.
   DecodeResult decode(std::span<const float> llr) const;
 
   const QcLdpcCode& code() const { return code_; }
@@ -53,9 +64,9 @@ class Decoder {
  private:
   const QcLdpcCode& code_;
   Options options_;
-  // Flattened CSR over check rows.
-  std::vector<std::int32_t> row_offsets_;
-  std::vector<std::int32_t> col_index_;
+  /// base_entries() index where each layer (base row) starts, plus the end.
+  std::vector<std::size_t> layer_begin_;
+  std::size_t max_layer_degree_ = 0;
 };
 
 }  // namespace flex::ldpc

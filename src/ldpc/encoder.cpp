@@ -6,18 +6,6 @@ namespace flex::ldpc {
 
 Encoder::Encoder(const QcLdpcCode& code) : code_(code) {}
 
-void Encoder::accumulate_rotated(std::span<const std::uint8_t> block,
-                                 int shift,
-                                 std::span<std::uint8_t> acc) const {
-  const int z = code_.z();
-  // Circulant P^s maps bit position (i + s) mod Z of the variable block into
-  // check row i, matching the expansion rule in QcLdpcCode::expand.
-  for (int i = 0; i < z; ++i) {
-    acc[static_cast<std::size_t>(i)] ^=
-        block[static_cast<std::size_t>((i + shift) % z)];
-  }
-}
-
 std::vector<std::uint8_t> Encoder::encode(
     std::span<const std::uint8_t> message) const {
   FLEX_EXPECTS(static_cast<int>(message.size()) == code_.k());
@@ -34,9 +22,10 @@ std::vector<std::uint8_t> Encoder::encode(
     for (int c = 0; c < kb; ++c) {
       const int s = code_.shift_at(r, c);
       if (s < 0) continue;
-      accumulate_rotated(message.subspan(static_cast<std::size_t>(c * z),
-                                         static_cast<std::size_t>(z)),
-                         s, u[static_cast<std::size_t>(r)]);
+      code_.accumulate_circulant(
+          message.subspan(static_cast<std::size_t>(c * z),
+                          static_cast<std::size_t>(z)),
+          s, u[static_cast<std::size_t>(r)]);
     }
   }
 
@@ -64,7 +53,7 @@ std::vector<std::uint8_t> Encoder::encode(
     std::vector<std::uint8_t> next = u[static_cast<std::size_t>(r)];
     const int s0 = code_.shift_at(r, first_parity);
     if (s0 >= 0) {
-      accumulate_rotated(p0, s0, next);
+      code_.accumulate_circulant(p0, s0, next);
     }
     if (r >= 1) {
       for (int i = 0; i < z; ++i) {

@@ -18,10 +18,6 @@ class Encoder {
   std::vector<std::uint8_t> encode(std::span<const std::uint8_t> message) const;
 
  private:
-  // Accumulates circulant-rotated `block` (Z bits) into `acc`.
-  void accumulate_rotated(std::span<const std::uint8_t> block, int shift,
-                          std::span<std::uint8_t> acc) const;
-
   const QcLdpcCode& code_;
 };
 

@@ -1,6 +1,7 @@
 #include "ldpc/qc_code.h"
 
 #include <algorithm>
+#include <cstring>
 #include <numeric>
 
 #include "common/assert.h"
@@ -18,7 +19,7 @@ QcLdpcCode::QcLdpcCode(int rows_base, int cols_base, int z,
   base_shift_.assign(static_cast<std::size_t>(rows_base * cols_base), -1);
   build_info_part(info_column_weight, seed);
   build_parity_part();
-  expand();
+  collect_entries();
 }
 
 QcLdpcCode QcLdpcCode::paper_code() {
@@ -102,7 +103,7 @@ void QcLdpcCode::build_parity_part() {
   }
 }
 
-void QcLdpcCode::expand() {
+void QcLdpcCode::collect_entries() {
   entries_.clear();
   for (int r = 0; r < rows_base_; ++r) {
     for (int c = 0; c < cols_base_; ++c) {
@@ -110,26 +111,56 @@ void QcLdpcCode::expand() {
       if (s >= 0) entries_.push_back({.row = r, .col = c, .shift = s});
     }
   }
-  rows_.assign(static_cast<std::size_t>(m()), {});
-  for (const auto& e : entries_) {
-    for (int i = 0; i < z_; ++i) {
-      const int row = e.row * z_ + i;
-      const int col = e.col * z_ + (i + e.shift) % z_;
-      rows_[static_cast<std::size_t>(row)].push_back(col);
-    }
-  }
-  for (auto& row : rows_) std::sort(row.begin(), row.end());
 }
 
-bool QcLdpcCode::check(const std::vector<std::uint8_t>& word) const {
+namespace {
+
+// dst[i] ^= src[i] for i < len, eight bytes per step.
+void xor_into(std::uint8_t* dst, const std::uint8_t* src, std::size_t len) {
+  std::size_t i = 0;
+  for (; i + 8 <= len; i += 8) {
+    std::uint64_t a;
+    std::uint64_t b;
+    std::memcpy(&a, dst + i, 8);
+    std::memcpy(&b, src + i, 8);
+    a ^= b;
+    std::memcpy(dst + i, &a, 8);
+  }
+  for (; i < len; ++i) dst[i] ^= src[i];
+}
+
+}  // namespace
+
+void QcLdpcCode::accumulate_circulant(std::span<const std::uint8_t> block,
+                                      int shift,
+                                      std::span<std::uint8_t> acc) const {
+  FLEX_EXPECTS(static_cast<int>(block.size()) == z_ &&
+               static_cast<int>(acc.size()) == z_);
+  FLEX_EXPECTS(shift >= 0 && shift < z_);
+  // Rows [0, Z - shift) read bits [shift, Z); the rest wrap to [0, shift).
+  const auto z = static_cast<std::size_t>(z_);
+  const auto s = static_cast<std::size_t>(shift);
+  xor_into(acc.data(), block.data() + s, z - s);
+  xor_into(acc.data() + (z - s), block.data(), s);
+}
+
+bool QcLdpcCode::check(std::span<const std::uint8_t> word) const {
   FLEX_EXPECTS(static_cast<int>(word.size()) == n());
-  for (const auto& row : rows_) {
-    std::uint8_t parity = 0;
-    for (const auto col : row) {
-      parity ^= static_cast<std::uint8_t>(word[static_cast<std::size_t>(col)] &
-                                          1);
+  const auto z = static_cast<std::size_t>(z_);
+  // Per layer (base row): XOR every circulant's block, in check-row order,
+  // into one Z-byte parity vector.
+  std::vector<std::uint8_t> parity(z);
+  auto e = entries_.begin();
+  for (int r = 0; r < rows_base_; ++r) {
+    std::fill(parity.begin(), parity.end(), 0);
+    for (; e != entries_.end() && e->row == r; ++e) {
+      accumulate_circulant(
+          word.subspan(static_cast<std::size_t>(e->col) * z, z), e->shift,
+          parity);
     }
-    if (parity != 0) return false;
+    std::uint8_t odd = 0;
+    for (const std::uint8_t p : parity) odd |= p;
+    if (odd & 1) return false;
   }
   return true;
 }

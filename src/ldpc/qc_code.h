@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace flex::ldpc {
@@ -45,21 +46,23 @@ class QcLdpcCode {
   int cols_base() const { return cols_base_; }
   double rate() const { return static_cast<double>(k()) / n(); }
 
-  /// All nonzero circulant blocks.
+  /// All nonzero circulant blocks, row-major (by base row, then column).
+  /// Block (r, c) with shift s connects check row r*Z + i to bit
+  /// c*Z + (i + s) mod Z, for i in [0, Z).
   const std::vector<BaseEntry>& base_entries() const { return entries_; }
-
-  /// Expanded parity-check structure, rows-major: for each of the m() check
-  /// rows, the sorted list of participating columns.
-  const std::vector<std::vector<std::int32_t>>& row_adjacency() const {
-    return rows_;
-  }
 
   /// Shift of the base entry at (row, col 0 of parity part... ) — helper
   /// for the encoder: returns shift at base position or -1.
   int shift_at(int base_row, int base_col) const;
 
-  /// True iff H * word == 0 (word is one bit per byte, size n()).
-  bool check(const std::vector<std::uint8_t>& word) const;
+  /// acc ^= P^shift * block over GF(2), one bit per byte (both Z bytes):
+  /// row i of the circulant takes bit (i + shift) mod Z of `block`.
+  void accumulate_circulant(std::span<const std::uint8_t> block, int shift,
+                            std::span<std::uint8_t> acc) const;
+
+  /// True iff H * word == 0 (word is one bit per byte, size n(); only the
+  /// low bit of each byte counts). Computed one circulant at a time.
+  bool check(std::span<const std::uint8_t> word) const;
 
   /// Number of base-graph 4-cycles remaining after repair (0 in practice;
   /// exposed for tests/ablation).
@@ -68,13 +71,12 @@ class QcLdpcCode {
  private:
   void build_info_part(int info_column_weight, std::uint64_t seed);
   void build_parity_part();
-  void expand();
+  void collect_entries();
 
   int rows_base_;
   int cols_base_;
   int z_;
   std::vector<BaseEntry> entries_;
-  std::vector<std::vector<std::int32_t>> rows_;
   // dense base-shift lookup, -1 when absent
   std::vector<int> base_shift_;
 };

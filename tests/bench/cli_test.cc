@@ -163,6 +163,25 @@ TEST(PathFlagsDeathTest, FlagWithoutValueIsAUsageError) {
               usage, "--report-out expects a path");
 }
 
+TEST(PathFlagsDeathTest, UnwritableOutputFailsAtParseTime) {
+  // A bad output path used to cost a whole sweep: every cell ran, then
+  // the write failed.
+  const auto cannot = ::testing::ExitedWithCode(1);
+  EXPECT_EXIT(parse({"bench", "500", "--metrics-out",
+                     "/nonexistent_dir/m.jsonl"},
+                    {kMetricsOut}),
+              cannot, "cannot write /nonexistent_dir/m.jsonl");
+  EXPECT_EXIT(parse({"bench", "--trace-out=/nonexistent_dir/t.json"},
+                    {kTraceOut, kMetricsOut}),
+              cannot, "cannot write /nonexistent_dir/t.json");
+  EXPECT_EXIT(parse({"bench", "--bench-out", "/nonexistent_dir/b.json"},
+                    {kBenchOut}),
+              cannot, "cannot write /nonexistent_dir/b.json");
+  // A path naming a directory cannot be written as a file either.
+  EXPECT_EXIT(parse({"bench", "--report-out", "."}, {"--report-out"}), cannot,
+              "cannot write \\.");
+}
+
 TEST(CliDeathTest, UnknownFlagsAndSurplusPositionalsAreUsageErrors) {
   const auto usage = ::testing::ExitedWithCode(2);
   EXPECT_EXIT(parse({"bench", "500", "--bogus"}), usage,

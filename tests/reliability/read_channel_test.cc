@@ -194,6 +194,26 @@ TEST(ReadChannelTest, MeasuredDecodeTimesAreDeterministic) {
   EXPECT_EQ(times, b.measured_decode_times(per_iteration, overhead));
 }
 
+TEST(ReadChannelTest, DefaultCalibrationIterationsArePinned) {
+  // The default measured-decode calibration (seed 0xCA11B, 4 trials per
+  // step) under both quantisers, recorded from the row-serial CSR decoder
+  // that preceded the quasi-cyclic kernel: the decoder may get faster, but
+  // the iteration counts that become simulated decode latency may not move.
+  auto& m = models();
+  ReadChannelConfig measured;
+  measured.enabled = true;
+  measured.decode_latency = DecodeLatencyMode::kMeasured;
+  ASSERT_EQ(measured.calibration_seed, 0xCA11BU);
+  ASSERT_EQ(measured.calibration_trials, 4);
+  const ReadChannel uniform(params(measured), m.normal, m.reduced);
+  EXPECT_EQ(uniform.step_iterations(),
+            (std::vector<double>{2.75, 3, 2.5, 3.5, 24.75}));
+  measured.quantizer = ChannelQuantizer::kMiOptimized;
+  const ReadChannel mi(params(measured), m.normal, m.reduced);
+  EXPECT_EQ(mi.step_iterations(),
+            (std::vector<double>{2.75, 3, 2.75, 3.25, 24.25}));
+}
+
 TEST(ReadChannelTest, MeanRetentionLossPhysical) {
   auto& m = models();
   EXPECT_DOUBLE_EQ(m.normal.mean_retention_loss(3000, 0.0), 0.0);
