@@ -7,28 +7,26 @@ namespace {
 
 constexpr std::uint64_t kPoly = 0xC96C5795D7870F42ULL;  // ECMA-182, reflected
 
-struct Tables {
-  std::array<std::array<std::uint64_t, 256>, 8> t{};
+using Tables = std::array<std::array<std::uint64_t, 256>, 8>;
 
-  constexpr Tables() {
-    for (std::uint32_t b = 0; b < 256; ++b) {
-      std::uint64_t crc = b;
-      for (int k = 0; k < 8; ++k) {
-        crc = (crc & 1) ? (crc >> 1) ^ kPoly : crc >> 1;
-      }
-      t[0][b] = crc;
+constexpr Tables build_tables() {
+  Tables t{};
+  for (std::uint32_t b = 0; b < 256; ++b) {
+    std::uint64_t crc = b;
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1) ? (crc >> 1) ^ kPoly : crc >> 1;
     }
-    for (std::uint32_t b = 0; b < 256; ++b) {
-      std::uint64_t crc = t[0][b];
-      for (std::size_t s = 1; s < 8; ++s) {
-        crc = t[0][crc & 0xFF] ^ (crc >> 8);
-        t[s][b] = crc;
-      }
+    t[0][b] = crc;
+  }
+  for (std::uint32_t b = 0; b < 256; ++b) {
+    std::uint64_t crc = t[0][b];
+    for (std::size_t s = 1; s < 8; ++s) {
+      crc = t[0][crc & 0xFF] ^ (crc >> 8);
+      t[s][b] = crc;
     }
   }
-};
-
-constexpr Tables kTables{};
+  return t;
+}
 
 /// Bitwise reference implementation (selftest oracle only).
 std::uint64_t crc64_bitwise(const void* data, std::size_t len,
@@ -46,24 +44,22 @@ std::uint64_t crc64_bitwise(const void* data, std::size_t len,
 
 }  // namespace
 
+constexpr Tables detail::kCrc64Tables = build_tables();
+
 std::uint64_t crc64(const void* data, std::size_t len, std::uint64_t crc) {
   const auto* p = static_cast<const unsigned char*>(data);
-  const auto& t = kTables.t;
+  const auto& t = detail::kCrc64Tables;
   crc = ~crc;
   while (len >= 8) {
-    // Little-endian-independent load: fold each byte explicitly.
-    crc ^= static_cast<std::uint64_t>(p[0]) |
-           static_cast<std::uint64_t>(p[1]) << 8 |
-           static_cast<std::uint64_t>(p[2]) << 16 |
-           static_cast<std::uint64_t>(p[3]) << 24 |
-           static_cast<std::uint64_t>(p[4]) << 32 |
-           static_cast<std::uint64_t>(p[5]) << 40 |
-           static_cast<std::uint64_t>(p[6]) << 48 |
-           static_cast<std::uint64_t>(p[7]) << 56;
-    crc = t[7][crc & 0xFF] ^ t[6][(crc >> 8) & 0xFF] ^
-          t[5][(crc >> 16) & 0xFF] ^ t[4][(crc >> 24) & 0xFF] ^
-          t[3][(crc >> 32) & 0xFF] ^ t[2][(crc >> 40) & 0xFF] ^
-          t[1][(crc >> 48) & 0xFF] ^ t[0][crc >> 56];
+    // Little-endian-independent load: assemble the word byte by byte.
+    crc = crc64_fold(crc, static_cast<std::uint64_t>(p[0]) |
+                              static_cast<std::uint64_t>(p[1]) << 8 |
+                              static_cast<std::uint64_t>(p[2]) << 16 |
+                              static_cast<std::uint64_t>(p[3]) << 24 |
+                              static_cast<std::uint64_t>(p[4]) << 32 |
+                              static_cast<std::uint64_t>(p[5]) << 40 |
+                              static_cast<std::uint64_t>(p[6]) << 48 |
+                              static_cast<std::uint64_t>(p[7]) << 56);
     p += 8;
     len -= 8;
   }

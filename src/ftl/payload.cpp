@@ -1,7 +1,5 @@
 #include "ftl/payload.h"
 
-#include <algorithm>
-
 namespace flex::ftl {
 namespace {
 
@@ -40,22 +38,15 @@ std::vector<std::uint8_t> PayloadModel::generate(std::uint64_t lpn,
 
 std::uint64_t PayloadModel::crc(std::uint64_t lpn,
                                 std::uint64_t version) const {
-  // Serialize the page into a stack buffer and checksum it in one call;
-  // pages longer than the buffer chain chunk by chunk (CRC chaining is
-  // exact, so the result equals crc64(generate(lpn, version))).
-  constexpr std::uint32_t kChunkWords = 64;
-  std::uint8_t chunk[kChunkWords * 8];
+  // generate() stores each word little-endian, which is exactly the byte
+  // order crc64_fold takes a word in, so folding the words equals
+  // crc64(generate(lpn, version)) without serialising a byte.
   const std::uint64_t h = generation_hash(seed_, lpn, version);
-  std::uint64_t running = 0;
-  for (std::uint32_t w = 0; w < words_;) {
-    const std::uint32_t n = std::min(words_ - w, kChunkWords);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      store_le(mix(h ^ (w + i)), chunk + 8 * i);
-    }
-    running = crc64(chunk, std::size_t{n} * 8, running);
-    w += n;
+  std::uint64_t state = ~std::uint64_t{0};
+  for (std::uint32_t w = 0; w < words_; ++w) {
+    state = crc64_fold(state, mix(h ^ w));
   }
-  return running;
+  return ~state;
 }
 
 }  // namespace flex::ftl

@@ -33,10 +33,10 @@ class PayloadModel {
   std::vector<std::uint8_t> generate(std::uint64_t lpn,
                                      std::uint64_t version) const;
 
-  /// CRC64 of generate(lpn, version), computed without a heap page: the
-  /// words are serialized into a stack buffer and checksummed in one
-  /// crc64 call (chained per 64-word chunk on longer pages) — the
-  /// hot-path form every seal and read-back verification uses.
+  /// CRC64 of generate(lpn, version), computed without materialising the
+  /// page: each generated word is folded straight into the CRC state
+  /// (crc64_fold) — the hot-path form every seal and read-back
+  /// verification uses.
   std::uint64_t crc(std::uint64_t lpn, std::uint64_t version) const;
 
  private:

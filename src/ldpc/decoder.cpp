@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <utility>
 
 #include "common/assert.h"
 
@@ -214,6 +215,7 @@ DecodeResult Decoder::decode(std::span<const float> llr) const {
 
   result.success = ok;
   result.iterations = iter;
+  result.posterior = std::move(posterior);
   return result;
 }
 

@@ -26,6 +26,9 @@ struct DecodeResult {
   bool success = false;     ///< all parity checks satisfied
   int iterations = 0;       ///< layered iterations actually executed
   std::vector<std::uint8_t> bits;  ///< hard decisions, size n()
+  /// Final posterior LLRs, size n(): the soft values `bits` was sliced
+  /// from (a last-ulp change shows here even when `bits` does not).
+  std::vector<float> posterior;
 };
 
 class Decoder {

@@ -200,9 +200,10 @@ ReadChannel::Assessment ReadChannel::assess(bool reduced, std::uint32_t pe,
     if (cache.size() >= kBerCacheMaxEntries) cache.clear();
     cache.insert(key, ber);
   }
-  // Disturb is closed-form (no integral), so it is evaluated exactly per
-  // read instead of being folded into the cache key. Threshold tracking
-  // cancels the compensated part of the shift via the residual read count.
+  // Disturb is a table lookup by stress (exact: the table holds the closed
+  // form's own values), so it is evaluated per read instead of being
+  // folded into the cache key. Threshold tracking cancels the compensated
+  // part of the shift via the residual read count.
   if (disturb_[mode]) {
     const std::uint64_t stress =
         adaptive ? residual_reads(ppn / pages_per_block_, block_reads)

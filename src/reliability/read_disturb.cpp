@@ -18,6 +18,8 @@ ReadDisturbModel::ReadDisturbModel(Params params, const BerModel& ber)
   erased_tail_at_rest_ =
       q_function((level_config_.read_ref(0) - level_config_.erased_mean()) /
                  level_config_.erased_sigma());
+  table_.resize(kTabledStresses);
+  for (std::size_t r = 0; r < kTabledStresses; ++r) table_[r] = compute_ber(r);
 }
 
 Volt ReadDisturbModel::vth_shift(std::uint64_t block_reads) const {
@@ -25,7 +27,7 @@ Volt ReadDisturbModel::vth_shift(std::uint64_t block_reads) const {
          params_.neighbor_amplification;
 }
 
-double ReadDisturbModel::ber(std::uint64_t block_reads) const {
+double ReadDisturbModel::compute_ber(std::uint64_t block_reads) const {
   if (block_reads == 0) return 0.0;
   const Volt shift = vth_shift(block_reads);
   const int levels = level_config_.levels();

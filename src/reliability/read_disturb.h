@@ -25,6 +25,7 @@
 // the sum to the sensing-requirement ladder.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -36,6 +37,11 @@ namespace flex::reliability {
 
 class ReadDisturbModel {
  public:
+  /// Stresses below this are tabled at construction: 32 KiB of doubles
+  /// per model. A worn drive's stresses stay far below it (block reads
+  /// between erases, or the residual after threshold tracking).
+  static constexpr std::size_t kTabledStresses = 4096;
+
   struct Params {
     /// Upward V_th shift of a programmed cell per pass-voltage stress
     /// event (= one read of any other page in its block). Linear-in-reads
@@ -62,7 +68,14 @@ class ReadDisturbModel {
   /// Additional raw BER of a page in a block read `block_reads` times
   /// since it was programmed/erased. Zero at zero reads (the C2C
   /// Monte-Carlo already covers the undisturbed tails), monotone in reads.
-  double ber(std::uint64_t block_reads) const;
+  /// A table lookup below kTabledStresses, the closed form above.
+  double ber(std::uint64_t block_reads) const {
+    return block_reads < table_.size() ? table_[block_reads]
+                                       : compute_ber(block_reads);
+  }
+
+  /// The closed form ber() tabulates: the same doubles, bit for bit.
+  double compute_ber(std::uint64_t block_reads) const;
 
   const Params& params() const { return params_; }
 
@@ -73,6 +86,8 @@ class ReadDisturbModel {
   std::vector<double> bump_damage_;
   /// Undisturbed erased-tail crossing probability, subtracted so ber(0)=0.
   double erased_tail_at_rest_ = 0.0;
+  /// compute_ber(r) for every r < kTabledStresses.
+  std::vector<double> table_;
 };
 
 }  // namespace flex::reliability

@@ -1,8 +1,8 @@
 // CRC-64/XZ: the payload-seal checksum. The standard check vector pins
 // the polynomial/reflection/xor conventions; the chaining and
 // slice-vs-bitwise properties pin the implementation's internal
-// consistency (the incremental payload CRC in ftl/payload.cpp leans on
-// chaining being exact).
+// consistency (the payload CRC in ftl/payload.cpp folds its words with
+// crc64_fold, so folding must equal checksumming the bytes).
 #include "common/crc64.h"
 
 #include <algorithm>
@@ -63,6 +63,25 @@ TEST(Crc64Test, DistinctInputsDistinctCrcs) {
   }
   std::sort(seen.begin(), seen.end());
   EXPECT_EQ(std::unique(seen.begin(), seen.end()), seen.end());
+}
+
+TEST(Crc64Test, FoldingWordsMatchesTheirLittleEndianBytes) {
+  std::vector<std::uint64_t> words(17);
+  std::vector<std::uint8_t> bytes;
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    words[i] = 0x0123456789ABCDEFULL * (i + 1) ^ (i << 59);
+    for (int b = 0; b < 8; ++b) {
+      bytes.push_back(static_cast<std::uint8_t>(words[i] >> (8 * b)));
+    }
+  }
+  for (const std::uint64_t start : {0ULL, 0xDEADBEEFULL}) {
+    for (std::size_t n = 0; n <= words.size(); ++n) {
+      std::uint64_t state = ~start;
+      for (std::size_t i = 0; i < n; ++i) state = crc64_fold(state, words[i]);
+      EXPECT_EQ(~state, crc64(bytes.data(), 8 * n, start))
+          << n << " words from " << start;
+    }
+  }
 }
 
 TEST(Crc64Test, SelfTestPasses) { EXPECT_TRUE(crc64_selftest()); }

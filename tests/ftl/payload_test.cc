@@ -13,8 +13,9 @@ namespace flex::ftl {
 namespace {
 
 TEST(PayloadModelTest, CrcEqualsCrcOfGeneratedBytes) {
-  // 1..17 words cover short pages and the default 8; 64/65/130 straddle
-  // the stack-buffer chunk boundary of the one-call form.
+  // 1..17 words cover short pages, the default 8 and the lengths around
+  // it; 64/65/130 are long pages. crc() folds words with crc64_fold while
+  // crc64() assembles them from bytes, so every length compares the two.
   for (std::uint32_t words = 1; words <= 17; ++words) {
     const PayloadModel model(2015, words);
     for (std::uint64_t lpn : {0ULL, 1ULL, 4097ULL, 0xFFFFFFFEULL}) {

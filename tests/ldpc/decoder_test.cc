@@ -146,26 +146,31 @@ TEST(DecoderTest, IterationCountGrowsWithNoise) {
   EXPECT_LT(mean_iters(1e-3), mean_iters(1.2e-2));
 }
 
-// What a decode is pinned by: the iteration count, the convergence flag
-// and the CRC-64 of the hard decisions.
+// What a decode is pinned by: the iteration count, the convergence flag,
+// the CRC-64 of the hard decisions and the CRC-64 of the final posterior
+// LLRs (which a last-ulp change in the soft values moves).
 struct Pin {
   int iterations = 0;
   bool success = false;
   std::uint64_t bits_crc = 0;
+  std::uint64_t posterior_crc = 0;
   bool operator==(const Pin&) const = default;
 };
 
 void PrintTo(const Pin& pin, std::ostream* os) {
-  char crc[24];
-  std::snprintf(crc, sizeof crc, "0x%016llX",
-                static_cast<unsigned long long>(pin.bits_crc));
+  char crc[64];
+  std::snprintf(crc, sizeof crc, "0x%016llXULL, 0x%016llXULL",
+                static_cast<unsigned long long>(pin.bits_crc),
+                static_cast<unsigned long long>(pin.posterior_crc));
   *os << "{" << pin.iterations << ", " << (pin.success ? "true" : "false")
-      << ", " << crc << "ULL}";
+      << ", " << crc << "}";
 }
 
 Pin pin_of(const DecodeResult& result) {
   return {result.iterations, result.success,
-          crc64(result.bits.data(), result.bits.size())};
+          crc64(result.bits.data(), result.bits.size()),
+          crc64(result.posterior.data(),
+                result.posterior.size() * sizeof(float))};
 }
 
 // One encoded random codeword sent through a quantised sensing channel.
@@ -177,11 +182,12 @@ std::vector<float> noisy_frame(const QcLdpcCode& code, double ber, int levels,
 }
 
 TEST(DecoderTest, PinnedFramesMatchParent) {
-  // Bit-identity pins for the decoder kernel. Every expected value was
-  // recorded from the row-serial CSR decoder that preceded the
-  // quasi-cyclic kernel, so a changed layer order, a wrong circulant
-  // rotation or a wrong min/second-min pick shows up here as a moved
-  // iteration count or a moved CRC. (Ties are invisible by construction:
+  // Bit-identity pins for the decoder kernel. Every expected value,
+  // posterior CRCs included, is what the row-serial CSR decoder that
+  // preceded the quasi-cyclic kernel produces, so a changed layer order, a
+  // wrong circulant rotation, a wrong min/second-min pick or a reassociated
+  // float sum shows up here as a moved iteration count or a moved CRC.
+  // (Ties are invisible by construction:
   // equal minima leave min1 == min2, so whichever edge counts as the
   // first minimum, every edge gets the same magnitude.)
   const QcLdpcCode paper = QcLdpcCode::paper_code();
@@ -193,36 +199,66 @@ TEST(DecoderTest, PinnedFramesMatchParent) {
   // both quantisers, two frames per point (60 frames; the deepest step's
   // harder points fail and run to max_iterations).
   const std::vector<Pin> kPaper = {
-      {3, true, 0xB8203385763BE38BULL}, {2, true, 0x95D96B489F1ABE92ULL},
-      {2, true, 0x5CF37641D199C1BFULL}, {3, true, 0x37CC4F6ABB517AEFULL},
-      {4, true, 0x7CAC035DC9EC6838ULL}, {5, true, 0x6FA78DE19B10AE1CULL},
-      {3, true, 0x0913B1746E6D0D85ULL}, {2, true, 0x81CB5164EE03F21CULL},
-      {3, true, 0x3E2F0BFD8476D0BCULL}, {3, true, 0x58F2CA40406E8164ULL},
-      {4, true, 0x593A73B7A49BCD1BULL}, {3, true, 0x8D9272715011B63CULL},
-      {3, true, 0x319DF5B3BB955F49ULL}, {2, true, 0x50BED3ADBFE9F7C1ULL},
-      {3, true, 0x9E37E54860FD2161ULL}, {3, true, 0xC893E84C89B47BE7ULL},
-      {4, true, 0x5933CEBD0B175753ULL}, {3, true, 0xDA2FBBB233492CD3ULL},
-      {2, true, 0xEB8964726150A83EULL}, {3, true, 0x024A6D9897246A61ULL},
-      {3, true, 0x3A162B26900E84D5ULL}, {3, true, 0x24F0E8EDC482E198ULL},
-      {3, true, 0x4A4C9CE85E3D86E4ULL}, {3, true, 0xB00633F5A30A81BCULL},
-      {2, true, 0x1CC3D2F32AAFBC78ULL}, {2, true, 0x3AA64503E7B3006FULL},
-      {3, true, 0xDDAA11040C28DCE9ULL}, {2, true, 0xD8D772E91A6C7FEBULL},
-      {2, true, 0xE1AB3BC9AC0FCA95ULL}, {2, true, 0xE43C09B474211035ULL},
-      {2, true, 0x6FC1BBEDD870255DULL}, {3, true, 0x7AB15280DC254BF5ULL},
-      {2, true, 0xFD71D0E7E6C49311ULL}, {2, true, 0x62197FF244ED8C38ULL},
-      {3, true, 0x1ED0688E3D329B9FULL}, {3, true, 0xF14CF1477F584A11ULL},
-      {3, true, 0x1DFE7D82C4459977ULL}, {3, true, 0x2AA23FD0E6BD2E34ULL},
-      {4, true, 0x095E39F8E90A7AAEULL}, {3, true, 0xCA230E8292A20F54ULL},
-      {5, true, 0x58EF3FBD9E03FD1FULL}, {5, true, 0xF19BF1E4606161EEULL},
-      {3, true, 0x6D10F21A8FB5258FULL}, {2, true, 0xC672C8C6C19463C8ULL},
-      {3, true, 0xC94964E5E0684FAAULL}, {4, true, 0x63064B5BC8C27BA0ULL},
-      {4, true, 0xB58912DF53985570ULL}, {5, true, 0xE24E932923DF1ED2ULL},
-      {5, true, 0x99C4FC1993C9FDC7ULL}, {5, true, 0x104979E8048D8A30ULL},
-      {9, true, 0x7EA2363CB68C9690ULL}, {30, true, 0xE13812FA63C68C8FULL},
-      {30, false, 0xD4872F450084BBEDULL}, {30, false, 0xA8F3F68554E05E5AULL},
-      {6, true, 0x89EEF402DEFEF760ULL}, {5, true, 0xB423CFD5DEAB1075ULL},
-      {30, false, 0x64C0AD72C3DCA4FDULL}, {30, false, 0x0B108DA10E1D89B7ULL},
-      {30, false, 0xA26D857D70765350ULL}, {30, false, 0x3A1816CD716B7E73ULL},
+      {3, true, 0xB8203385763BE38BULL, 0x38680396D76B9E0EULL},
+      {2, true, 0x95D96B489F1ABE92ULL, 0xE8CADFB2A8504BDDULL},
+      {2, true, 0x5CF37641D199C1BFULL, 0x7F2552DB1269C35BULL},
+      {3, true, 0x37CC4F6ABB517AEFULL, 0x9C973605B1339DFDULL},
+      {4, true, 0x7CAC035DC9EC6838ULL, 0x5F9D5F7A03482777ULL},
+      {5, true, 0x6FA78DE19B10AE1CULL, 0x00005688AEB87F73ULL},
+      {3, true, 0x0913B1746E6D0D85ULL, 0x2368C95DE1CF499DULL},
+      {2, true, 0x81CB5164EE03F21CULL, 0xC549936B2E79E166ULL},
+      {3, true, 0x3E2F0BFD8476D0BCULL, 0xAA18ADB59E940D64ULL},
+      {3, true, 0x58F2CA40406E8164ULL, 0x00923FB6D90EF556ULL},
+      {4, true, 0x593A73B7A49BCD1BULL, 0x2AB042139E3EDD9CULL},
+      {3, true, 0x8D9272715011B63CULL, 0xCBB41896F7C2AAE7ULL},
+      {3, true, 0x319DF5B3BB955F49ULL, 0x8252BE9C37AE600AULL},
+      {2, true, 0x50BED3ADBFE9F7C1ULL, 0x983D0377A8BBF83CULL},
+      {3, true, 0x9E37E54860FD2161ULL, 0xA2A6E471BACACD6CULL},
+      {3, true, 0xC893E84C89B47BE7ULL, 0xA35117FD2A09C3C3ULL},
+      {4, true, 0x5933CEBD0B175753ULL, 0xD2DC750A9B98BFB0ULL},
+      {3, true, 0xDA2FBBB233492CD3ULL, 0xC7C4723A6850A9BBULL},
+      {2, true, 0xEB8964726150A83EULL, 0xA6F5B6F4582B5F90ULL},
+      {3, true, 0x024A6D9897246A61ULL, 0xCE64247C1AE6944FULL},
+      {3, true, 0x3A162B26900E84D5ULL, 0xC8717141980B6B49ULL},
+      {3, true, 0x24F0E8EDC482E198ULL, 0xF4406330F209C38EULL},
+      {3, true, 0x4A4C9CE85E3D86E4ULL, 0x4407D668B1EC2809ULL},
+      {3, true, 0xB00633F5A30A81BCULL, 0x90592D3A41C7399DULL},
+      {2, true, 0x1CC3D2F32AAFBC78ULL, 0xEE67E8EAB2F311A8ULL},
+      {2, true, 0x3AA64503E7B3006FULL, 0x39A49CA9F73F6CEBULL},
+      {3, true, 0xDDAA11040C28DCE9ULL, 0xCA04E5A8D078A296ULL},
+      {2, true, 0xD8D772E91A6C7FEBULL, 0xCB99619A77704ADFULL},
+      {2, true, 0xE1AB3BC9AC0FCA95ULL, 0x4A7EC7D111433AC5ULL},
+      {2, true, 0xE43C09B474211035ULL, 0x3AB3F304742D6A17ULL},
+      {2, true, 0x6FC1BBEDD870255DULL, 0x2661E9CFAD8670ACULL},
+      {3, true, 0x7AB15280DC254BF5ULL, 0xF2432AB6FE4F970CULL},
+      {2, true, 0xFD71D0E7E6C49311ULL, 0x720D8CA9A6062F2BULL},
+      {2, true, 0x62197FF244ED8C38ULL, 0x97403F2AA47794A2ULL},
+      {3, true, 0x1ED0688E3D329B9FULL, 0xE3FA5061E6B03893ULL},
+      {3, true, 0xF14CF1477F584A11ULL, 0x25CA20C99D176D60ULL},
+      {3, true, 0x1DFE7D82C4459977ULL, 0xC643CD137E5887ACULL},
+      {3, true, 0x2AA23FD0E6BD2E34ULL, 0x2ADD3B9674BC1D4BULL},
+      {4, true, 0x095E39F8E90A7AAEULL, 0xA0BDC78753405A4CULL},
+      {3, true, 0xCA230E8292A20F54ULL, 0x86BF42D9C28071B4ULL},
+      {5, true, 0x58EF3FBD9E03FD1FULL, 0x69DEB4B86B9DA615ULL},
+      {5, true, 0xF19BF1E4606161EEULL, 0x7AD432FB8D63F3E4ULL},
+      {3, true, 0x6D10F21A8FB5258FULL, 0x5DECC5748F5EAFCEULL},
+      {2, true, 0xC672C8C6C19463C8ULL, 0x55190F4626688439ULL},
+      {3, true, 0xC94964E5E0684FAAULL, 0xD2D2321FC7C13E2EULL},
+      {4, true, 0x63064B5BC8C27BA0ULL, 0xE925A39695A09CD0ULL},
+      {4, true, 0xB58912DF53985570ULL, 0x9A158396D82507D5ULL},
+      {5, true, 0xE24E932923DF1ED2ULL, 0x8681344CE7AD101BULL},
+      {5, true, 0x99C4FC1993C9FDC7ULL, 0x12B930865ABB9BBBULL},
+      {5, true, 0x104979E8048D8A30ULL, 0xFC5F9F29F1AF5FB9ULL},
+      {9, true, 0x7EA2363CB68C9690ULL, 0x1C99A206E9704A3EULL},
+      {30, true, 0xE13812FA63C68C8FULL, 0xD11BE0635290EA6DULL},
+      {30, false, 0xD4872F450084BBEDULL, 0xD710373CB1179DE0ULL},
+      {30, false, 0xA8F3F68554E05E5AULL, 0x23D85DAB9EF286B6ULL},
+      {6, true, 0x89EEF402DEFEF760ULL, 0xC317AD8241DB93D5ULL},
+      {5, true, 0xB423CFD5DEAB1075ULL, 0x97DBA469FE3D938BULL},
+      {30, false, 0x64C0AD72C3DCA4FDULL, 0x95F304CD5B205287ULL},
+      {30, false, 0x0B108DA10E1D89B7ULL, 0xD571F3BBEE3F56DDULL},
+      {30, false, 0xA26D857D70765350ULL, 0x81848EB0AB62CCBFULL},
+      {30, false, 0x3A1816CD716B7E73ULL, 0x9F85CB30CAD1AFE0ULL},
   };
   const reliability::SensingRequirement ladder;
   std::vector<Pin> paper_pins;
@@ -249,9 +285,11 @@ TEST(DecoderTest, PinnedFramesMatchParent) {
   // the cap of step 4, which fail and run to max_iterations. Seeds as
   // above: 12 frames per step, 2 per (quantiser, scale) point.
   const std::vector<Pin> kPaperSumProduct = {
-      {2, true, 0x5CF37641D199C1BFULL}, {2, true, 0xDDAA11040C28DCE9ULL},
-      {7, true, 0x7EA2363CB68C9690ULL}, {30, false, 0x27E58316CC531DC4ULL},
-      {30, false, 0x127069370363992AULL},
+      {2, true, 0x5CF37641D199C1BFULL, 0x04B241F26F808B8FULL},
+      {2, true, 0xDDAA11040C28DCE9ULL, 0x3FEF06C2F251E91CULL},
+      {7, true, 0x7EA2363CB68C9690ULL, 0xE9A59BA42B457C8FULL},
+      {30, false, 0x27E58316CC531DC4ULL, 0xB052C417DB624AE1ULL},
+      {30, false, 0x127069370363992AULL, 0x4E0334EBE1A6F9E9ULL},
   };
   std::vector<Pin> sp_pins;
   for (const auto& [s, point, frame] :
@@ -288,33 +326,49 @@ TEST(DecoderTest, PinnedTestCodeFramesMatchParent) {
   std::vector<float> garbage(static_cast<std::size_t>(code.n()));
   for (auto& l : garbage) l = static_cast<float>(rng.uniform(-1.0, 1.0));
   EXPECT_EQ(pin_of(Decoder(code, {.max_iterations = 5}).decode(garbage)),
-            (Pin{5, false, 0x6F8DD2DCB84BA765ULL}));
+            (Pin{5, false, 0x6F8DD2DCB84BA765ULL, 0x6A6B27CFFA0D1A97ULL}));
   EXPECT_EQ(pin_of(Decoder(code, {.max_iterations = 5,
                                   .algorithm = Decoder::Algorithm::kSumProduct})
                        .decode(garbage)),
-            (Pin{5, false, 0x9F85AAACD31746A8ULL}));
+            (Pin{5, false, 0x9F85AAACD31746A8ULL, 0x53BEB6AAD494336EULL}));
 
   // Noisy codewords: hard decisions, two and six soft levels, and six
   // levels past what the code corrects; min-sum and sum-product.
   const std::vector<Pin> kNoisy = {
-      {1, true, 0xBFBD459DB8D0AC5AULL}, {1, true, 0xB19791BA59C17221ULL},
-      {1, true, 0xD60C76DABC2E70C0ULL}, {2, true, 0xD676C9A475D03116ULL},
-      {1, true, 0xE8F36901C68DE246ULL}, {4, true, 0x0C7DE06C3B55F0CCULL},
-      {1, true, 0xA6667B0A714B9D60ULL}, {2, true, 0xF519D621FA36BE01ULL},
-      {4, true, 0x7E2FEEBBA30833E4ULL}, {2, true, 0x5098EEC1507C4EE6ULL},
-      {2, true, 0xC690CAA6F8C4CFB4ULL}, {1, true, 0x6C0F92BA198DE0F6ULL},
-      {30, false, 0x7FD59EB9630198D2ULL}, {30, false, 0xA9B2C4A4B5A414C5ULL},
-      {3, true, 0xBF3C556087313386ULL}, {6, true, 0xBB0C163305AB891BULL},
+      {1, true, 0xBFBD459DB8D0AC5AULL, 0x9E9FA8FBFBC253B4ULL},
+      {1, true, 0xB19791BA59C17221ULL, 0xFF15689950485323ULL},
+      {1, true, 0xD60C76DABC2E70C0ULL, 0xE529E0DCC28AD990ULL},
+      {2, true, 0xD676C9A475D03116ULL, 0xE519F66BA9747E92ULL},
+      {1, true, 0xE8F36901C68DE246ULL, 0x74ED8FF9655AB741ULL},
+      {4, true, 0x0C7DE06C3B55F0CCULL, 0x51CEBC3BA47B0B17ULL},
+      {1, true, 0xA6667B0A714B9D60ULL, 0x47151526F8B57502ULL},
+      {2, true, 0xF519D621FA36BE01ULL, 0xBB2790403852AD31ULL},
+      {4, true, 0x7E2FEEBBA30833E4ULL, 0x8F690CC76D545296ULL},
+      {2, true, 0x5098EEC1507C4EE6ULL, 0xA5DADB7CB2B6EC0AULL},
+      {2, true, 0xC690CAA6F8C4CFB4ULL, 0x147D836D485481CEULL},
+      {1, true, 0x6C0F92BA198DE0F6ULL, 0xC10C084663EFA197ULL},
+      {30, false, 0x7FD59EB9630198D2ULL, 0x036FD233CFFF455CULL},
+      {30, false, 0xA9B2C4A4B5A414C5ULL, 0x78C1079C661B6F7EULL},
+      {3, true, 0xBF3C556087313386ULL, 0x04F5180F0A741BA1ULL},
+      {6, true, 0xBB0C163305AB891BULL, 0x12434546158E189EULL},
   };
   const std::vector<Pin> kNoisySumProduct = {
-      {1, true, 0xBFBD459DB8D0AC5AULL}, {1, true, 0xB19791BA59C17221ULL},
-      {1, true, 0xD60C76DABC2E70C0ULL}, {3, true, 0xD676C9A475D03116ULL},
-      {1, true, 0xE8F36901C68DE246ULL}, {4, true, 0x0C7DE06C3B55F0CCULL},
-      {1, true, 0xA6667B0A714B9D60ULL}, {2, true, 0xF519D621FA36BE01ULL},
-      {3, true, 0x7E2FEEBBA30833E4ULL}, {1, true, 0x5098EEC1507C4EE6ULL},
-      {2, true, 0xC690CAA6F8C4CFB4ULL}, {1, true, 0x6C0F92BA198DE0F6ULL},
-      {30, false, 0xE59AFB438845F0B1ULL}, {30, false, 0x5D11199D1C98A910ULL},
-      {3, true, 0xBF3C556087313386ULL}, {5, true, 0xBB0C163305AB891BULL},
+      {1, true, 0xBFBD459DB8D0AC5AULL, 0x272F4F59ABB1C51AULL},
+      {1, true, 0xB19791BA59C17221ULL, 0x53BCEC8E23A79BF7ULL},
+      {1, true, 0xD60C76DABC2E70C0ULL, 0x02D470F06D95FE5FULL},
+      {3, true, 0xD676C9A475D03116ULL, 0x2C7B0676E81CBB8AULL},
+      {1, true, 0xE8F36901C68DE246ULL, 0x1BFF1C46B73D3D5CULL},
+      {4, true, 0x0C7DE06C3B55F0CCULL, 0xAEF12D5F54076AF0ULL},
+      {1, true, 0xA6667B0A714B9D60ULL, 0x06201BA29CFCABBAULL},
+      {2, true, 0xF519D621FA36BE01ULL, 0x75320B9602272029ULL},
+      {3, true, 0x7E2FEEBBA30833E4ULL, 0xFA3EC1B28C89A827ULL},
+      {1, true, 0x5098EEC1507C4EE6ULL, 0x0457A4536FFF5BC3ULL},
+      {2, true, 0xC690CAA6F8C4CFB4ULL, 0xD011E90619B89CCBULL},
+      {1, true, 0x6C0F92BA198DE0F6ULL, 0xB25C336F8ABECDDFULL},
+      {30, false, 0xE59AFB438845F0B1ULL, 0x0EC6200F5AF1965BULL},
+      {30, false, 0x5D11199D1C98A910ULL, 0x72C434D6117DDFF3ULL},
+      {3, true, 0xBF3C556087313386ULL, 0xC2E31CD454AD589FULL},
+      {5, true, 0xBB0C163305AB891BULL, 0x98D85DC69901B069ULL},
   };
   const Decoder decoder(code);
   const Decoder sum_product(code,

@@ -2,6 +2,8 @@
 // see reliability/read_disturb.h).
 #include "reliability/read_disturb.h"
 
+#include <bit>
+#include <cstdint>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -123,6 +125,42 @@ TEST_F(ReadDisturbTest, SaturatesAtFullLevelLoss) {
   // cells have bumped).
   const ReadDisturbModel model({}, *normal_);
   EXPECT_DOUBLE_EQ(model.ber(100'000'000), model.ber(200'000'000));
+}
+
+TEST_F(ReadDisturbTest, TableIsTheClosedFormBitForBit) {
+  // ber() reads a table built from compute_ber() below kTabledStresses and
+  // evaluates compute_ber() above it. Every tabled stress must hold the
+  // exact double the closed form returns, for both modes' geometries and
+  // every stress setting the benches use: the defaults, the accelerated
+  // 1.8e-4 V/read of flexbench worn-read, ablation_disturb and
+  // ablation_thresholds, and flat and boosted amplifications.
+  ReadDisturbModel::Params accelerated;
+  accelerated.vth_shift_per_read = 1.8e-4;
+  ReadDisturbModel::Params flat = accelerated;
+  flat.erased_amplification = 1.0;
+  flat.neighbor_amplification = 1.0;
+  ReadDisturbModel::Params boosted = accelerated;
+  boosted.neighbor_amplification = 2.0;
+  constexpr std::uint64_t kN = ReadDisturbModel::kTabledStresses;
+  for (const BerModel* mode : {normal_, basic_reduced_, nunma_reduced_}) {
+    for (const auto& params : {ReadDisturbModel::Params{}, accelerated, flat,
+                               boosted}) {
+      const ReadDisturbModel model(params, *mode);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(model.ber(0)),
+                std::bit_cast<std::uint64_t>(0.0));
+      for (std::uint64_t r = 0; r < kN; ++r) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(model.ber(r)),
+                  std::bit_cast<std::uint64_t>(model.compute_ber(r)))
+            << "stress " << r << " shift/read " << params.vth_shift_per_read;
+      }
+      // Past the table: the closed form itself.
+      for (const std::uint64_t r : {kN, kN + 1, 10 * kN}) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(model.ber(r)),
+                  std::bit_cast<std::uint64_t>(model.compute_ber(r)))
+            << "stress " << r;
+      }
+    }
+  }
 }
 
 }  // namespace
