@@ -13,6 +13,7 @@
 #include <system_error>
 #include <utility>
 
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include "common/rng.h"
@@ -174,11 +175,13 @@ ssd::SsdResults ExperimentHarness::run_source(
   // metrics and spans cover exactly the measured window. Observation-only:
   // results are bit-identical with or without it.
   if (telemetry) sim.attach_telemetry(telemetry);
+  const auto measure_start = std::chrono::steady_clock::now();
   sim.run_open_loop(source, measure_requests);
+  const auto end = std::chrono::steady_clock::now();
   ssd::SsdResults results = sim.results();
-  results.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+  results.wall_seconds = std::chrono::duration<double>(end - start).count();
+  results.measured_wall_seconds =
+      std::chrono::duration<double>(end - measure_start).count();
   return results;
 }
 
@@ -403,12 +406,21 @@ void write_bench_file(const Cli& cli, const std::string& bench,
                       const std::function<void(JsonWriter&)>& body) {
   const ssd::SsdConfig cfg =
       ExperimentHarness::drive_config(ssd::Scheme::kLdpcInSsd, 6000);
+  // The process's resource use up to the artifact write (all its runs):
+  // machine-dependent like the walls, so no gate reads it.
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
   write_file(cli.bench_out(bench), [&](std::ostream& out) {
     JsonWriter json(out, /*rows=*/true);
     json.begin_object()
         .field("bench", bench)
         .field("git_sha", FLEX_GIT_SHA)
         .field("jobs", cli.jobs())
+        .field("hardware_concurrency", std::thread::hardware_concurrency())
+        .field("peak_rss_mib", static_cast<double>(usage.ru_maxrss) / 1024.0)
+        .field("user_cpu_s",
+               static_cast<double>(usage.ru_utime.tv_sec) +
+                   static_cast<double>(usage.ru_utime.tv_usec) / 1e6)
         .begin_object("config")
         .field("chips", cfg.ftl.spec.chips)
         .field("blocks_per_chip", cfg.ftl.spec.blocks_per_chip)

@@ -338,8 +338,10 @@ class JsonWriter {
 };
 
 /// Writes BENCH_<bench>.json (or the --bench-out path): the preamble every
-/// artifact shares (bench, git SHA, job count and the scaled drive's
-/// config with `requests_override`), then `body`'s members.
+/// artifact shares (bench, git SHA, job count, the machine's hardware
+/// threads, the process's getrusage peak RSS in MiB and user CPU seconds,
+/// and the scaled drive's config with `requests_override`), then `body`'s
+/// members.
 void write_bench_file(const Cli& cli, const std::string& bench,
                       std::uint64_t requests_override,
                       const std::function<void(JsonWriter&)>& body);

@@ -114,16 +114,17 @@ struct SsdNumbers {
 
 SsdNumbers bench_ssd(const flex::bench::ExperimentHarness& harness,
                      std::uint64_t requests_override) {
-  const auto start = std::chrono::steady_clock::now();
   const flex::ssd::SsdResults results =
       harness.run({.workload = flex::trace::Workload::kFin2,
                    .scheme = flex::ssd::Scheme::kFlexLevel,
                    .pe_cycles = 6000,
                    .requests_override = requests_override});
-  const double elapsed = seconds_since(start);
+  // Measured requests over the measured window's wall time: build,
+  // prefill and warmup are not part of the rate.
   SsdNumbers out;
   out.requests = results.all_response.count();
-  out.requests_per_sec = static_cast<double>(out.requests) / elapsed;
+  out.requests_per_sec =
+      static_cast<double>(out.requests) / results.measured_wall_seconds;
   return out;
 }
 

@@ -23,6 +23,8 @@ class RunningStats {
   double max() const;  ///< -inf when empty
   double sum() const { return sum_; }
 
+  bool operator==(const RunningStats&) const = default;
+
  private:
   std::uint64_t count_ = 0;
   double mean_ = 0.0;

@@ -8,10 +8,11 @@
 // shortest-queue, or disturb-aware steering), writes fan out to every
 // replica. Each resulting command runs the queue-pair lifecycle
 // (queue_pair.h) and enters its drive through
-// SsdSimulator::service_external on the shared kernel — the drive's chip
-// occupancy, FTL mutations, GC, and per-drive stats land exactly as on a
-// bare drive. A request completes when its slowest command's completion
-// is consumed.
+// SsdSimulator::service_external on the shared kernel: the drive's one
+// request lifecycle on the reservation backend, which finalizes within
+// the call, so the drive's chip occupancy, FTL mutations, GC, and
+// per-drive stats land exactly as on a bare drive. A request completes
+// when its slowest command's completion is consumed.
 //
 // Determinism contract: one kernel orders every event across drives by
 // (time, sequence); all fan-out state (replica round-robin, queue-pair

@@ -1,10 +1,10 @@
 // Host interconnect: requesters -> switch -> per-drive links, each a
 // store-and-forward occupancy resource with configurable propagation
 // latency and bandwidth. Transfers reserve each hop in sequence at
-// submission time (the same immediate-reservation style as the legacy
-// ChipScheduler), so host-side transfer contention is modelled — two
-// requesters hammering one drive serialise on its downlink — without any
-// event machinery of its own.
+// submission time (the same immediate-reservation style as
+// ChipScheduler's reservation backend), so host-side transfer contention
+// is modelled — two requesters hammering one drive serialise on its
+// downlink — without any event machinery of its own.
 #pragma once
 
 #include <cstdint>

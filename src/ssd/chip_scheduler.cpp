@@ -72,12 +72,32 @@ SimTime ChipScheduler::submit(std::size_t chip, SimTime arrival,
   return completion;
 }
 
+void ChipScheduler::submit_command(std::size_t chip, SimTime now,
+                                   const ChipCommand& cmd, QosClass klass,
+                                   std::uint16_t tenant, std::uint8_t priority,
+                                   std::uint64_t tag, const char* op) {
+  if (qos_enabled_) {
+    submit_qos(chip, now, cmd, klass, tenant, priority, tag, op);
+    return;
+  }
+  const SimTime completion = submit(chip, now, cmd, op);
+  if (sink_ != nullptr && tag != kNoTag) {
+    sink_->on_qos_complete({.tag = tag,
+                            .chip = chip,
+                            .arrival = now,
+                            .start = completion - cmd.total(),
+                            .completion = completion,
+                            .cmd = cmd});
+  }
+}
+
 void ChipScheduler::submit_background(SimTime now,
                                       const ftl::WriteResult& result,
                                       const LatencyModel& latency) {
   // The host program lands on the chip that owns its physical page.
-  submit_train_command(chip_of(result.ppn), now,
-                       ChipCommand{.die = latency.program()}, "program");
+  submit_command(chip_of(result.ppn), now,
+                 ChipCommand{.die = latency.program()}, QosClass::kBackground,
+                 0, 0, kNoTag, "program");
   const std::uint64_t moves =
       result.page_programs > 0 ? result.page_programs - 1 : 0;
   submit_maintenance(now, moves, result.erases, latency);
@@ -89,32 +109,23 @@ void ChipScheduler::submit_maintenance(SimTime now, std::uint64_t moves,
   // GC relocations read the victim page before reprogramming it.
   for (std::uint64_t i = 0; i < moves; ++i) {
     next_background_chip_ = (next_background_chip_ + 1) % chips();
-    submit_train_command(next_background_chip_, now,
-                         ChipCommand{.die = latency.program() +
-                                            latency.spec.read_latency},
-                         "gc_move");
+    submit_command(next_background_chip_, now,
+                   ChipCommand{.die = latency.program() +
+                                      latency.spec.read_latency},
+                   QosClass::kBackground, 0, 0, kNoTag, "gc_move");
   }
   for (std::uint64_t i = 0; i < erases; ++i) {
     next_background_chip_ = (next_background_chip_ + 1) % chips();
-    submit_train_command(next_background_chip_, now,
-                         ChipCommand{.die = latency.erase()}, "erase");
-  }
-}
-
-void ChipScheduler::submit_train_command(std::size_t chip, SimTime now,
-                                         const ChipCommand& cmd,
-                                         const char* op) {
-  if (qos_enabled_) {
-    submit_qos(chip, now, cmd, QosClass::kBackground, 0, 0, kNoTag, op);
-  } else {
-    submit(chip, now, cmd, op);
+    submit_command(next_background_chip_, now,
+                   ChipCommand{.die = latency.erase()}, QosClass::kBackground,
+                   0, 0, kNoTag, "erase");
   }
 }
 
 void ChipScheduler::enable_qos(const QosConfig& config, QosSink* sink) {
+  set_sink(sink);
   qos_enabled_ = true;
   qos_config_ = config;
-  qos_sink_ = sink;
   qos_queue_.assign(chips(), {});
   qos_busy_.assign(chips(), 0);
   qos_active_.assign(chips(), QosPending{});
@@ -283,13 +294,13 @@ void ChipScheduler::qos_complete(std::size_t chip, SimTime now) {
     qos_start_service(chip, now, next);
   }
 
-  if (qos_sink_ && done.tag != kNoTag) {
-    qos_sink_->on_qos_complete({.tag = done.tag,
-                                .chip = chip,
-                                .arrival = done.arrival,
-                                .start = start,
-                                .completion = now,
-                                .cmd = done.cmd});
+  if (sink_ != nullptr && done.tag != kNoTag) {
+    sink_->on_qos_complete({.tag = done.tag,
+                            .chip = chip,
+                            .arrival = done.arrival,
+                            .start = start,
+                            .completion = now,
+                            .cmd = done.cmd});
   }
 }
 
@@ -338,8 +349,8 @@ void ChipScheduler::attach_telemetry(telemetry::Telemetry* telemetry) {
       "chip.wait_us",
       telemetry::HistogramSpec{
           .lo = 1e-2, .hi = 1e6, .bins = 160, .log_spaced = true});
-  // QoS counters exist only when QoS mode is on, so legacy metric
-  // snapshots (the pinned golden set) are unaffected.
+  // QoS counters exist only when QoS mode is on, so reservation-backend
+  // metric snapshots (the pinned golden set) are unaffected.
   if (!qos_enabled_) return;
   registry.bind(this, "sched.qos_background_deferrals",
                 [this] { return qos_background_deferrals_; });

@@ -1,15 +1,15 @@
 // Per-chip NAND command scheduling.
 //
-// Each chip serialises its commands. The reservation path (submit) books
-// a command behind the chip's in-flight work in issue order; QoS mode
-// (enable_qos) queues commands per chip and dispatches them by one rule,
-// earliest deadline first. Occupancy is decomposed into channel-transfer
-// time (the bus), die-busy time (array sensing / program / erase) and
-// controller time (LDPC decode) so utilisation can be attributed per
-// resource, and the scheduler keeps per-chip queue-depth and wait
-// accounting that surfaces in SsdResults. Completion events are posted to
-// the simulator's EventQueue, which is where the in-flight gauge (and
-// hence observed queue depth) is maintained.
+// Each chip serialises its commands. The reservation backend (submit)
+// books a command behind the chip's in-flight work in issue order; the
+// queued backend (enable_qos) queues commands per chip and dispatches them
+// by one rule, earliest deadline first. Occupancy is decomposed into
+// channel-transfer time (the bus), die-busy time (array sensing / program
+// / erase) and controller time (LDPC decode) so utilisation can be
+// attributed per resource, and the scheduler keeps per-chip queue-depth
+// and wait accounting that surfaces in SsdResults. Completion events are
+// posted to the simulator's EventQueue, which is where the in-flight gauge
+// (and hence observed queue depth) is maintained.
 #pragma once
 
 #include <cstdint>
@@ -76,16 +76,16 @@ enum class QosPolicy {
 /// (buffer flushes, GC trains, refresh scrubs) is throttleable.
 enum class QosClass : std::uint8_t { kRead = 0, kWrite = 1, kBackground = 2 };
 
-/// Multi-tenant QoS mode (SsdConfig::qos). Off by default — the legacy
-/// path (synchronous chip reservation, single implicit tenant) reproduces
-/// every seed figure bit-identically. When enabled, host NAND commands
-/// queue per chip and dispatch by deadline, request latencies become
-/// event-driven (a request completes when its slowest queued command
-/// completes), and per-tenant response stats land in SsdResults::tenant.
-/// FTL state mutations (placement, GC, hotness, disturb counters) stay
-/// synchronous at arrival time, so differently configured schedulers walk
-/// the *identical* drive-state trajectory and differ only in queueing —
-/// which is exactly what makes the QoS ablation a controlled experiment.
+/// Multi-tenant QoS mode (SsdConfig::qos). Off by default — the
+/// reservation backend (single implicit tenant) reproduces every seed
+/// figure bit-identically. When enabled, host NAND commands queue per chip
+/// and dispatch by deadline, request latencies become event-driven (a
+/// request completes when its slowest queued command completes), and
+/// per-tenant response stats land in SsdResults::tenant. FTL state
+/// mutations (placement, GC, hotness, disturb counters) stay synchronous
+/// at arrival time, so differently configured schedulers walk the
+/// *identical* drive-state trajectory and differ only in queueing — which
+/// is exactly what makes the QoS ablation a controlled experiment.
 /// The scheduler reads the budgets, weights, slack and throttle; the
 /// simulator reads the rest.
 struct QosConfig {
@@ -136,7 +136,7 @@ struct QosCompletion {
   ChipCommand cmd;
 };
 
-/// Receives tagged command completions in QoS mode (the simulator).
+/// Receives tagged command completions on either backend (the simulator).
 class QosSink {
  public:
   virtual ~QosSink() = default;
@@ -170,6 +170,14 @@ class ChipScheduler {
   SimTime submit(std::size_t chip, SimTime arrival, const ChipCommand& cmd,
                  const char* op = "cmd");
 
+  /// The one entry for host commands and trains: submit_qos() in QoS
+  /// mode; otherwise submit(), delivering a tagged command's (already
+  /// known) completion to the sink before returning, with no kernel event.
+  void submit_command(std::size_t chip, SimTime now, const ChipCommand& cmd,
+                      QosClass klass, std::uint16_t tenant,
+                      std::uint8_t priority, std::uint64_t tag,
+                      const char* op = "cmd");
+
   /// Schedules a flush/GC write result's NAND operations: the host program
   /// on its own chip, then the result's GC relocations and erases as a
   /// maintenance train (submit_maintenance).
@@ -179,22 +187,24 @@ class ChipScheduler {
   /// Background maintenance without a host program (GC byproducts of a
   /// write-through host program, refresh-scrub relocation trains): each
   /// relocation and erase goes to the next chip round-robin, so trains
-  /// parallelise instead of stalling the whole array. In QoS mode every
-  /// train command queues as throttleable background work; otherwise it
-  /// is reserved through submit().
+  /// parallelise instead of stalling the whole array. Every train command
+  /// is an untagged kBackground submit_command: throttleable queued work
+  /// in QoS mode, a reservation otherwise.
   void submit_maintenance(SimTime now, std::uint64_t moves,
                           std::uint64_t erases, const LatencyModel& latency);
 
   /// Earliest time `chip` can start new work.
   SimTime free_at(std::size_t chip) const { return free_at_[chip]; }
 
+  /// Receives tagged completions on either backend (null ignores tags).
+  void set_sink(QosSink* sink) { sink_ = sink; }
+
   /// Switches the scheduler into QoS mode: commands submitted through
   /// submit_qos() and the background trains queue per chip and dispatch
   /// earliest deadline first, with ties broken by submission order; the
   /// weighted-fair override and the background throttle of `config`
   /// apply on top. Legacy submit() keeps working (and stays
-  /// byte-identical) when QoS mode is never enabled. `sink` (may be null)
-  /// receives completions of tagged commands.
+  /// byte-identical) when QoS mode is never enabled. Sets the sink.
   void enable_qos(const QosConfig& config, QosSink* sink);
   bool qos_enabled() const { return qos_enabled_; }
 
@@ -265,10 +275,6 @@ class ChipScheduler {
                      const ChipCommand& cmd, const char* op);
   void observe_start(std::size_t chip, SimTime arrival, SimTime start,
                      const ChipCommand& cmd, const char* op);
-  /// One train command, routed by mode: queued background work in QoS
-  /// mode, a reservation otherwise.
-  void submit_train_command(std::size_t chip, SimTime now,
-                            const ChipCommand& cmd, const char* op);
   /// Picks the next queue index to dispatch on `chip` at `now`; the queue
   /// must be non-empty.
   std::size_t qos_pick_index(std::size_t chip, SimTime now);
@@ -282,9 +288,9 @@ class ChipScheduler {
   std::vector<ChipStats> stats_;
   std::size_t next_background_chip_ = 0;
 
+  QosSink* sink_ = nullptr;
   bool qos_enabled_ = false;
   QosConfig qos_config_;
-  QosSink* qos_sink_ = nullptr;
   std::vector<std::vector<QosPending>> qos_queue_;  ///< per chip
   std::vector<char> qos_busy_;                      ///< per chip
   std::vector<QosPending> qos_active_;              ///< per chip, if busy

@@ -192,7 +192,7 @@ Status SsdConfig::Validate() const {
              qos.write_admission_dirty_watermark != 0 ||
              qos.gc_throttle_queue_depth != 0) {
     return Status::InvalidArgument(
-        "qos knobs are set but qos.enabled is false: the legacy path "
+        "qos knobs are set but qos.enabled is false: the reservation backend "
         "ignores them silently — enable QoS mode or clear the knobs");
   }
   const bool channel_armed =
@@ -263,12 +263,12 @@ SsdSimulator::SsdSimulator(SsdConfig config,
     config_.latency.measured_decode = channel_.measured_decode_times(
         config_.latency.decode_per_iteration, config_.latency.decode_overhead);
   }
+  // Both backends complete through on_qos_complete; only the queued one
+  // takes the QoS configuration (Validate() pins qos.tenants to 1 off it).
   qos_mode_ = config_.qos.enabled;
-  tenant_count_ = qos_mode_ ? config_.qos.tenants : 1;
-  if (qos_mode_) {
-    scheduler_.enable_qos(config_.qos, this);
-    qos_outstanding_.assign(tenant_count_, 0);
-  }
+  tenant_outstanding_.assign(config_.qos.tenants, 0);
+  scheduler_.set_sink(this);
+  if (qos_mode_) scheduler_.enable_qos(config_.qos, this);
   clear_results();
 }
 
@@ -278,7 +278,7 @@ void SsdSimulator::clear_results() {
       static_cast<std::size_t>(channel_.ladder().steps().back().extra_levels) +
           1,
       0);
-  results_.tenant.assign(tenant_count_, TenantStats{});
+  results_.tenant.assign(config_.qos.tenants, TenantStats{});
 }
 
 void SsdSimulator::reset_measurements() {
@@ -288,7 +288,7 @@ void SsdSimulator::reset_measurements() {
   policy_.reset_stats();
   // Slots still in flight across the reset stay counted in the new
   // window's high-water mark.
-  qos_slots_high_water_ = qos_requests_.size() - qos_free_slots_.size();
+  slots_high_water_ = requests_.size() - free_slots_.size();
   if (telemetry_) {
     telemetry_->metrics.zero();
     telemetry_->spans.clear();
@@ -333,7 +333,7 @@ void SsdSimulator::attach_telemetry(telemetry::Telemetry* telemetry) {
                 [this] { return results_.read_response.count(); });
   registry.bind(this, "ssd.writes",
                 [this] { return results_.write_response.count(); });
-  for (std::uint32_t i = 0; i < tenant_count_; ++i) {
+  for (std::uint32_t i = 0; i < config_.qos.tenants; ++i) {
     const std::string prefix = "tenant." + std::to_string(i) + ".";
     registry.bind(this, prefix + "reads", [this, i] {
       return results_.tenant[i].read_response.count();
@@ -454,65 +454,6 @@ std::optional<ReadContext> SsdSimulator::begin_read(std::uint64_t lpn,
   return read.ctx;
 }
 
-SsdSimulator::PageService SsdSimulator::service_read_page(std::uint64_t lpn,
-                                                          SimTime now) {
-  const std::optional<ReadContext> ctx = begin_read(lpn, now);
-  if (!ctx.has_value()) return dram_read();
-  telemetry::SpanRecorder* tracer =
-      telemetry_ ? telemetry_->tracer() : nullptr;
-  std::vector<ReadAttempt>* attempts = nullptr;
-  if (tracer) {
-    attempts_scratch_.clear();
-    attempts = &attempts_scratch_;
-  }
-  const ReadCost cost = policy_.read_cost(*ctx, attempts);
-  const std::size_t chip = scheduler_.chip_of(ctx->ppn);
-  const SimTime completion =
-      scheduler_.submit(chip, now,
-                        ChipCommand{.channel = cost.channel,
-                                    .die = cost.die,
-                                    .controller = cost.controller},
-                        "read");
-  const SimTime start = completion - cost.total();
-  if (tracer) {
-    // Child spans partition [start, completion] attempt by attempt; they
-    // are recorded after the scheduler's enclosing "read" span, so the
-    // exporter's stable sort keeps parent-before-child nesting.
-    const auto tid = static_cast<std::int32_t>(chip);
-    SimTime cursor = start;
-    for (std::size_t round = 0; round < attempts->size(); ++round) {
-      const ReadAttempt& attempt = (*attempts)[round];
-      const auto levels = static_cast<double>(attempt.levels);
-      for (const auto& [name, dur] :
-           {std::pair{"sense", attempt.cost.die},
-            std::pair{"xfer", attempt.cost.channel},
-            std::pair{"decode", attempt.cost.controller}}) {
-        if (dur <= 0) continue;
-        tracer->record({.name = name,
-                        .cat = "read",
-                        .pid = telemetry_->pid,
-                        .tid = tid,
-                        .start = cursor,
-                        .dur = dur,
-                        .arg0_key = "levels",
-                        .arg0 = levels,
-                        .arg1_key = "round",
-                        .arg1 = static_cast<double>(round)});
-        cursor += dur;
-      }
-    }
-  }
-  // This read's own pass-voltage stress lands on the block before any
-  // post-read maintenance (the refresh scrub) inspects the counter.
-  ftl_.record_read(ctx->ppn);
-  policy_.on_read_complete(*ctx);
-  return {.response = completion - now,
-          .wait = start - now,
-          .sense = cost.die,
-          .transfer = cost.channel,
-          .decode = cost.controller};
-}
-
 void SsdSimulator::mark_durable(std::uint64_t lpn) {
   durable_version_[lpn] = static_cast<std::uint32_t>(ftl_.data_version(lpn));
 }
@@ -549,22 +490,6 @@ void SsdSimulator::settle_write_through(std::uint64_t lpn, SimTime now) {
   }
 }
 
-Duration SsdSimulator::service_write_page(std::uint64_t lpn, SimTime now) {
-  ++results_.writes_acked;
-  if (config_.durability.policy == DurabilityPolicy::kFua) {
-    // Force-unit-access: program before acknowledging, then keep the page
-    // cached (clean) for reads. The ack carries the program latency — the
-    // price of making "acknowledged" mean "durable" per write.
-    const ftl::WriteResult result =
-        ftl_.write(lpn, policy_.write_mode(lpn), now);
-    scheduler_.submit_background(now, result, config_.latency);
-    settle_write_through(lpn, now);
-    return config_.latency.buffer_latency + config_.latency.program();
-  }
-  buffer_write(lpn, now);
-  return config_.latency.buffer_latency;
-}
-
 void SsdSimulator::flush_barrier_at(SimTime now) {
   for (const std::uint64_t lpn : buffer_.flush_barrier()) {
     flush_victim(lpn, now);
@@ -586,10 +511,10 @@ void SsdSimulator::power_loss() {
   events_.drop_pending();
   results_.dirty_buffer_pages = buffer_.power_loss();
   scheduler_.power_loss(now);
-  // In-flight QoS requests vanish with their queued commands.
-  qos_requests_.clear();
-  qos_free_slots_.clear();
-  std::fill(qos_outstanding_.begin(), qos_outstanding_.end(), 0);
+  // In-flight requests vanish with their queued commands.
+  requests_.clear();
+  free_slots_.clear();
+  std::fill(tenant_outstanding_.begin(), tenant_outstanding_.end(), 0);
   ++results_.crashes;
   if (telemetry::SpanRecorder* tracer =
           telemetry_ ? telemetry_->tracer() : nullptr) {
@@ -683,38 +608,15 @@ void SsdSimulator::record_request_stats(bool is_write, std::uint16_t tenant,
   }
 }
 
-Duration SsdSimulator::service_request(const trace::Request& request,
-                                       SimTime now) {
-  if (qos_mode_) {
-    service_request_qos(request, now);
-    return 0;
-  }
-  const std::uint64_t logical = ftl_.logical_pages();
-  Duration response = 0;
-  // Pages of one request are served concurrently on their chips; the
-  // request completes with its slowest page. The first slowest page (ties
-  // broken by page order) supplies the read's latency decomposition.
-  PageService slowest;
-  for (std::uint32_t i = 0; i < request.pages; ++i) {
-    const std::uint64_t lpn = (request.lpn + i) % logical;
-    if (request.is_write) {
-      response = std::max(response, service_write_page(lpn, now));
-    } else {
-      const PageService page = service_read_page(lpn, now);
-      if (page.response > slowest.response) slowest = page;
-    }
-  }
-  if (!request.is_write) response = slowest.response;
-  record_request_stats(request.is_write, tenant_of(request), response,
-                       slowest, now, request.lpn, request.pages);
-  return response;
-}
-
 Duration SsdSimulator::service_external(const trace::Request& request,
                                         SimTime now) {
-  FLEX_EXPECTS(external_kernel_ && !qos_mode_ && !crashed_);
+  FLEX_EXPECTS(external_kernel_ && !crashed_);
   integrity_failed_lpns_.clear();
-  return service_request(request, now);
+  const std::optional<Duration> response = service_request(request, now);
+  // An array drive runs the reservation backend (ArrayConfig refuses QoS),
+  // whose commands complete inside the submitting call.
+  FLEX_ASSERT(response.has_value());
+  return *response;
 }
 
 void SsdSimulator::repair_page(std::uint64_t lpn, SimTime now) {
@@ -750,126 +652,143 @@ std::uint64_t SsdSimulator::block_read_count(std::uint64_t lpn) const {
   return info.has_value() ? info->block_reads : 0;
 }
 
-void SsdSimulator::service_request_qos(const trace::Request& request,
-                                       SimTime now) {
+std::optional<Duration> SsdSimulator::service_request(
+    const trace::Request& request, SimTime now) {
   const std::uint16_t tenant = tenant_of(request);
   if (config_.qos.admission_max_outstanding > 0 &&
-      qos_outstanding_[tenant] >= config_.qos.admission_max_outstanding) {
+      tenant_outstanding_[tenant] >= config_.qos.admission_max_outstanding) {
     // Rejected before any FTL mutation: admission control is what bounds
     // both queue memory and drive-state divergence under overload.
     ++results_.tenant[tenant].admission_rejected;
     ++results_.admission_rejected;
-    return;
+    return std::nullopt;
   }
   std::uint64_t slot;
-  if (!qos_free_slots_.empty()) {
-    slot = qos_free_slots_.back();
-    qos_free_slots_.pop_back();
+  if (!free_slots_.empty()) {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
   } else {
-    slot = qos_requests_.size();
-    qos_requests_.emplace_back();
+    slot = requests_.size();
+    requests_.emplace_back();
   }
-  qos_requests_[slot] = QosRequest{.arrival = now,
-                                   .lpn = request.lpn,
-                                   .pages = request.pages,
-                                   .tenant = tenant,
-                                   .is_write = request.is_write,
-                                   .outstanding = 1};  // issue guard
-  ++qos_outstanding_[tenant];
-  qos_slots_high_water_ =
-      std::max<std::uint64_t>(qos_slots_high_water_,
-                              qos_requests_.size() - qos_free_slots_.size());
+  requests_[slot] = RequestSlot{.arrival = now,
+                                .lpn = request.lpn,
+                                .pages = request.pages,
+                                .tenant = tenant,
+                                .is_write = request.is_write,
+                                .outstanding = 1};  // issue guard
+  ++tenant_outstanding_[tenant];
+  slots_high_water_ = std::max<std::uint64_t>(
+      slots_high_water_, requests_.size() - free_slots_.size());
 
+  // Pages of one request are served concurrently on their chips; the
+  // request completes with its slowest page. The first slowest page to
+  // complete (page order on the reservation backend) supplies the read's
+  // latency decomposition.
   const std::uint64_t logical = ftl_.logical_pages();
   for (std::uint32_t i = 0; i < request.pages; ++i) {
     const std::uint64_t lpn = (request.lpn + i) % logical;
     if (request.is_write) {
-      issue_write_page_qos(lpn, slot, request.priority, now);
+      issue_write_page(lpn, slot, request.priority, now);
     } else {
-      issue_read_page_qos(lpn, slot, request.priority, now);
+      issue_read_page(lpn, slot, request.priority, now);
     }
   }
-  // Drop the issue guard; a request whose pages all resolved
-  // synchronously (buffer hits, buffered writes) finalizes here.
-  if (--qos_requests_[slot].outstanding == 0) finalize_qos(slot);
+  // Drop the issue guard. A request whose pages all completed inside the
+  // issue (DRAM service, buffered writes, every command on the
+  // reservation backend) finalizes here.
+  if (--requests_[slot].outstanding == 0) return finalize(slot);
+  return std::nullopt;
 }
 
-void SsdSimulator::issue_read_page_qos(std::uint64_t lpn, std::uint64_t slot,
-                                       std::uint8_t priority, SimTime now) {
-  QosRequest& st = qos_requests_[slot];
+void SsdSimulator::issue_read_page(std::uint64_t lpn, std::uint64_t slot,
+                                   std::uint8_t priority, SimTime now) {
+  RequestSlot& st = requests_[slot];
   const std::optional<ReadContext> ctx = begin_read(lpn, now);
   if (!ctx.has_value()) {
-    const PageService page = dram_read();
+    const PageService page{.response = config_.latency.buffer_latency,
+                           .buffer = config_.latency.buffer_latency};
     if (page.response > st.slowest.response) st.slowest = page;
     return;
   }
   // The whole read cost (progressive ladder, recovery re-read) is
-  // computed at arrival and travels with the queued command; per-attempt
-  // child spans are not recorded in QoS mode because the service start is
-  // unknown until dispatch (the chip-level "read" span still is).
-  const ReadCost cost = policy_.read_cost(*ctx);
+  // computed at arrival and travels with the command; its attempts are
+  // kept for the completion's spans when tracing.
+  std::vector<ReadAttempt>* attempts = nullptr;
+  if (telemetry_ != nullptr && telemetry_->tracer() != nullptr) {
+    attempts_scratch_.clear();
+    attempts = &attempts_scratch_;
+  }
+  const ReadCost cost = policy_.read_cost(*ctx, attempts);
   ++st.outstanding;
-  scheduler_.submit_qos(scheduler_.chip_of(ctx->ppn), now,
-                        ChipCommand{.channel = cost.channel,
-                                    .die = cost.die,
-                                    .controller = cost.controller},
-                        QosClass::kRead, st.tenant, priority, slot, "read");
+  scheduler_.submit_command(scheduler_.chip_of(ctx->ppn), now,
+                            ChipCommand{.channel = cost.channel,
+                                        .die = cost.die,
+                                        .controller = cost.controller},
+                            QosClass::kRead, st.tenant, priority, slot,
+                            "read");
   // FTL state mutations stay synchronous at arrival (identical drive-state
-  // trajectory under every scheduler configuration); a refresh scrub
-  // triggered by this read queues its relocation train as throttleable
-  // background work.
-  const std::uint64_t before_moves = ftl_.stats().refresh_page_moves;
-  const std::uint64_t before_runs = ftl_.stats().refresh_runs;
+  // trajectory under every scheduler configuration). This read's own
+  // pass-voltage stress lands on the block before any post-read
+  // maintenance (the refresh scrub) inspects the counter.
+  const ftl::FtlStats& ftl_stats = ftl_.stats();
+  const std::uint64_t moves = ftl_stats.refresh_page_moves;
+  const std::uint64_t runs = ftl_stats.refresh_runs;
   ftl_.record_read(ctx->ppn);
   policy_.on_read_complete(*ctx);
-  const std::uint64_t moves =
-      ftl_.stats().refresh_page_moves - before_moves;
-  const std::uint64_t erases = ftl_.stats().refresh_runs - before_runs;
-  scheduler_.submit_maintenance(now, moves, erases, config_.latency);
+  // Backend difference (ROADMAP item 1): only the queued backend charges
+  // a refresh scrub's relocations and erase to the chips.
+  if (qos_mode_) {
+    scheduler_.submit_maintenance(now, ftl_stats.refresh_page_moves - moves,
+                                  ftl_stats.refresh_runs - runs,
+                                  config_.latency);
+  }
 }
 
-void SsdSimulator::issue_write_page_qos(std::uint64_t lpn,
-                                        std::uint64_t slot,
-                                        std::uint8_t priority, SimTime now) {
-  QosRequest& st = qos_requests_[slot];
+void SsdSimulator::issue_write_page(std::uint64_t lpn, std::uint64_t slot,
+                                    std::uint8_t priority, SimTime now) {
+  RequestSlot& st = requests_[slot];
   ++results_.writes_acked;
-  // Write admission: past the dirty watermark (or always, under kFua) the
-  // page programs through to NAND as a *queued* host command — the ack
-  // waits for the program, which is the back-pressure that keeps the
-  // dirty set bounded under sustained write overload.
+  // Write-through under kFua, or past the QoS write-admission dirty
+  // watermark: the page programs to NAND as a host command before the ack
+  // (on the queued backend, the back-pressure that bounds the dirty set
+  // under sustained write overload) and stays cached clean for reads.
   const bool write_through =
       config_.durability.policy == DurabilityPolicy::kFua ||
       (config_.qos.write_admission_dirty_watermark > 0 &&
        buffer_.dirty_pages() >= config_.qos.write_admission_dirty_watermark);
-  if (write_through) {
-    const ftl::WriteResult result =
-        ftl_.write(lpn, policy_.write_mode(lpn), now);
-    ++st.outstanding;
-    scheduler_.submit_qos(scheduler_.chip_of(result.ppn), now,
-                          ChipCommand{.die = config_.latency.program()},
-                          QosClass::kWrite, st.tenant, priority, slot,
-                          "program");
-    const std::uint64_t moves =
-        result.page_programs > 0 ? result.page_programs - 1 : 0;
-    scheduler_.submit_maintenance(now, moves, result.erases,
-                                  config_.latency);
-    settle_write_through(lpn, now);
+  if (!write_through) {
+    buffer_write(lpn, now);
+    st.write_response =
+        std::max(st.write_response, config_.latency.buffer_latency);
     return;
   }
-  buffer_write(lpn, now);
-  st.write_response =
-      std::max(st.write_response, config_.latency.buffer_latency);
+  const ftl::WriteResult result =
+      ftl_.write(lpn, policy_.write_mode(lpn), now);
+  ++st.outstanding;
+  scheduler_.submit_command(scheduler_.chip_of(result.ppn), now,
+                            ChipCommand{.die = config_.latency.program()},
+                            QosClass::kWrite, st.tenant, priority, slot,
+                            "program");
+  const std::uint64_t moves =
+      result.page_programs > 0 ? result.page_programs - 1 : 0;
+  scheduler_.submit_maintenance(now, moves, result.erases, config_.latency);
+  settle_write_through(lpn, now);
 }
 
 void SsdSimulator::on_qos_complete(const QosCompletion& done) {
-  QosRequest& st = qos_requests_[done.tag];
+  RequestSlot& st = requests_[done.tag];
   if (st.is_write) {
-    // Buffer insertion precedes the program, as under kFua.
+    // Buffer insertion precedes the program. Backend difference (ROADMAP
+    // item 5): the queued backend acks when the program completes; the
+    // reservation backend acks at buffer_latency + program(), whatever
+    // the chip's backlog.
+    const SimTime acked_from = qos_mode_ ? done.arrival : done.start;
     st.write_response =
-        std::max(st.write_response, done.completion - done.arrival +
+        std::max(st.write_response, done.completion - acked_from +
                                         config_.latency.buffer_latency);
   } else {
-    // Commands are queued at request arrival, so wait + occupancy spans
+    // Commands are issued at request arrival, so wait + occupancy spans
     // [arrival, completion] exactly and the breakdown identity holds.
     const PageService page{.response = done.completion - done.arrival,
                            .wait = done.start - done.arrival,
@@ -877,21 +796,51 @@ void SsdSimulator::on_qos_complete(const QosCompletion& done) {
                            .transfer = done.cmd.channel,
                            .decode = done.cmd.controller};
     if (page.response > st.slowest.response) st.slowest = page;
+    // Backend difference (ROADMAP item 5): only the reservation backend
+    // records per-attempt spans. Its completion arrives inside the issue,
+    // while attempts_scratch_ holds this read's attempts; the child spans
+    // partition [start, completion] after the scheduler's "read" span, so
+    // the exporter's stable sort keeps parent-before-child nesting.
+    telemetry::SpanRecorder* tracer =
+        !qos_mode_ && telemetry_ ? telemetry_->tracer() : nullptr;
+    SimTime cursor = done.start;
+    for (std::size_t round = 0;
+         tracer != nullptr && round < attempts_scratch_.size(); ++round) {
+      const ReadAttempt& attempt = attempts_scratch_[round];
+      for (const auto& [name, dur] :
+           {std::pair{"sense", attempt.cost.die},
+            std::pair{"xfer", attempt.cost.channel},
+            std::pair{"decode", attempt.cost.controller}}) {
+        if (dur <= 0) continue;
+        tracer->record({.name = name,
+                        .cat = "read",
+                        .pid = telemetry_->pid,
+                        .tid = static_cast<std::int32_t>(done.chip),
+                        .start = cursor,
+                        .dur = dur,
+                        .arg0_key = "levels",
+                        .arg0 = static_cast<double>(attempt.levels),
+                        .arg1_key = "round",
+                        .arg1 = static_cast<double>(round)});
+        cursor += dur;
+      }
+    }
   }
   FLEX_ASSERT(st.outstanding > 0);
-  if (--st.outstanding == 0) finalize_qos(done.tag);
+  if (--st.outstanding == 0) finalize(done.tag);
 }
 
-void SsdSimulator::finalize_qos(std::uint64_t slot) {
+Duration SsdSimulator::finalize(std::uint64_t slot) {
   // Response latencies were measured per page as the commands completed.
-  const QosRequest st = qos_requests_[slot];
-  qos_free_slots_.push_back(slot);
-  FLEX_ASSERT(qos_outstanding_[st.tenant] > 0);
-  --qos_outstanding_[st.tenant];
+  const RequestSlot& st = requests_[slot];
+  FLEX_ASSERT(tenant_outstanding_[st.tenant] > 0);
+  --tenant_outstanding_[st.tenant];
   const Duration response =
       st.is_write ? st.write_response : st.slowest.response;
   record_request_stats(st.is_write, st.tenant, response, st.slowest,
                        st.arrival, st.lpn, st.pages);
+  free_slots_.push_back(slot);
+  return response;
 }
 
 void SsdSimulator::drain_events() {
@@ -966,7 +915,9 @@ void SsdSimulator::collect_results() {
     const auto field = counter.second;
     results_.ftl.*field = ftl_.stats().*field - prefill_stats_.*field;
   }
-  results_.qos_request_slots_high_water = qos_slots_high_water_;
+  // The reservation backend holds a slot only inside the issuing call;
+  // result digests pin its gauge at 0.
+  results_.qos_request_slots_high_water = qos_mode_ ? slots_high_water_ : 0;
   results_.qos_pending_high_water = scheduler_.qos_pending_high_water();
   results_.background_deferrals = scheduler_.qos_background_deferrals();
   results_.fairness_overrides = scheduler_.qos_fairness_overrides();

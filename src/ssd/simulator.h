@@ -175,8 +175,9 @@ struct SsdConfig {
   /// reproduces every seed figure bit-identically; crash injection
   /// (faults.crash_enabled) requires kFua or kFlushBarrier.
   DurabilityConfig durability;
-  /// Multi-tenant QoS scheduling; off by default (bit-identical legacy
-  /// path). Incompatible with crash injection.
+  /// Multi-tenant QoS scheduling on the queued chip backend; off by
+  /// default (the reservation backend, bit-identical to the seed).
+  /// Incompatible with crash injection.
   QosConfig qos;
   /// End-to-end data integrity; off by default (bit-identical path).
   IntegrityConfig integrity;
@@ -277,9 +278,9 @@ struct SsdResults {
   /// Blocks out of service at the end of the run (gauge; fault injection
   /// only — includes retirements during prefill/preconditioning).
   std::uint64_t retired_blocks = 0;
-  /// Per-tenant response stats, sized max(1, qos.tenants); the legacy
-  /// path records into it too (requests default to tenant 0), so single-
-  /// tenant runs read identically from either view.
+  /// Per-tenant response stats, sized max(1, qos.tenants); every request
+  /// records into it (requests default to tenant 0), so single-tenant
+  /// runs read identically from either view.
   std::vector<TenantStats> tenant;
   /// Requests rejected by admission control (sum over tenants).
   std::uint64_t admission_rejected = 0;
@@ -311,6 +312,9 @@ struct SsdResults {
   /// never in stdout, so the byte-identical --jobs contract only covers
   /// deterministic fields.
   double wall_seconds = 0;
+  /// The part of wall_seconds spent in the measured window alone (after
+  /// build, prefill and warmup), stamped the same way.
+  double measured_wall_seconds = 0;
 };
 
 class SsdSimulator : private QosSink, private ArrivalSink {
@@ -390,12 +394,13 @@ class SsdSimulator : private QosSink, private ArrivalSink {
                      std::uint64_t max_requests = 0);
 
   /// Host-layer service entry (external-kernel mode): serves one request
-  /// at simulated time `now` through the legacy synchronous path and
-  /// returns its response latency. Chip occupancy, FTL mutations, and
-  /// per-drive stats land exactly as under run_segment(); the caller owns
-  /// draining the shared kernel afterwards. Requires a drive built with an
-  /// external kernel and qos.enabled == false (the array layer does its
-  /// own queueing above the drive).
+  /// at simulated time `now` through the drive's one request lifecycle
+  /// and returns its response latency. The drive runs the reservation
+  /// backend (the array layer does its own queueing above the drive and
+  /// refuses qos.enabled), so the request finalizes inside this call.
+  /// Chip occupancy, FTL mutations, and per-drive stats land exactly as
+  /// under run_segment(); the caller owns draining the shared kernel
+  /// afterwards. Requires a drive built with an external kernel.
   Duration service_external(const trace::Request& request, SimTime now);
 
   /// Out-of-band hotness feed for array-global AccessEval: runs the read
@@ -520,38 +525,42 @@ class SsdSimulator : private QosSink, private ArrivalSink {
     Duration buffer = 0;    ///< DRAM service (buffer hit / unmapped)
   };
 
-  /// One in-flight request in QoS mode: slot-pooled so the steady state
-  /// allocates nothing; `tag` handed to the scheduler is the slot index.
-  struct QosRequest {
+  /// One in-flight request (either backend): slot-pooled so the steady
+  /// state allocates nothing; `tag` handed to the scheduler is the slot.
+  struct RequestSlot {
     SimTime arrival = 0;
     std::uint64_t lpn = 0;
     std::uint32_t pages = 1;
     std::uint16_t tenant = 0;
     bool is_write = false;
-    /// Queued chip commands still outstanding, plus an issue guard held
-    /// while the request's pages are being issued (so a synchronous
-    /// completion cannot finalize a half-issued request).
+    /// Chip commands still outstanding, plus an issue guard held while
+    /// the request's pages are being issued (so a completion inside the
+    /// issue cannot finalize a half-issued request).
     std::uint32_t outstanding = 0;
     PageService slowest;          ///< reads: slowest page's decomposition
     Duration write_response = 0;  ///< writes: slowest page ack latency
   };
 
-  Duration service_request(const trace::Request& request, SimTime now);
-  void service_request_qos(const trace::Request& request, SimTime now);
-  void issue_read_page_qos(std::uint64_t lpn, std::uint64_t slot,
-                           std::uint8_t priority, SimTime now);
-  void issue_write_page_qos(std::uint64_t lpn, std::uint64_t slot,
-                            std::uint8_t priority, SimTime now);
+  /// The one request entry. Returns the response if the request finalized
+  /// inside the call (always on the reservation backend), else nullopt
+  /// (still in flight, or rejected by admission control).
+  std::optional<Duration> service_request(const trace::Request& request,
+                                          SimTime now);
+  void issue_read_page(std::uint64_t lpn, std::uint64_t slot,
+                       std::uint8_t priority, SimTime now);
+  void issue_write_page(std::uint64_t lpn, std::uint64_t slot,
+                        std::uint8_t priority, SimTime now);
+  /// The one completion handler (both backends deliver here).
   void on_qos_complete(const QosCompletion& done) override;
-  void finalize_qos(std::uint64_t slot);
-  /// Shared stat-recording tail of both service paths.
+  /// Frees the slot, records the request's stats and returns its response.
+  Duration finalize(std::uint64_t slot);
   void record_request_stats(bool is_write, std::uint16_t tenant,
                             Duration response, const PageService& slowest,
                             SimTime arrival, std::uint64_t lpn,
                             std::uint32_t pages);
   std::uint16_t tenant_of(const trace::Request& request) const {
     return static_cast<std::uint16_t>(
-        std::min<std::uint32_t>(request.tenant, tenant_count_ - 1));
+        std::min<std::uint32_t>(request.tenant, config_.qos.tenants - 1));
   }
   void on_arrival(const trace::Request& request, SimTime now) override;
   /// Runs the event queue dry (crash-armed when injection is on).
@@ -570,26 +579,19 @@ class SsdSimulator : private QosSink, private ArrivalSink {
   /// nothing; channel_.assess is stateful under adaptive thresholds, so
   /// each call is one observed read.
   ResolvedRead resolve_read(std::uint64_t lpn, SimTime now);
-  /// Front half shared by both serving paths: resolve_read, then the read
-  /// counters and read-back verification. Returns nullopt for a
-  /// DRAM-served page (buffer hit or unmapped read).
+  /// Front half of every page read: resolve_read, then the read counters
+  /// and read-back verification. Returns nullopt for a DRAM-served page
+  /// (buffer hit or unmapped read).
   std::optional<ReadContext> begin_read(std::uint64_t lpn, SimTime now);
-  /// DRAM service of a buffer hit or an unmapped read.
-  PageService dram_read() const {
-    return {.response = config_.latency.buffer_latency,
-            .buffer = config_.latency.buffer_latency};
-  }
-  PageService service_read_page(std::uint64_t lpn, SimTime now);
-  Duration service_write_page(std::uint64_t lpn, SimTime now);
   /// Read-back verification (no-op when integrity is off): counts
   /// verified/mismatch/undetected reads, records persistent failures for
   /// the array layer, and sets ctx's integrity verdict.
   void verify_read_page(ReadContext& ctx);
-  /// Write-back tail of both write paths: buffer the page dirty, flush the
+  /// Write-back tail of a host write: buffer the page dirty, flush the
   /// evicted victims, and run the kFlushBarrier cadence.
   void buffer_write(std::uint64_t lpn, SimTime now);
-  /// Tail of both write-through paths (kFua, QoS write admission): the
-  /// just-programmed page is durable and stays cached clean for reads.
+  /// Write-through tail (kFua, QoS write admission): the just-programmed
+  /// page is durable and stays cached clean for reads.
   void settle_write_through(std::uint64_t lpn, SimTime now);
   /// Programs one buffered page to NAND and records it durable.
   void flush_victim(std::uint64_t lpn, SimTime now);
@@ -651,15 +653,15 @@ class SsdSimulator : private QosSink, private ArrivalSink {
   std::vector<std::uint64_t> integrity_failed_lpns_;
   /// kFlushBarrier: acked host page writes since the last barrier.
   std::uint64_t acked_since_barrier_ = 0;
-  /// QoS mode (config_.qos.enabled) state: request slot pool + free list,
+  /// config_.qos.enabled (the queued backend), read only where the
+  /// backends differ on purpose; then the request slot pool + free list,
   /// per-tenant in-flight counts for admission control, and the slot
   /// high-water gauge.
   bool qos_mode_ = false;
-  std::uint32_t tenant_count_ = 1;
-  std::vector<QosRequest> qos_requests_;
-  std::vector<std::uint64_t> qos_free_slots_;
-  std::vector<std::uint64_t> qos_outstanding_;
-  std::uint64_t qos_slots_high_water_ = 0;
+  std::vector<RequestSlot> requests_;
+  std::vector<std::uint64_t> free_slots_;
+  std::vector<std::uint64_t> tenant_outstanding_;
+  std::uint64_t slots_high_water_ = 0;
   telemetry::Telemetry* telemetry_ = nullptr;
   Histogram* read_latency_us_hist_ = nullptr;
 };
