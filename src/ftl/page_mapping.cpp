@@ -22,6 +22,20 @@ std::uint64_t mix(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
+/// Prefetches the cache line holding `p` into every level. On x86-64 a
+/// volatile asm: GCC counts __builtin_prefetch as free of side effects, so
+/// a function made only of loads and prefetches can be found pure and its
+/// void calls deleted (gcc 12 -O2 did exactly that; DESIGN.md §2.6).
+/// Always inlined, so the instruction sits in PageMappingFtl::prefetch at
+/// every optimisation level, -O0 included, where the codegen test looks.
+[[gnu::always_inline]] inline void prefetch_line(const void* p) {
+#if defined(__x86_64__)
+  asm volatile("prefetcht0 %0" : : "m"(*static_cast<const char*>(p)));
+#else
+  __builtin_prefetch(p);
+#endif
+}
+
 }  // namespace
 
 PageMappingFtl::PageMappingFtl(FtlConfig config)
@@ -124,6 +138,21 @@ std::optional<PageInfo> PageMappingFtl::lookup(std::uint64_t lpn) const {
                   .write_time = oob_[ppn].write_time,
                   .pe_cycles = block.erase_count,
                   .block_reads = block.read_count};
+}
+
+void PageMappingFtl::prefetch(std::uint64_t lpn) const {
+  FLEX_EXPECTS(lpn < logical_pages_);
+  const std::uint64_t ppn = mapped_ppn(lpn);
+  if (ppn == kInvalid) return;
+  // lookup() reads bytes 0-11 of the 24-byte OOB record and all of the
+  // 24-byte BlockMeta; one record in eight straddles a line, so the last
+  // byte read gets a prefetch of its own.
+  const auto* oob = reinterpret_cast<const char*>(&oob_[ppn]);
+  prefetch_line(oob);
+  prefetch_line(oob + 11);
+  const auto* block = reinterpret_cast<const char*>(&blocks_[block_of(ppn)]);
+  prefetch_line(block);
+  prefetch_line(block + sizeof(BlockMeta) - 1);
 }
 
 void PageMappingFtl::record_read(std::uint64_t ppn) {

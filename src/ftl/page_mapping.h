@@ -221,6 +221,13 @@ class PageMappingFtl {
   /// Looks up a logical page; nullopt if never written.
   std::optional<PageInfo> lookup(std::uint64_t lpn) const;
 
+  /// Starts loading the cache lines a later lookup(lpn) reads: map_[lpn]
+  /// and, when mapped, the first 12 bytes of the page's OOB record and its
+  /// BlockMeta. Changes no state. Defined out of line, with an x86-64
+  /// prefetch the compiler cannot drop (DESIGN.md §2.6), so the codegen
+  /// test has a symbol to inspect.
+  void prefetch(std::uint64_t lpn) const;
+
   /// Writes (or overwrites) a logical page into a block of `mode`,
   /// garbage-collecting first if free space is low.
   WriteResult write(std::uint64_t lpn, PageMode mode, SimTime now);

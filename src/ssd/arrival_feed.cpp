@@ -14,19 +14,20 @@ void ArrivalFeed::start(trace::RequestSource& source,
   pump();
 }
 
-void ArrivalFeed::pump() {
-  if (remaining_ == 0) return;
+bool ArrivalFeed::pump() {
+  if (remaining_ == 0) return false;
   const std::optional<trace::Request> request = source_->next();
-  if (!request.has_value()) return;
+  if (!request.has_value()) return false;
   --remaining_;
   next_ = *request;
   const SimTime when = std::max(request->arrival, kernel_.now());
   kernel_.schedule(when, [this](SimTime now) {
     // Copy out, then pump: the successor arrival overwrites next_.
     const trace::Request current = next_;
-    pump();
+    if (pump()) sink_.on_lookahead(next_);
     sink_.on_arrival(current, now);
   });
+  return true;
 }
 
 }  // namespace flex::ssd

@@ -16,6 +16,9 @@
 //
 // Power loss (EventQueue::drop_pending) drops the one pending arrival, and
 // with it the rest of the feed: nothing is left to schedule a successor.
+//
+// Since the successor is drawn before the current request reaches the
+// sink, the sink sees it one request ahead (ArrivalSink::on_lookahead).
 #pragma once
 
 #include <cstdint>
@@ -31,6 +34,10 @@ class ArrivalSink {
  public:
   virtual ~ArrivalSink() = default;
   virtual void on_arrival(const trace::Request& request, SimTime now) = 0;
+  /// The successor drawn while `on_arrival(current)` is about to run:
+  /// called just before it, and only when a successor was drawn. A sink
+  /// may warm what the successor will touch; it must change nothing.
+  virtual void on_lookahead(const trace::Request& /*next*/) {}
 };
 
 class ArrivalFeed {
@@ -45,7 +52,8 @@ class ArrivalFeed {
   void start(trace::RequestSource& source, std::uint64_t max_requests);
 
  private:
-  void pump();
+  /// Draws and schedules the next request; false when none is left.
+  bool pump();
 
   EventQueue& kernel_;
   ArrivalSink& sink_;

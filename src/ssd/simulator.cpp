@@ -882,6 +882,14 @@ void SsdSimulator::on_arrival(const trace::Request& request, SimTime now) {
   service_request(request, now);
 }
 
+void SsdSimulator::on_lookahead(const trace::Request& next) {
+  if (next.is_write) return;
+  const std::uint64_t logical = ftl_.logical_pages();
+  for (std::uint32_t i = 0; i < next.pages; ++i) {
+    ftl_.prefetch((next.lpn + i) % logical);
+  }
+}
+
 void SsdSimulator::run_open_loop(trace::RequestSource& source,
                                  std::uint64_t max_requests) {
   FLEX_EXPECTS(!external_kernel_);

@@ -10,7 +10,9 @@
 //                      sequence-number tie-breaking: identical seeds give
 //                      bit-identical results);
 //   * ArrivalFeed    — streams trace arrivals into the kernel, one pending
-//                      at a time, clamped so the clock never steps back;
+//                      at a time, clamped so the clock never steps back,
+//                      and shows each read successor early enough to
+//                      prefetch its FTL state (on_lookahead);
 //   * ChipScheduler  — per-chip command queues with channel/die/controller
 //                      occupancy split and queue-depth accounting;
 //   * ReadPolicy     — the scheme's read path (fixed worst-case or
@@ -563,6 +565,9 @@ class SsdSimulator : private QosSink, private ArrivalSink {
         std::min<std::uint32_t>(request.tenant, config_.qos.tenants - 1));
   }
   void on_arrival(const trace::Request& request, SimTime now) override;
+  /// Prefetches the FTL read state of every page of a read successor, so
+  /// its lookups' cache misses overlap serving the current request.
+  void on_lookahead(const trace::Request& next) override;
   /// Runs the event queue dry (crash-armed when injection is on).
   void drain_events();
   /// Where a page read is served from.

@@ -1,5 +1,7 @@
 #include "ftl/page_mapping.h"
 
+#include <optional>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -270,6 +272,57 @@ TEST(PageMappingTest, L2pDumpShowsUnmappedSentinel) {
       EXPECT_EQ(ftl.l2p_dump()[lpn], PageMappingFtl::kUnmappedPpn) << lpn;
     }
   }
+  EXPECT_TRUE(ftl.check_consistency().ok());
+}
+
+// prefetch() only warms cache lines: on every kind of lpn — never written,
+// mapped, overwritten (its first copy invalidated), relocated by GC, in
+// either mode — the FTL's observable state is the same before and after.
+TEST(PageMappingTest, PrefetchHasNoSideEffects) {
+  PageMappingFtl ftl(tiny_config());
+  Rng rng(11);
+  // Half the lpns are written, a hot tenth of those churned hard enough
+  // for GC to relocate cold pages; the rest stay unmapped.
+  const std::uint64_t written = ftl.logical_pages() / 2;
+  for (std::uint64_t lpn = 0; lpn < written; ++lpn) {
+    ftl.write(lpn, lpn % 5 == 0 ? PageMode::kReduced : PageMode::kNormal, 0);
+  }
+  for (int i = 0; i < 3'000; ++i) {
+    ftl.write(rng.below(written / 10), PageMode::kNormal, i + 1);
+  }
+  for (std::uint64_t lpn = 0; lpn < written; lpn += 7) {
+    ftl.record_read(ftl.lookup(lpn)->ppn);
+  }
+  ASSERT_GT(ftl.stats().gc_page_moves, 0u);
+  ASSERT_GT(ftl.reduced_blocks(), 0u);
+  ASSERT_FALSE(ftl.lookup(ftl.logical_pages() - 1).has_value());
+
+  using Seen = std::optional<
+      std::tuple<std::uint64_t, PageMode, SimTime, std::uint32_t,
+                 std::uint64_t>>;
+  const auto lookups = [&ftl] {
+    std::vector<Seen> seen;
+    for (std::uint64_t lpn = 0; lpn < ftl.logical_pages(); ++lpn) {
+      const std::optional<PageInfo> info = ftl.lookup(lpn);
+      seen.push_back(info ? Seen(std::tuple(info->ppn, info->mode,
+                                            info->write_time, info->pe_cycles,
+                                            info->block_reads))
+                          : std::nullopt);
+    }
+    return seen;
+  };
+  const FtlStats stats = ftl.stats();
+  const std::vector<std::uint32_t> l2p = ftl.l2p_dump();
+  const std::uint64_t epoch = ftl.write_epoch();
+  const std::vector<Seen> before = lookups();
+
+  for (std::uint64_t lpn = 0; lpn < ftl.logical_pages(); ++lpn) {
+    ftl.prefetch(lpn);
+  }
+  EXPECT_EQ(ftl.stats(), stats);
+  EXPECT_EQ(ftl.l2p_dump(), l2p);
+  EXPECT_EQ(ftl.write_epoch(), epoch);
+  EXPECT_EQ(lookups(), before);
   EXPECT_TRUE(ftl.check_consistency().ok());
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 namespace flex::ssd {
@@ -15,7 +16,8 @@ trace::Request at(SimTime arrival, std::uint64_t lpn) {
   return request;
 }
 
-/// Logs each arrival's lpn, firing time and the kernel's pending count.
+/// Logs each arrival's lpn, firing time and the kernel's pending count,
+/// and the order of arrivals and lookahead hints.
 class RecordingSink : public ArrivalSink {
  public:
   explicit RecordingSink(const EventQueue& kernel) : kernel_(kernel) {}
@@ -23,10 +25,17 @@ class RecordingSink : public ArrivalSink {
     lpns.push_back(request.lpn);
     times.push_back(now);
     pending.push_back(kernel_.pending());
+    order.push_back("arrive " + std::to_string(request.lpn));
+  }
+  void on_lookahead(const trace::Request& next) override {
+    order.push_back("next " + std::to_string(next.lpn));
+    hint_pending.push_back(kernel_.pending());
   }
   std::vector<std::uint64_t> lpns;
   std::vector<SimTime> times;
   std::vector<std::size_t> pending;
+  std::vector<std::string> order;
+  std::vector<std::size_t> hint_pending;
 
  private:
   const EventQueue& kernel_;
@@ -90,6 +99,50 @@ TEST(ArrivalFeedTest, OpenLoopClampsToClockAndStopsAtLimit) {
   kernel.run_all();
   EXPECT_EQ(sink.lpns.back(), 3u);
   EXPECT_EQ(sink.lpns.size(), 4u);
+}
+
+using Order = std::vector<std::string>;
+
+TEST(ArrivalFeedTest, LookaheadOffersTheSuccessorBeforeTheCurrentArrival) {
+  // Each successor is offered just before its predecessor reaches the
+  // sink; the last request of a segment has no successor and gets none.
+  EventQueue kernel;
+  RecordingSink sink(kernel);
+  ArrivalFeed feed(kernel, sink);
+  const std::vector<trace::Request> first = {at(10, 0), at(20, 1),
+                                             at(30, 2)};
+  trace::VectorSource source(first);
+  feed.start(source, 0);
+  kernel.run_all();
+  EXPECT_EQ(sink.order, (Order{"next 1", "arrive 0", "next 2", "arrive 1",
+                               "arrive 2"}));
+  // The offered successor's arrival is already the one pending event.
+  EXPECT_EQ(sink.hint_pending, (std::vector<std::size_t>{1, 1}));
+  // A second segment: next_ still holds lpn 2, which is never offered
+  // again; the new segment's first request has no predecessor to ride on.
+  sink.order.clear();
+  const std::vector<trace::Request> second = {at(40, 3), at(50, 4)};
+  trace::VectorSource more(second);
+  feed.start(more, 0);
+  kernel.run_all();
+  EXPECT_EQ(sink.order, (Order{"next 4", "arrive 3", "arrive 4"}));
+}
+
+TEST(ArrivalFeedTest, LookaheadStopsAtTheRequestLimit) {
+  // The successor beyond a max_requests cap is not drawn, so not offered.
+  EventQueue kernel;
+  RecordingSink sink(kernel);
+  ArrivalFeed feed(kernel, sink);
+  const std::vector<trace::Request> requests = {at(10, 0), at(20, 1),
+                                                at(30, 2), at(40, 3)};
+  trace::VectorSource source(requests);
+  feed.start(source, /*max_requests=*/2);
+  kernel.run_all();
+  EXPECT_EQ(sink.order, (Order{"next 1", "arrive 0", "arrive 1"}));
+  sink.order.clear();
+  feed.start(source, 0);
+  kernel.run_all();
+  EXPECT_EQ(sink.order, (Order{"next 3", "arrive 2", "arrive 3"}));
 }
 
 }  // namespace
