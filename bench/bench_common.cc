@@ -11,6 +11,7 @@
 #include <set>
 #include <string>
 #include <system_error>
+#include <thread>
 #include <utility>
 
 #include <sys/resource.h>

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -24,12 +23,12 @@
 #include <ostream>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/count.h"
+#include "common/parallel.h"
 #include "reliability/ber_model.h"
 #include "ssd/simulator.h"
 #include "telemetry/export.h"
@@ -115,42 +114,21 @@ class ExperimentHarness {
   std::unique_ptr<reliability::BerModel> reduced_;
 };
 
-/// Runs `count` independent experiments across `jobs` worker threads
-/// (jobs <= 1: serial, in index order on the calling thread; jobs == 0:
-/// one per hardware thread). `runner(i)` must be safe to call from any
-/// thread and return a default-constructible result; results come back in
-/// index order regardless of completion order, so output is identical to
-/// a serial sweep.
+/// Runs `count` independent experiments on flex::parallel_for's pool
+/// (`jobs` as there). `runner(i)` must be safe to call from any thread and
+/// return a default-constructible result; results come back in index
+/// order regardless of completion order, so output is identical to a
+/// serial sweep.
 template <typename Runner>
 auto run_indexed(std::size_t count, const Runner& runner, int jobs)
     -> std::vector<std::invoke_result_t<const Runner&, std::size_t>> {
-  if (jobs == 0) {
-    jobs = static_cast<int>(std::thread::hardware_concurrency());
-    if (jobs <= 0) jobs = 1;
-  }
   std::vector<std::invoke_result_t<const Runner&, std::size_t>> results(
       count);
-  if (jobs <= 1 || count <= 1) {
-    for (std::size_t i = 0; i < count; ++i) results[i] = runner(i);
-    return results;
-  }
-  // Work stealing over a shared index: runs are independent (each owns
-  // its simulator; shared inputs are const), so any assignment of
-  // indices to threads yields the same per-index results.
-  std::atomic<std::size_t> next{0};
-  auto worker = [&] {
-    for (std::size_t i = next.fetch_add(1); i < count;
-         i = next.fetch_add(1)) {
-      results[i] = runner(i);
-    }
-  };
-  std::vector<std::thread> pool;
-  const auto threads =
-      std::min<std::size_t>(static_cast<std::size_t>(jobs), count);
-  pool.reserve(threads - 1);
-  for (std::size_t t = 1; t < threads; ++t) pool.emplace_back(worker);
-  worker();
-  for (auto& thread : pool) thread.join();
+  // Runs are independent (each owns its simulator; shared inputs are
+  // const), so any assignment of indices to threads yields the same
+  // per-index results.
+  parallel_for(count, jobs,
+               [&](std::size_t i) { results[i] = runner(i); });
   return results;
 }
 

@@ -10,7 +10,7 @@
 //     It is not a copy of run_segment: the simulators stream arrivals
 //     one at a time through ArrivalFeed.
 //   * allocations/event — operator new calls per fired event in the
-//     steady state (after one warmup round that grows both lane arrays to
+//     steady state (after warmup rounds that grow both lane arrays to
 //     their high-water mark). The kernel's memory contract says this is
 //     0.0: callbacks live inline in POD lane entries and both lanes are
 //     recycled, never shrunk. The lanes' capacity (`lane_capacity`, in
@@ -24,6 +24,7 @@
 // compares against with a generous (25%) regression margin. Simulated
 // *results* remain byte-identical regardless — this bench guards speed,
 // not correctness.
+#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -87,10 +88,21 @@ struct KernelNumbers {
 
 KernelNumbers bench_kernel(std::uint64_t arrivals, int rounds) {
   namespace alloc = flex::common::alloc_counter;
-  flex::ssd::EventQueue queue;
-  // Warmup: grows both lane arrays to their high-water marks. Steady state
-  // starts here.
-  run_round(queue, arrivals);
+  using flex::ssd::EventQueue;
+  EventQueue queue;
+  // Warmup: grows both lane arrays to their high-water marks. The FIFO
+  // lane keeps its consumed prefix until that prefix reaches
+  // kLaneReclaimMin, so rounds shorter than the floor grow the lane for
+  // several rounds before its first reclaim (and a round can leave the
+  // capacity unchanged just before one that grows it). Warm up until the
+  // capacity has held for a whole reclaim cycle. Steady state starts here.
+  const std::uint64_t cycle =
+      EventQueue::kLaneReclaimMin / std::max<std::uint64_t>(arrivals, 1) + 1;
+  for (std::uint64_t held = 0; held < cycle;) {
+    const std::size_t capacity = queue.lane_capacity();
+    run_round(queue, arrivals);
+    held = queue.lane_capacity() == capacity ? held + 1 : 0;
+  }
 
   const std::uint64_t allocs_before = alloc::allocation_count();
   const auto start = std::chrono::steady_clock::now();

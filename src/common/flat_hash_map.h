@@ -7,13 +7,9 @@
 // shifting (no tombstones, so probe chains never rot), and grows by
 // rehashing in slot order.
 //
-// Determinism contract: raw slot order depends on capacity history, so it
-// is never exposed for iteration. Every element instead carries the
-// 64-bit *insertion ordinal* assigned when its key was (re-)inserted, and
-// `ordered_snapshot()` / `for_each_ordered()` iterate in ordinal order —
-// a canonical order that is independent of rehash timing and hash-seed
-// layout. Code that needs to iterate a map deterministically must use
-// those, never the slot table.
+// Determinism contract: raw slot order depends on capacity history, so the
+// map offers no iteration at all — only keyed find/insert/erase, whose
+// results do not depend on the slot layout.
 #pragma once
 
 #include <algorithm>
@@ -45,7 +41,6 @@ class FlatHashMap {
   struct Entry {
     Key key;
     Value value;
-    std::uint64_t ordinal;  ///< insertion order, survives rehash
   };
 
   FlatHashMap() = default;
@@ -53,13 +48,10 @@ class FlatHashMap {
 
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
-  /// Slot count of the backing table (power of two, or 0 before first use).
-  std::size_t bucket_count() const { return slots_.size(); }
 
   void clear() {
     std::fill(full_.begin(), full_.end(), std::uint8_t{0});
     size_ = 0;
-    next_ordinal_ = 0;
   }
 
   /// Grows the table so `n` elements fit without rehashing.
@@ -90,17 +82,10 @@ class FlatHashMap {
       if (slots_[i].key == key) return {&slots_[i].value, false};
       i = (i + 1) & mask_;
     }
-    slots_[i] = Entry{key, std::move(value), next_ordinal_++};
+    slots_[i] = Entry{key, std::move(value)};
     full_[i] = 1;
     ++size_;
     return {&slots_[i].value, true};
-  }
-
-  /// Insert-or-overwrite; a pre-existing key keeps its original ordinal.
-  Value& assign(Key key, Value value) {
-    auto [slot, inserted] = insert(key, Value{});
-    *slot = std::move(value);
-    return *slot;
   }
 
   /// Erases `key` via backward shifting; returns false if absent.
@@ -126,24 +111,6 @@ class FlatHashMap {
     full_[hole] = 0;
     --size_;
     return true;
-  }
-
-  /// Elements sorted by insertion ordinal — the canonical deterministic
-  /// iteration order (independent of capacity history / slot layout).
-  std::vector<Entry> ordered_snapshot() const {
-    std::vector<Entry> out;
-    out.reserve(size_);
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-      if (full_[i]) out.push_back(slots_[i]);
-    }
-    std::sort(out.begin(), out.end(),
-              [](const Entry& a, const Entry& b) { return a.ordinal < b.ordinal; });
-    return out;
-  }
-
-  template <class Fn>
-  void for_each_ordered(Fn&& fn) const {
-    for (const Entry& e : ordered_snapshot()) fn(e.key, e.value);
   }
 
  private:
@@ -179,7 +146,6 @@ class FlatHashMap {
   std::vector<std::uint8_t> full_;  ///< 1 = occupied (separate for scan locality)
   std::size_t mask_ = 0;
   std::size_t size_ = 0;
-  std::uint64_t next_ordinal_ = 0;
   [[no_unique_address]] Hash hasher_{};
 };
 

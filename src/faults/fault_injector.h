@@ -40,12 +40,6 @@ struct FaultConfig {
   /// uncorrectable read; otherwise the read is declared lost
   /// (SsdResults::data_loss_reads).
   double read_retry_rescue = 0.9;
-  /// Graceful degradation of the ReducedCell pool: every retired block
-  /// costs physical over-provisioning, so FlexLevel shrinks the pool by
-  /// `pages_per_block * f / (1 - f)` logical pages per retired block
-  /// (f = reduced_capacity_factor) — the shrink that keeps effective OP
-  /// constant. Set false to let the pool ride the shrinking OP instead.
-  bool shrink_pool_on_retirement = true;
   /// Power-loss injection: when enabled, every event-queue boundary is a
   /// candidate crash point, adjudicated per event ordinal at `crash_rate`.
   /// Crash granularity is the event boundary — an event's callback runs to

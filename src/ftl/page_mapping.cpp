@@ -48,8 +48,6 @@ PageMappingFtl::PageMappingFtl(FtlConfig config)
   FLEX_EXPECTS(config_.spec.total_pages() < kUnmappedPpn);
   FLEX_EXPECTS(config_.over_provisioning > 0.0 &&
                config_.over_provisioning < 1.0);
-  FLEX_EXPECTS(config_.reduced_capacity_factor > 0.0 &&
-               config_.reduced_capacity_factor <= 1.0);
   FLEX_EXPECTS(config_.gc_low_watermark >= 2);
 
   const std::uint64_t total_blocks =
@@ -123,8 +121,7 @@ void PageMappingFtl::candidate_remove(std::uint32_t block_id,
 std::uint32_t PageMappingFtl::usable_pages(const BlockMeta& block) const {
   if (block.mode == PageMode::kNormal) return config_.spec.pages_per_block;
   return static_cast<std::uint32_t>(
-      std::floor(config_.spec.pages_per_block *
-                 config_.reduced_capacity_factor));
+      std::floor(config_.spec.pages_per_block * kReducedCapacityFactor));
 }
 
 std::optional<PageInfo> PageMappingFtl::lookup(std::uint64_t lpn) const {

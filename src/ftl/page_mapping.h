@@ -27,15 +27,16 @@ namespace flex::ftl {
 /// Storage state of a physical block / page.
 enum class PageMode : std::uint8_t { kNormal, kReduced };
 
+/// Logical pages a reduced-state block can hold, as a fraction of
+/// pages_per_block (ReduceCode: 3 bits per 2 cells = 0.75, Table 1).
+inline constexpr double kReducedCapacityFactor = 0.75;
+
 struct FtlConfig {
   nand::NandSpec spec;
   /// Fraction of raw capacity reserved as over-provisioning (paper: 27%).
   double over_provisioning = 0.27;
   /// GC starts when the free-block count drops to this level.
   std::uint32_t gc_low_watermark = 8;
-  /// Logical pages a reduced-state block can hold, as a fraction of
-  /// pages_per_block (ReduceCode: 3 bits per 2 cells = 0.75).
-  double reduced_capacity_factor = 0.75;
   /// P/E cycles already on every block at simulation start (pre-aging).
   std::uint32_t initial_pe_cycles = 0;
   /// Static wear leveling: every this-many GC victims, the least-worn

@@ -1,8 +1,9 @@
 // Finite field GF(2^m) arithmetic via log/antilog tables.
 //
-// Substrate for the BCH codec (the hard-decision ECC the paper's
-// introduction contrasts LDPC against). Elements are represented as their
-// polynomial-basis bit patterns in [0, 2^m).
+// The BCH codec it served is gone (the paper evaluates only the QC-LDPC
+// code); the field stays for now with its tests, and nothing else links
+// it. Elements are represented as their polynomial-basis bit patterns in
+// [0, 2^m).
 #pragma once
 
 #include <cstdint>

@@ -1,12 +1,11 @@
 #include "host/array.h"
 
 #include <algorithm>
-#include <atomic>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "common/assert.h"
+#include "common/parallel.h"
 
 namespace flex::host {
 namespace {
@@ -17,34 +16,14 @@ namespace {
 /// identity).
 constexpr std::uint64_t kSeedStride = 0x9E3779B97F4A7C15ULL;
 
-Status validate_drive_config(const ssd::SsdConfig& drive,
-                             const std::string& who) {
-  if (Status s = drive.Validate(); !s.ok()) return s;
-  if (drive.qos.enabled) {
-    return Status::InvalidArgument(
-        who + ".qos.enabled is unsupported in an array: the host layer "
-              "owns queueing above the drive (queue pairs + interconnect); "
-              "drive-level QoS mode would double-queue every command");
-  }
-  if (drive.faults.crash_enabled) {
-    return Status::InvalidArgument(
-        who + ".faults.crash_enabled is unsupported in an array: the "
-              "shared kernel's drain loop is owned by the host layer, not "
-              "the drive's crash-armed loop");
-  }
-  return Status::Ok();
-}
-
 StatusOr<std::vector<std::unique_ptr<ssd::SsdSimulator>>> build_drives(
     const ArrayConfig& config, const reliability::BerModel& normal,
     const reliability::BerModel& reduced, ssd::EventQueue& kernel) {
   std::vector<std::unique_ptr<ssd::SsdSimulator>> drives;
   drives.reserve(config.drives);
   for (std::uint32_t d = 0; d < config.drives; ++d) {
-    ssd::SsdConfig cfg =
-        config.drive_overrides.empty() ? config.drive
-                                       : config.drive_overrides[d];
-    if (config.drive_overrides.empty()) cfg.seed += d * kSeedStride;
+    ssd::SsdConfig cfg = config.drive;
+    cfg.seed += d * kSeedStride;
     auto drive = ssd::SsdSimulator::Builder(normal, reduced)
                      .config(std::move(cfg))
                      .kernel(&kernel)
@@ -110,25 +89,6 @@ Status ArrayConfig::Validate() const {
     return Status::OutOfRange(
         "array.queue_pair doorbell/completion latencies must be >= 0");
   }
-  if (!qp.qp_weights.empty()) {
-    if (qp.arbitration != Arbitration::kWeighted) {
-      return Status::InvalidArgument(
-          "array.queue_pair.qp_weights are set but arbitration is "
-          "round-robin: the weights would be silently ignored — switch to "
-          "kWeighted or clear them");
-    }
-    if (qp.qp_weights.size() != qp.queue_pairs) {
-      return Status::InvalidArgument(
-          "array.queue_pair.qp_weights must be empty or have exactly "
-          "queue_pairs entries");
-    }
-    for (const double w : qp.qp_weights) {
-      if (!(w > 0.0)) {
-        return Status::OutOfRange(
-            "array.queue_pair.qp_weights must all be > 0");
-      }
-    }
-  }
   if (interconnect.requesters < 1 || interconnect.requesters > 256) {
     return Status::OutOfRange(
         "array.interconnect.requesters must be in [1, 256]");
@@ -142,43 +102,18 @@ Status ArrayConfig::Validate() const {
                                 ".latency must be >= 0");
     }
   }
-  if (interconnect.command_bytes < 1) {
-    return Status::OutOfRange(
-        "array.interconnect.command_bytes must be >= 1");
+  if (Status s = drive.Validate(); !s.ok()) return s;
+  if (drive.qos.enabled) {
+    return Status::InvalidArgument(
+        "array.drive.qos.enabled is unsupported in an array: the host layer "
+        "owns queueing above the drive (queue pairs + interconnect); "
+        "drive-level QoS mode would double-queue every command");
   }
-  if (Status s = validate_drive_config(drive, "array.drive"); !s.ok()) {
-    return s;
-  }
-  if (!drive_overrides.empty()) {
-    if (drive_overrides.size() != drives) {
-      return Status::InvalidArgument(
-          "array.drive_overrides must be empty or have exactly "
-          "array.drives entries");
-    }
-    for (std::size_t d = 0; d < drive_overrides.size(); ++d) {
-      const ssd::SsdConfig& o = drive_overrides[d];
-      const std::string who =
-          "array.drive_overrides[" + std::to_string(d) + "]";
-      if (Status s = validate_drive_config(o, who); !s.ok()) return s;
-      // Striping math requires every drive to expose the same logical
-      // capacity: same geometry, same over-provisioning, same reduced-
-      // capacity squeeze. Aging heterogeneity (initial P/E, prefill ages)
-      // is welcome; capacity heterogeneity breaks the bijection.
-      const auto& spec = o.ftl.spec;
-      const auto& tmpl = drive.ftl.spec;
-      if (spec.page_size_bytes != tmpl.page_size_bytes ||
-          spec.pages_per_block != tmpl.pages_per_block ||
-          spec.blocks_per_chip != tmpl.blocks_per_chip ||
-          spec.chips != tmpl.chips ||
-          o.ftl.over_provisioning != drive.ftl.over_provisioning ||
-          o.ftl.reduced_capacity_factor !=
-              drive.ftl.reduced_capacity_factor) {
-        return Status::InvalidArgument(
-            who + " geometry/capacity mismatches the template drive: a "
-                  "striped volume needs identical logical capacity on "
-                  "every drive");
-      }
-    }
+  if (drive.faults.crash_enabled) {
+    return Status::InvalidArgument(
+        "array.drive.faults.crash_enabled is unsupported in an array: the "
+        "shared kernel's drain loop is owned by the host layer, not the "
+        "drive's crash-armed loop");
   }
   // Host requests carry the volume lpn in 32 bits (trace::Request).
   const std::uint64_t drive_pages =
@@ -275,27 +210,8 @@ void ArraySimulator::prefill(std::uint64_t host_pages) {
       per_drive[volume_.drive_of(g, r)] = pages;
     }
   }
-  const auto hw = std::thread::hardware_concurrency();
-  const std::uint32_t workers =
-      std::min<std::uint32_t>(drives(), hw > 0 ? hw : 1);
-  if (workers <= 1) {
-    for (std::uint32_t d = 0; d < drives(); ++d) {
-      drives_[d]->prefill(per_drive[d]);
-    }
-    return;
-  }
-  std::atomic<std::uint32_t> next{0};
-  auto worker = [&] {
-    for (std::uint32_t d = next.fetch_add(1); d < drives();
-         d = next.fetch_add(1)) {
-      drives_[d]->prefill(per_drive[d]);
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(workers - 1);
-  for (std::uint32_t t = 1; t < workers; ++t) pool.emplace_back(worker);
-  worker();
-  for (auto& thread : pool) thread.join();
+  parallel_for(drives(), /*jobs=*/0,
+               [&](std::size_t d) { drives_[d]->prefill(per_drive[d]); });
 }
 
 std::uint32_t ArraySimulator::pick_replica(std::uint32_t group,
@@ -343,7 +259,6 @@ void ArraySimulator::submit_command(std::uint64_t slot, std::uint32_t drive,
   const ArrayRequest& req = requests_[slot];
   const std::uint64_t payload =
       static_cast<std::uint64_t>(extent.pages) * page_bytes_;
-  const std::uint32_t capsule = config_.interconnect.command_bytes;
   HostCommand cmd{
       .request_slot = slot,
       .drive = drive,
@@ -354,8 +269,8 @@ void ArraySimulator::submit_command(std::uint64_t slot, std::uint32_t drive,
       .priority = 0,
       .requester = req.requester,
       .qp = req.tenant % config_.queue_pair.queue_pairs,
-      .submit_bytes = capsule + (req.is_write ? payload : 0),
-      .complete_bytes = capsule + (req.is_write ? 0 : payload)};
+      .submit_bytes = kCommandBytes + (req.is_write ? payload : 0),
+      .complete_bytes = kCommandBytes + (req.is_write ? 0 : payload)};
   ++requests_[slot].outstanding;
   qps_[drive]->submit(cmd, now);
 }

@@ -76,13 +76,9 @@ struct ArrayConfig {
   std::uint32_t tenants = 1;
   QueuePairConfig queue_pair;
   InterconnectConfig interconnect;
-  /// Template drive configuration; drive d runs it with seed + d * phi
-  /// (d = 0 keeps the template seed — part of the 1-drive identity).
+  /// Drive configuration; drive d runs it with seed + d * phi (d = 0
+  /// keeps the configured seed — part of the 1-drive identity).
   ssd::SsdConfig drive;
-  /// Optional per-drive configurations (empty = replicate the template);
-  /// must agree on geometry/capacity — heterogeneous aging (initial P/E,
-  /// prefill ages) is fine, mismatched striping math is not.
-  std::vector<ssd::SsdConfig> drive_overrides;
 
   Status Validate() const;
 };

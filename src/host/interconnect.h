@@ -29,10 +29,11 @@ struct InterconnectConfig {
   LinkSpec requester_link;  ///< port -> switch, one per requester
   LinkSpec switch_fabric;   ///< the switch crossbar, shared
   LinkSpec drive_link;      ///< switch -> drive, one per drive
-  /// NVMe-ish command/completion capsule size (submission of a read, the
-  /// completion of a write): what moves when no page payload does.
-  std::uint32_t command_bytes = 64;
 };
+
+/// NVMe-ish command/completion capsule size (submission of a read, the
+/// completion of a write): what moves when no page payload does.
+inline constexpr std::uint32_t kCommandBytes = 64;
 
 struct LinkStats {
   Duration busy = 0;

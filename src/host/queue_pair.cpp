@@ -21,10 +21,7 @@ QueuePairSet::QueuePairSet(const QueuePairConfig& config,
       dispatcher_(dispatcher) {
   FLEX_EXPECTS(config_.queue_pairs >= 1);
   FLEX_EXPECTS(config_.sq_depth >= 1 && config_.cq_depth >= 1);
-  FLEX_EXPECTS(config_.qp_weights.empty() ||
-               config_.qp_weights.size() == config_.queue_pairs);
   qps_.assign(config_.queue_pairs, QueuePair{});
-  wrr_credit_.assign(config_.queue_pairs, 0.0);
 }
 
 std::uint32_t QueuePairSet::alloc_slot() {
@@ -92,31 +89,14 @@ void QueuePairSet::on_doorbell(std::uint32_t slot, SimTime now) {
 
 std::uint32_t QueuePairSet::arbitrate() {
   const std::uint32_t n = config_.queue_pairs;
-  if (config_.arbitration == Arbitration::kRoundRobin) {
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const std::uint32_t qp = (rr_next_ + i) % n;
-      if (!qps_[qp].ready.empty()) {
-        rr_next_ = (qp + 1) % n;
-        return qp;
-      }
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const std::uint32_t qp = (rr_next_ + i) % n;
+    if (!qps_[qp].ready.empty()) {
+      rr_next_ = (qp + 1) % n;
+      return qp;
     }
-    return kNoQp;
   }
-  // Smooth weighted round-robin: every active (non-empty) queue pair earns
-  // its weight in credit; the richest serves and pays back the round's
-  // total — over time each active pair serves in weight proportion.
-  double total = 0.0;
-  std::uint32_t best = kNoQp;
-  for (std::uint32_t qp = 0; qp < n; ++qp) {
-    if (qps_[qp].ready.empty()) continue;
-    const double w =
-        config_.qp_weights.empty() ? 1.0 : config_.qp_weights[qp];
-    wrr_credit_[qp] += w;
-    total += w;
-    if (best == kNoQp || wrr_credit_[qp] > wrr_credit_[best]) best = qp;
-  }
-  if (best != kNoQp) wrr_credit_[best] -= total;
-  return best;
+  return kNoQp;
 }
 
 void QueuePairSet::try_fetch(SimTime now) {

@@ -7,8 +7,7 @@
 //   doorbell            the capsule lands in the drive's SQ; the
 //                       controller's fetch unit serialises slot fetches at
 //                       `doorbell_latency` apiece, arbitrating across
-//                       queue pairs (round-robin or smooth weighted
-//                       round-robin);
+//                       queue pairs round-robin;
 //   dispatch            at fetch completion the command enters the drive
 //                       (Dispatcher::dispatch returns its service time);
 //   completion          when service ends, a CQ entry posts (bounded
@@ -35,12 +34,6 @@
 
 namespace flex::host {
 
-enum class Arbitration {
-  kRoundRobin,
-  /// Smooth weighted round-robin over queue pairs (qp_weights).
-  kWeighted,
-};
-
 struct QueuePairConfig {
   std::uint32_t queue_pairs = 1;
   std::uint32_t sq_depth = 64;
@@ -49,9 +42,6 @@ struct QueuePairConfig {
   Duration doorbell_latency = 1 * kMicrosecond;
   /// Host CQE processing cost (serialised per queue pair).
   Duration completion_latency = 1 * kMicrosecond;
-  Arbitration arbitration = Arbitration::kRoundRobin;
-  /// kWeighted: one weight per queue pair (empty = all 1.0).
-  std::vector<double> qp_weights;
 };
 
 /// One host command against one drive, as the queue pair carries it.
@@ -173,8 +163,6 @@ class QueuePairSet {
   bool fetch_busy_ = false;
   std::uint32_t fetching_slot_ = 0;
   std::uint32_t rr_next_ = 0;
-  /// Smooth weighted round-robin credit per queue pair.
-  std::vector<double> wrr_credit_;
   std::uint64_t outstanding_ = 0;
   QueuePairStats stats_;
 };

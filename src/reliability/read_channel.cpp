@@ -144,8 +144,7 @@ ReadChannel::ReadChannel(const Params& params, const BerModel& normal,
       config_.decode_latency == DecodeLatencyMode::kMeasured) {
     step_iterations_ =
         measure_step_iterations(ladder_, config_.quantizer,
-                                config_.calibration_trials,
-                                config_.calibration_seed);
+                                kCalibrationTrials, kCalibrationSeed);
   }
 }
 
@@ -159,7 +158,7 @@ std::uint64_t ReadChannel::residual_reads(std::uint64_t block,
     calibrated = 0;
     ++stats_.resets;
   }
-  if (reads - calibrated >= config_.calibrate_interval) {
+  if (reads - calibrated >= kCalibrateInterval) {
     calibrated = reads;
     ++stats_.calibrations;
   }

@@ -67,18 +67,19 @@ struct ReadChannelConfig {
   bool adaptive_thresholds = false;
   ChannelQuantizer quantizer = ChannelQuantizer::kUniform;
   DecodeLatencyMode decode_latency = DecodeLatencyMode::kTable;
-  /// Adaptive thresholds: block reads between per-block re-calibrations.
-  /// Between calibrations the uncompensated residual drift accumulates,
-  /// so smaller intervals track tighter at more calibration-read cost.
-  std::uint64_t calibrate_interval = 256;
   /// Fraction of the estimated reference drift the tracking compensates
   /// (in (0, 1]; real estimators under-correct to stay stable).
   double tracking_gain = 0.9;
-  /// Measured decode mode: codewords decoded per ladder step, and the rng
-  /// seed of the calibration run.
-  int calibration_trials = 4;
-  std::uint64_t calibration_seed = 0xCA11B;
 };
+
+/// Adaptive thresholds: block reads between per-block re-calibrations.
+/// Between calibrations the uncompensated residual drift accumulates, so
+/// smaller intervals track tighter at more calibration-read cost.
+inline constexpr std::uint64_t kCalibrateInterval = 256;
+/// Measured decode mode: codewords decoded per ladder step, and the rng
+/// seed of the calibration run.
+inline constexpr int kCalibrationTrials = 4;
+inline constexpr std::uint64_t kCalibrationSeed = 0xCA11B;
 
 class ReadChannel {
  public:

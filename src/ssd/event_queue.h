@@ -66,6 +66,11 @@ class EventQueue {
  public:
   /// Max inline callable size; sized for `this` plus two words of capture.
   static constexpr std::size_t kInlineStorage = 24;
+  /// The FIFO lane's consumed prefix is reclaimed, on append, once it is
+  /// at least this long and at least 8x the unconsumed rest: the memmove
+  /// then costs at most one entry per 8 consumed, and the lane never holds
+  /// more than 9x its unconsumed entries plus this floor.
+  static constexpr std::size_t kLaneReclaimMin = 4096;
 
   EventQueue() = default;
   EventQueue(const EventQueue&) = delete;
@@ -115,12 +120,6 @@ class EventQueue {
   void attach_telemetry(telemetry::Telemetry* telemetry);
 
  private:
-  /// The consumed prefix is reclaimed, on append, once it is at least this
-  /// long and at least 8x the unconsumed rest: the memmove then costs at
-  /// most one entry per 8 consumed, and the lane never holds more than 9x
-  /// its unconsumed entries plus this floor.
-  static constexpr std::size_t kLaneReclaimMin = 4096;
-
   /// Lane entry. POD by construction: the callable is a trivially
   /// copyable capture blob plus a type-erasing invoke thunk, next to the
   /// full (when, seq) sort key, so compares and moves stay inside the

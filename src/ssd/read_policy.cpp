@@ -24,7 +24,7 @@ ReadPolicy::ReadPolicy(const SsdConfig& config, const LatencyModel& latency,
       // the pre-aged wear level at the rated retention age.
       fixed_levels_ = ladder.required_levels(normal_model.total_ber(
           static_cast<int>(config.ftl.initial_pe_cycles),
-          config.baseline_retention_spec));
+          kBaselineRetentionSpec));
       return;
     case Scheme::kLdpcInSsd:
       break;
@@ -34,10 +34,8 @@ ReadPolicy::ReadPolicy(const SsdConfig& config, const LatencyModel& latency,
     case Scheme::kFlexLevel:
       access_eval_.emplace(config.access_eval);
       base_pool_capacity_ = config.access_eval.pool_capacity_pages;
-      if (injector != nullptr &&
-          injector->config().shrink_pool_on_retirement &&
-          config.ftl.reduced_capacity_factor < 1.0) {
-        const double f = config.ftl.reduced_capacity_factor;
+      if (injector != nullptr) {
+        const double f = ftl::kReducedCapacityFactor;
         pool_shrink_per_block_ = static_cast<std::uint64_t>(std::llround(
             config.ftl.spec.pages_per_block * f / (1.0 - f)));
       }

@@ -23,6 +23,8 @@
 #include <optional>
 #include <vector>
 
+#include "common/units.h"
+
 #include "faults/fault_injector.h"
 #include "flexlevel/access_eval.h"
 #include "ftl/page_mapping.h"
@@ -34,6 +36,11 @@
 namespace flex::ssd {
 
 struct SsdConfig;  // simulator.h; broken cycle — the constructor takes it.
+
+/// Retention age the *baseline* controller is qualified for: it cannot
+/// tell pages apart, so every read is provisioned for this worst case
+/// (JEDEC-style rated retention).
+inline constexpr Hours kBaselineRetentionSpec = kMonth;
 
 /// Everything a policy may consult about one resolved read.
 struct ReadContext {
@@ -67,8 +74,8 @@ struct ReadPolicyStats {
   /// ReducedCell pool occupancy right now (gauge, not a counter).
   std::uint64_t pool_pages = 0;
   /// ReducedCell pool budget right now (gauge). Equals the configured
-  /// capacity until block retirements shrink it (fault injection with
-  /// shrink_pool_on_retirement); zero for non-FlexLevel schemes.
+  /// capacity until block retirements shrink it (fault injection); zero
+  /// for non-FlexLevel schemes.
   std::uint64_t pool_capacity_pages = 0;
   /// Blocks scrubbed by the read-disturb refresh, and the valid
   /// pages those scrubs relocated (counters).
@@ -176,7 +183,8 @@ class ReadPolicy {
   /// the FTL retires costs pages_per_block physical pages of
   /// over-provisioning, so the ReducedCell budget shrinks by
   /// pages_per_block * f / (1 - f) logical pages (f =
-  /// reduced_capacity_factor), handing exactly the lost margin to GC.
+  /// ftl::kReducedCapacityFactor) — the shrink that keeps effective OP
+  /// constant, handing exactly the lost margin to GC.
   std::uint64_t pool_shrink_per_block_ = 0;
   std::uint32_t last_retired_ = 0;
   /// Block reads since erase that trigger a scrub; 0 = refresh off.

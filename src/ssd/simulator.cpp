@@ -45,11 +45,6 @@ Status SsdConfig::Validate() const {
   if (!(ftl.over_provisioning > 0.0 && ftl.over_provisioning < 1.0)) {
     return Status::OutOfRange("ftl.over_provisioning must be in (0, 1)");
   }
-  if (!(ftl.reduced_capacity_factor > 0.0 &&
-        ftl.reduced_capacity_factor <= 1.0)) {
-    return Status::OutOfRange(
-        "ftl.reduced_capacity_factor must be in (0, 1]");
-  }
   if (ftl.gc_low_watermark < 2) {
     return Status::OutOfRange("ftl.gc_low_watermark must be >= 2");
   }
@@ -80,9 +75,6 @@ Status SsdConfig::Validate() const {
   }
   if (!(precondition_passes >= 0.0)) {
     return Status::OutOfRange("precondition_passes must be >= 0");
-  }
-  if (!(baseline_retention_spec > 0.0)) {
-    return Status::OutOfRange("baseline_retention_spec must be > 0");
   }
   if (scheme == Scheme::kFlexLevel) {
     if (access_eval.pool_capacity_pages < 1) {
@@ -211,16 +203,9 @@ Status SsdConfig::Validate() const {
         "adaptive_thresholds, an MI quantizer, or measured decode latency "
         "— or disable the channel");
   }
-  if (channel.enabled) {
-    if (!(channel.tracking_gain > 0.0 && channel.tracking_gain <= 1.0)) {
-      return Status::OutOfRange("channel.tracking_gain must be in (0, 1]");
-    }
-    if (channel.calibrate_interval < 1) {
-      return Status::OutOfRange("channel.calibrate_interval must be >= 1");
-    }
-    if (channel.calibration_trials < 1) {
-      return Status::OutOfRange("channel.calibration_trials must be >= 1");
-    }
+  if (channel.enabled &&
+      !(channel.tracking_gain > 0.0 && channel.tracking_gain <= 1.0)) {
+    return Status::OutOfRange("channel.tracking_gain must be in (0, 1]");
   }
   return Status::Ok();
 }

@@ -152,10 +152,6 @@ struct SsdConfig {
   /// valid/invalid mix — and therefore GC — into steady state before
   /// measurement. 0 leaves the drive freshly filled.
   double precondition_passes = 0.0;
-  /// Retention age the *baseline* controller is qualified for: it cannot
-  /// tell pages apart, so every read is provisioned for this worst case
-  /// (JEDEC-style rated retention).
-  Hours baseline_retention_spec = kMonth;
   AgeModel age_model = AgeModel::kPhysical;
   /// Remember the last successful sensing depth per physical page and
   /// start the progressive ladder there (LDPC-in-SSD's fine-grained

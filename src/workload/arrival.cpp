@@ -1,7 +1,6 @@
 #include "workload/arrival.h"
 
 #include <cmath>
-#include <numbers>
 #include <string>
 
 #include "common/assert.h"
@@ -34,24 +33,12 @@ Status ArrivalConfig::Validate() const {
         "arrivals.burst_mean_on_s must be > 0 when bursts are on, got " +
         std::to_string(burst_mean_on_s));
   }
-  if (diurnal_amplitude < 0.0 || diurnal_amplitude > 1.0) {
-    return Status::InvalidArgument(
-        "arrivals.diurnal_amplitude must be in [0, 1], got " +
-        std::to_string(diurnal_amplitude));
-  }
-  if (diurnal_amplitude > 0.0 && !(diurnal_period_s > 0.0)) {
-    return Status::InvalidArgument(
-        "arrivals.diurnal_period_s must be > 0 when the diurnal curve is "
-        "on, got " +
-        std::to_string(diurnal_period_s));
-  }
   return Status::Ok();
 }
 
 double ArrivalConfig::peak_rate() const {
   double peak = base_iops;
   if (has_bursts()) peak *= burst_rate_multiplier;
-  if (has_diurnal()) peak *= 1.0 + diurnal_amplitude;
   return peak;
 }
 
@@ -79,19 +66,6 @@ ArrivalProcess::ArrivalProcess(const ArrivalConfig& config,
   }
 }
 
-double ArrivalProcess::rate_at(double t_s) const {
-  double rate = config_.base_iops;
-  if (config_.has_bursts() && burst_on_) {
-    rate *= config_.burst_rate_multiplier;
-  }
-  if (config_.has_diurnal()) {
-    rate *= 1.0 + config_.diurnal_amplitude *
-                      std::sin(2.0 * std::numbers::pi * t_s /
-                               config_.diurnal_period_s);
-  }
-  return rate;
-}
-
 void ArrivalProcess::advance_burst_state(double t_s) {
   while (state_until_s_ <= t_s) {
     burst_on_ = !burst_on_;
@@ -104,13 +78,14 @@ void ArrivalProcess::advance_burst_state(double t_s) {
 }
 
 SimTime ArrivalProcess::next() {
-  const bool modulated = config_.has_bursts() || config_.has_diurnal();
+  const bool bursty = config_.has_bursts();
   const double peak = config_.peak_rate();
   for (;;) {
     clock_s_ += -std::log(1.0 - rng_.uniform()) / peak;
-    if (!modulated) break;  // exact Exp(base_iops), one uniform per arrival
-    if (config_.has_bursts()) advance_burst_state(clock_s_);
-    const double rate = rate_at(clock_s_);
+    if (!bursty) break;  // exact Exp(base_iops), one uniform per arrival
+    advance_burst_state(clock_s_);
+    // The on state runs at the peak rate itself.
+    const double rate = burst_on_ ? peak : config_.base_iops;
     if (rng_.chance(rate / peak)) break;
   }
   return static_cast<SimTime>(clock_s_ * 1e9);

@@ -1,20 +1,18 @@
 // Open-loop arrival-time processes for the synthetic host workload engine.
 //
-// Three composable rate shapes, all driven by one Rng stream:
+// Two rate shapes, both driven by one Rng stream:
 //   * plain Poisson at `base_iops` — the degenerate (and default) case,
 //     whose interarrivals are exactly Exponential(base_iops) so the
 //     chi-square goodness-of-fit tests hold with no modulation artifacts;
 //   * MMPP on/off bursts (a 2-state Markov-modulated Poisson process):
 //     exponentially-distributed sojourns in an "on" state where the rate is
 //     multiplied by `burst_rate_multiplier`, tuned by the long-run on
-//     fraction and the mean on-sojourn length;
-//   * a diurnal sinusoid multiplying the whole process, for day/night load
-//     curves over multi-hour simulations.
+//     fraction and the mean on-sojourn length.
 //
-// Time-varying rates are sampled exactly with Lewis–Shedler thinning:
+// The bursty rate is sampled exactly with Lewis–Shedler thinning:
 // candidate arrivals are drawn at the peak rate and accepted with
 // probability rate(t)/peak, which is unbiased for any bounded rate
-// function. When neither modulation is enabled the thinning loop
+// function. When bursts are off the thinning loop
 // short-circuits (no acceptance draw), so the plain-Poisson RNG stream is
 // exactly one uniform per arrival.
 #pragma once
@@ -37,20 +35,15 @@ struct ArrivalConfig {
   /// Mean sojourn of one on-burst, seconds. The off-sojourn mean follows
   /// from the on fraction: mean_off = mean_on * (1 - f) / f.
   double burst_mean_on_s = 0.1;
-  /// Sinusoidal modulation depth in [0, 1]: rate(t) scales by
-  /// 1 + A * sin(2π t / period). 0 disables the diurnal curve.
-  double diurnal_amplitude = 0.0;
-  double diurnal_period_s = 86'400.0;
 
   Status Validate() const;
 
   bool has_bursts() const {
     return burst_rate_multiplier > 1.0 && burst_on_fraction > 0.0;
   }
-  bool has_diurnal() const { return diurnal_amplitude > 0.0; }
   /// Peak instantaneous rate — the thinning envelope.
   double peak_rate() const;
-  /// Long-run mean rate (the diurnal sinusoid averages out; bursts do not).
+  /// Long-run mean rate.
   double mean_rate() const;
 };
 
@@ -63,8 +56,6 @@ class ArrivalProcess {
   SimTime next();
 
  private:
-  /// Instantaneous rate at `t_s`, given the current MMPP state.
-  double rate_at(double t_s) const;
   /// Advances the on/off chain so `state_until_s_` > t_s.
   void advance_burst_state(double t_s);
 

@@ -38,15 +38,10 @@ Status EngineConfig::Validate() const {
         "engine.tenants exceeds the 16-bit tenant index, got " +
         std::to_string(tenants.size()));
   }
-  if (tenant_select_theta < 0.0) {
-    return Status::InvalidArgument(
-        "engine.tenant_select_theta must be >= 0, got " +
-        std::to_string(tenant_select_theta));
-  }
   for (std::size_t i = 0; i < tenants.size(); ++i) {
     const TenantSpec& t = tenants[i];
     const std::string who = "engine.tenants[" + std::to_string(i) + "].";
-    if (tenant_select_theta == 0.0 && !(t.arrival_weight > 0.0)) {
+    if (!(t.arrival_weight > 0.0)) {
       return Status::InvalidArgument(who + "arrival_weight must be > 0");
     }
     if (t.read_fraction < 0.0 || t.read_fraction > 1.0) {
@@ -97,17 +92,10 @@ WorkloadEngine::WorkloadEngine(const EngineConfig& config)
     cumulative_weight_.push_back(total_weight);
   }
   for (double& w : cumulative_weight_) w /= total_weight;
-  if (config_.tenant_select_theta > 0.0 && config_.tenants.size() > 1) {
-    tenant_zipf_.emplace(config_.tenants.size(),
-                         config_.tenant_select_theta);
-  }
 }
 
 std::uint32_t WorkloadEngine::pick_tenant() {
   if (tenants_.size() == 1) return 0;
-  if (tenant_zipf_) {
-    return static_cast<std::uint32_t>(tenant_zipf_->sample(rng_));
-  }
   const double u = rng_.uniform();
   const auto it = std::upper_bound(cumulative_weight_.begin(),
                                    cumulative_weight_.end(), u);
@@ -119,16 +107,7 @@ std::uint32_t WorkloadEngine::pick_tenant() {
 }
 
 std::optional<trace::Request> WorkloadEngine::next() {
-  if (exhausted_) return std::nullopt;
-  if (config_.max_requests != 0 && generated_ >= config_.max_requests) {
-    exhausted_ = true;
-    return std::nullopt;
-  }
   const SimTime arrival = arrivals_.next();
-  if (config_.horizon != 0 && arrival >= config_.horizon) {
-    exhausted_ = true;
-    return std::nullopt;
-  }
 
   const std::uint32_t tenant = pick_tenant();
   const TenantSpec& spec = config_.tenants[tenant];
@@ -161,11 +140,7 @@ std::optional<trace::Request> WorkloadEngine::next() {
 std::vector<trace::Request> WorkloadEngine::materialize(std::uint64_t n) {
   std::vector<trace::Request> out;
   out.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    std::optional<trace::Request> req = next();
-    if (!req) break;
-    out.push_back(*req);
-  }
+  for (std::uint64_t i = 0; i < n; ++i) out.push_back(*next());
   return out;
 }
 

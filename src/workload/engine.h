@@ -2,11 +2,11 @@
 //
 // Generates a request stream directly into the simulator's DES kernel (via
 // trace::RequestSource) instead of materialising a trace vector first:
-// arrivals come from workload::ArrivalProcess (Poisson / MMPP bursts /
-// diurnal curves), each arrival is attributed to a tenant (fixed weights or
-// a Zipf-distributed tenant popularity), and the tenant's spec drives the
-// read/write mix, request length, and Zipf address skew inside the
-// tenant's private footprint slice. Requests carry the tenant index and a
+// arrivals come from workload::ArrivalProcess (Poisson or MMPP bursts),
+// each arrival is attributed to a tenant by its arrival weight
+// (zipf_tenant_population gives a Zipf tenant popularity), and the
+// tenant's spec drives the read/write mix, request length, and Zipf
+// address skew inside the tenant's private footprint slice. Requests carry the tenant index and a
 // priority so the QoS chip scheduler can queue per tenant.
 //
 // Determinism: one Rng seeded from EngineConfig::seed drives everything
@@ -30,8 +30,8 @@ namespace flex::workload {
 
 struct TenantSpec {
   std::string name;
-  /// Share of arrivals attributed to this tenant (ignored when the engine
-  /// selects tenants by Zipf rank; see EngineConfig::tenant_select_theta).
+  /// Share of arrivals attributed to this tenant (weights are normalised
+  /// over the population).
   double arrival_weight = 1.0;
   /// Fair-share weight for the QoS scheduler (carried through to the bench
   /// config; the engine itself does not use it).
@@ -55,14 +55,6 @@ struct TenantSpec {
 struct EngineConfig {
   ArrivalConfig arrivals;
   std::vector<TenantSpec> tenants;
-  /// > 0: tenant of each arrival is a Zipf(theta) draw over tenant ranks
-  /// (tenant 0 hottest) — the "many small tenants" population shape.
-  /// 0: tenants are picked by normalised arrival_weight.
-  double tenant_select_theta = 0.0;
-  /// Stop after this many requests; 0 = unbounded (caller limits).
-  std::uint64_t max_requests = 0;
-  /// Stop at this simulated time; 0 = unbounded.
-  SimTime horizon = 0;
   std::uint64_t seed = 0x5EED;
 
   Status Validate() const;
@@ -73,13 +65,15 @@ class WorkloadEngine final : public trace::RequestSource {
   /// `config` must satisfy Validate() (asserted).
   explicit WorkloadEngine(const EngineConfig& config);
 
+  /// The next request; the stream never ends (the caller bounds it, e.g.
+  /// through run_open_loop's request cap).
   std::optional<trace::Request> next() override;
 
   /// Requests generated so far.
   std::uint64_t generated() const { return generated_; }
 
-  /// Drains up to `n` requests into a vector (statistical tests and
-  /// closed-loop replay); stops early if the stream ends.
+  /// Draws the next `n` requests into a vector (statistical tests and
+  /// closed-loop replay).
   std::vector<trace::Request> materialize(std::uint64_t n);
 
  private:
@@ -96,9 +90,7 @@ class WorkloadEngine final : public trace::RequestSource {
   Rng rng_;
   std::vector<TenantState> tenants_;
   std::vector<double> cumulative_weight_;
-  std::optional<ZipfSampler> tenant_zipf_;
   std::uint64_t generated_ = 0;
-  bool exhausted_ = false;
 };
 
 /// Slices `footprint_pages` into `n` equal disjoint tenant regions whose

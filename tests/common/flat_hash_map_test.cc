@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <vector>
 
 namespace flex {
 namespace {
@@ -35,20 +34,6 @@ TEST(FlatHashMapTest, DuplicateInsertKeepsOriginalValue) {
   EXPECT_EQ(map.size(), 1u);
 }
 
-TEST(FlatHashMapTest, AssignOverwritesAndKeepsOrdinal) {
-  FlatHashMap<int> map;
-  map.insert(1, 10);
-  map.insert(2, 20);
-  map.assign(1, 11);  // overwrite must not move key 1 behind key 2
-  std::vector<std::uint64_t> keys;
-  map.for_each_ordered(
-      [&](std::uint64_t key, const int&) { keys.push_back(key); });
-  ASSERT_EQ(keys.size(), 2u);
-  EXPECT_EQ(keys[0], 1u);
-  EXPECT_EQ(keys[1], 2u);
-  EXPECT_EQ(*map.find(1), 11);
-}
-
 TEST(FlatHashMapTest, GrowthPreservesEveryEntry) {
   FlatHashMap<std::uint64_t> map;  // grows through several rehashes
   constexpr std::uint64_t kN = 10000;
@@ -78,65 +63,18 @@ TEST(FlatHashMapTest, EraseKeepsSurvivorsFindable) {
   }
 }
 
-TEST(FlatHashMapTest, OrderedIterationFollowsInsertionOrder) {
-  FlatHashMap<int> map;
-  const std::vector<std::uint64_t> order = {9, 1, 7, 1000003, 4};
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    map.insert(order[i], static_cast<int>(i));
-  }
-  std::vector<std::uint64_t> seen;
-  map.for_each_ordered(
-      [&](std::uint64_t key, const int&) { seen.push_back(key); });
-  EXPECT_EQ(seen, order);
-}
-
-TEST(FlatHashMapTest, ReinsertedKeyMovesToEndOfOrder) {
-  FlatHashMap<int> map;
-  map.insert(1, 0);
-  map.insert(2, 0);
-  map.erase(1);
-  map.insert(1, 0);  // fresh ordinal: now younger than 2
-  std::vector<std::uint64_t> seen;
-  map.for_each_ordered(
-      [&](std::uint64_t key, const int&) { seen.push_back(key); });
-  ASSERT_EQ(seen.size(), 2u);
-  EXPECT_EQ(seen[0], 2u);
-  EXPECT_EQ(seen[1], 1u);
-}
-
-TEST(FlatHashMapTest, IterationOrderIndependentOfCapacityHistory) {
-  // The canonical order must not depend on slot layout: a map grown
-  // incrementally and a map pre-reserved past its final size see the
-  // same inserts land in different buckets, yet snapshot identically.
-  FlatHashMap<int> grown;
-  FlatHashMap<int> reserved(1 << 14);
-  for (std::uint64_t k = 0; k < 3000; ++k) {
-    grown.insert(k * 7919, static_cast<int>(k));
-    reserved.insert(k * 7919, static_cast<int>(k));
-  }
-  const auto a = grown.ordered_snapshot();
-  const auto b = reserved.ordered_snapshot();
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].key, b[i].key);
-    EXPECT_EQ(a[i].value, b[i].value);
-    EXPECT_EQ(a[i].ordinal, b[i].ordinal);
-  }
-}
-
-TEST(FlatHashMapTest, ClearResetsSizeAndOrdinals) {
+TEST(FlatHashMapTest, ClearEmptiesTheMap) {
   FlatHashMap<int> map;
   for (std::uint64_t k = 0; k < 100; ++k) map.insert(k, 0);
   map.clear();
   EXPECT_TRUE(map.empty());
   EXPECT_EQ(map.find(5), nullptr);
-  map.insert(50, 1);
-  map.insert(10, 2);
-  const auto snapshot = map.ordered_snapshot();
-  ASSERT_EQ(snapshot.size(), 2u);
-  EXPECT_EQ(snapshot[0].key, 50u);   // post-clear ordinals restart at 0
-  EXPECT_EQ(snapshot[0].ordinal, 0u);
-  EXPECT_EQ(snapshot[1].key, 10u);
+  // The cleared table takes fresh inserts, including a key it held.
+  EXPECT_TRUE(map.insert(50, 1).second);
+  EXPECT_TRUE(map.insert(10, 2).second);
+  EXPECT_EQ(map.size(), 2u);
+  EXPECT_EQ(*map.find(50), 1);
+  EXPECT_EQ(*map.find(10), 2);
 }
 
 }  // namespace

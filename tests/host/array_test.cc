@@ -296,14 +296,6 @@ TEST_F(ArrayTest, ValidateRejectsInconsistentConfigs) {
   EXPECT_FALSE(status_of(cfg).ok());  // groups don't divide evenly
 
   cfg = base;
-  cfg.queue_pair.qp_weights = {2.0, 1.0};
-  cfg.queue_pair.queue_pairs = 2;
-  EXPECT_FALSE(status_of(cfg).ok());  // weights armed, arbitration RR
-
-  cfg.queue_pair.arbitration = Arbitration::kWeighted;
-  EXPECT_TRUE(status_of(cfg).ok());
-
-  cfg = base;
   cfg.replica_policy = ReplicaPolicy::kShortestQueue;
   EXPECT_FALSE(status_of(cfg).ok());  // steering with a single copy
 
@@ -320,17 +312,6 @@ TEST_F(ArrayTest, ValidateRejectsInconsistentConfigs) {
   cfg.drive.qos.enabled = true;
   cfg.drive.qos.tenants = 1;
   EXPECT_FALSE(status_of(cfg).ok());  // drive-level QoS double-queues
-
-  cfg = base;
-  cfg.drives = 2;
-  cfg.drive_overrides.assign(2, base.drive);
-  EXPECT_TRUE(status_of(cfg).ok());
-  cfg.drive_overrides[1].ftl.spec.blocks_per_chip += 1;
-  EXPECT_FALSE(status_of(cfg).ok());  // geometry mismatch under striping
-
-  cfg = base;
-  cfg.drive_overrides.assign(3, base.drive);
-  EXPECT_FALSE(status_of(cfg).ok());  // override count != drives
 }
 
 // Host lpns ride trace::Request's 32-bit lpn, and each drive's L2P map

@@ -133,31 +133,6 @@ TEST(QueuePairTest, RoundRobinAlternatesAcrossQueuePairs) {
             (std::vector<std::uint64_t>{0, 10, 1, 11, 2, 12}));
 }
 
-TEST(QueuePairTest, WeightedArbitrationServesInWeightProportion) {
-  ssd::EventQueue kernel;
-  FakeTransport transport;
-  FakeDispatcher dispatcher;
-  QueuePairConfig config;
-  config.queue_pairs = 2;
-  config.arbitration = Arbitration::kWeighted;
-  config.qp_weights = {3.0, 1.0};
-  config.doorbell_latency = 5;
-  config.completion_latency = 0;
-  QueuePairSet qps(config, kernel, transport, dispatcher);
-
-  for (std::uint64_t i = 0; i < 8; ++i) qps.submit(cmd(i, 0), 0);
-  for (std::uint64_t i = 100; i < 108; ++i) qps.submit(cmd(i, 1), 0);
-  kernel.run_all();
-  // Smooth WRR at 3:1 interleaves the first 8 fetches as 6 from QP0 and
-  // 2 from QP1 — weight proportion, not starvation.
-  std::uint32_t qp0 = 0;
-  for (std::size_t i = 0; i < 8; ++i) {
-    if (dispatcher.dispatched[i] < 100) ++qp0;
-  }
-  EXPECT_EQ(qp0, 6u);
-  ASSERT_EQ(dispatcher.dispatched.size(), 16u);
-}
-
 TEST(QueuePairTest, CompletionsConsumeInServiceOrderPerQueuePair) {
   ssd::EventQueue kernel;
   FakeTransport transport;

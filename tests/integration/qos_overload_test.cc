@@ -70,23 +70,22 @@ class QosOverloadTest : public ::testing::Test {
     return cfg;
   }
 
-  static workload::EngineConfig engine_config(double iops,
-                                              std::uint64_t requests) {
+  static workload::EngineConfig engine_config(double iops) {
     workload::EngineConfig engine;
     engine.arrivals.base_iops = iops;
     engine.tenants =
         workload::zipf_tenant_population(2, 0.9, /*footprint_pages=*/4000);
-    engine.max_requests = requests;
     engine.seed = 0x0AD5;
     return engine;
   }
 
   static SsdResults run_open_loop(SsdConfig cfg,
-                                  const workload::EngineConfig& engine) {
+                                  const workload::EngineConfig& engine,
+                                  std::uint64_t requests) {
     auto sim = test::build_simulator(std::move(cfg), *normal_, *reduced_);
     sim->prefill(4000);
     workload::WorkloadEngine source(engine);
-    sim->run_open_loop(source);
+    sim->run_open_loop(source, requests);
     return sim->results();
   }
 
@@ -101,7 +100,7 @@ TEST_F(QosOverloadTest, AdmissionControlBoundsQueueMemory) {
   SsdConfig cfg = config();
   cfg.qos.admission_max_outstanding = 32;
   const SsdResults r =
-      run_open_loop(std::move(cfg), engine_config(/*iops=*/12'000, 15'000));
+      run_open_loop(std::move(cfg), engine_config(/*iops=*/12'000), 15'000);
 
   // Overload with a 32-request per-tenant cap: rejections must happen,
   // and in-flight request slots stay under tenants * cap.
@@ -118,7 +117,7 @@ TEST_F(QosOverloadTest, ReadP99MonotoneNonDecreasingInArrivalRate) {
   double previous = 0.0;
   for (const double iops : {600.0, 2'000.0, 6'000.0, 18'000.0}) {
     const SsdResults r =
-        run_open_loop(config(), engine_config(iops, 10'000));
+        run_open_loop(config(), engine_config(iops), 10'000);
     const double p99 = r.read_latency_hist.quantile(0.99);
     EXPECT_GE(p99, previous) << "rate " << iops;
     previous = p99;
@@ -136,9 +135,10 @@ TEST_F(QosOverloadTest, DeadlineBeatsFifoOnTailLatencyAtHighLoad) {
   fifo_cfg.qos.write_deadline = fifo_cfg.qos.background_deadline;
   fifo_cfg.qos.fair_share_slack = std::numeric_limits<Duration>::max();
   SsdConfig deadline_cfg = config();
-  const workload::EngineConfig engine = engine_config(/*iops=*/3'000, 15'000);
-  const SsdResults fifo = run_open_loop(std::move(fifo_cfg), engine);
-  const SsdResults deadline = run_open_loop(std::move(deadline_cfg), engine);
+  const workload::EngineConfig engine = engine_config(/*iops=*/3'000);
+  const SsdResults fifo = run_open_loop(std::move(fifo_cfg), engine, 15'000);
+  const SsdResults deadline =
+      run_open_loop(std::move(deadline_cfg), engine, 15'000);
 
   // ...and must walk the identical FTL state trajectory (mutations are
   // synchronous at arrival, policy-independent), so the comparison
@@ -174,13 +174,13 @@ TEST_F(QosOverloadTest, AgedStormHasNoDurabilityOrDisturbViolations) {
   cfg.faults.read_retry_rescue = 1.0;
   const std::uint64_t buffer_pages = cfg.write_buffer_pages;
 
-  workload::EngineConfig engine = engine_config(/*iops=*/4'000, 20'000);
+  workload::EngineConfig engine = engine_config(/*iops=*/4'000);
   engine.arrivals.burst_rate_multiplier = 6.0;
   engine.arrivals.burst_on_fraction = 0.15;
   engine.arrivals.burst_mean_on_s = 0.02;
   for (auto& tenant : engine.tenants) tenant.read_fraction = 0.4;
 
-  const SsdResults r = run_open_loop(std::move(cfg), engine);
+  const SsdResults r = run_open_loop(std::move(cfg), engine, 20'000);
 
   // Durability: nothing lost, acks never trail durable programs, the
   // buffer never exceeds its capacity.
@@ -207,7 +207,7 @@ TEST_F(QosOverloadTest, QosStateTrajectoryMatchesLegacyClosedLoop) {
   // QoS only changes queueing and latency accounting, never drive state.
   // Both backends share one read resolution step, so the read accounting —
   // including read-back seal verification — must agree too.
-  workload::WorkloadEngine source(engine_config(/*iops=*/1'500, 8'000));
+  workload::WorkloadEngine source(engine_config(/*iops=*/1'500));
   const auto requests = source.materialize(8'000);
 
   SsdConfig legacy_cfg = config();

@@ -87,7 +87,7 @@ TEST_F(ReadPolicyTest, BaselineProvisionsForRatedRetention) {
   // pre-aged drive, independent of what this page actually needs.
   const int fixed = f.ladder.required_levels(normal_->total_ber(
       static_cast<int>(f.cfg.ftl.initial_pe_cycles),
-      f.cfg.baseline_retention_spec));
+      kBaselineRetentionSpec));
   const ReadCost easy = f.policy.read_cost(read_of(1, 1, 0));
   EXPECT_EQ(easy.total(), f.cfg.latency.read_fixed(fixed));
   // A page whose requirement exceeds the provision escalates past it.

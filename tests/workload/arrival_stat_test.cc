@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <numbers>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -119,44 +118,12 @@ TEST(ArrivalStatTest, MmppBurstsRaiseIndexOfDispersion) {
   EXPECT_GT(d_bursty, 3.0);
 }
 
-TEST(ArrivalStatTest, DiurnalCurveShapesArrivalCounts) {
-  ArrivalConfig config;
-  config.base_iops = 2000.0;
-  config.diurnal_amplitude = 0.9;
-  config.diurnal_period_s = 10.0;
-  const auto times = draw(config, /*seed=*/0xD1A1, 50'000);
-
-  // rate(t) = base * (1 + A sin(2 pi t / T)): the first half-period
-  // averages 1 + 2A/pi, the second 1 - 2A/pi — a ratio of ~3.7 at A=0.9.
-  // Fold over *complete* periods only (a stream truncated mid-period
-  // would overweight whichever half it ends in) and compare the counts.
-  const double last_s = static_cast<double>(times.back()) / 1e9;
-  const double cutoff_s =
-      std::floor(last_s / config.diurnal_period_s) * config.diurnal_period_s;
-  std::uint64_t first_half = 0;
-  std::uint64_t second_half = 0;
-  for (const SimTime t : times) {
-    const double t_s = static_cast<double>(t) / 1e9;
-    if (t_s >= cutoff_s) break;
-    const double phase = std::fmod(t_s, config.diurnal_period_s);
-    (phase < config.diurnal_period_s / 2 ? first_half : second_half)++;
-  }
-  ASSERT_GT(second_half, 0u);
-  const double ratio =
-      static_cast<double>(first_half) / static_cast<double>(second_half);
-  const double expected = (1.0 + 2.0 * 0.9 / std::numbers::pi) /
-                          (1.0 - 2.0 * 0.9 / std::numbers::pi);
-  EXPECT_NEAR(ratio, expected, 0.5);
-}
-
 TEST(ArrivalStatTest, TimestampsAreNonDecreasing) {
   ArrivalConfig config;
   config.base_iops = 5000.0;
   config.burst_rate_multiplier = 6.0;
   config.burst_on_fraction = 0.3;
   config.burst_mean_on_s = 0.01;
-  config.diurnal_amplitude = 0.5;
-  config.diurnal_period_s = 1.0;
   ArrivalProcess process(config, /*seed=*/11);
   SimTime prev = 0;
   for (int i = 0; i < 50'000; ++i) {
@@ -201,15 +168,6 @@ TEST(ArrivalStatTest, ValidateRejectsBadConfigs) {
   bad.burst_rate_multiplier = 4.0;
   bad.burst_on_fraction = 0.2;
   bad.burst_mean_on_s = 0.0;
-  EXPECT_FALSE(bad.Validate().ok());
-
-  bad = ok;
-  bad.diurnal_amplitude = 1.5;
-  EXPECT_FALSE(bad.Validate().ok());
-
-  bad = ok;
-  bad.diurnal_amplitude = 0.5;
-  bad.diurnal_period_s = 0.0;
   EXPECT_FALSE(bad.Validate().ok());
 }
 
